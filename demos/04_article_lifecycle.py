@@ -1,7 +1,8 @@
 """One article's life on the chain: submit, review, publish, retract.
 
-Every step below is a transaction, replicated by four peers who re-execute
-it and approve the block only when their state digests agree.  The script
+Every step below is a transaction in a block that the proposer executes
+once and four deterministic peers approve; replaying the exported chain is
+the independent check.  The script
 prints the ledger effects of each transition and finishes by verifying the
 exported chain, tampering with one byte, and watching verification fail.
 """

@@ -15,7 +15,7 @@ Module map:
     ledger      integer token accounts, escrow, platform reserve
     market      review-outcome prediction market (log scoring rule)
     lifecycle   the article state machine and protocol operations
-    netchain    quorum re-execution chain, replay and tamper checks
+    netchain    execute-once quorum chain, replay and tamper checks
     cli         scenario runner (`scholarchain` command)
 """
 

@@ -40,6 +40,7 @@ from .games import (
 from .ledger import TokenLedger
 from .lifecycle import ProtocolConfig, ProtocolState
 from .netchain import (
+    PLATFORM,
     Chain,
     PeerSet,
     Transaction,
@@ -243,7 +244,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
             produce_block(chain, pool, peer_set)
 
     for user, balance in users.items():
-        push(TxKind.CREDIT, {"user": user, "amount": balance}, "platform")
+        push(TxKind.CREDIT, {"user": user, "amount": balance}, PLATFORM)
     commit()
 
     push(TxKind.SUBMIT_ARTICLE, dict(article_spec), author)
@@ -273,7 +274,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         )
     commit()
 
-    push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": votes}, "platform")
+    push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": votes}, PLATFORM)
     commit()
 
     objection = scenario.get("objection")
@@ -293,7 +294,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
             push(
                 TxKind.RESOLVE_DISPUTE,
                 {"dispute": open_disputes[0], "votes": objection["peer_votes"]},
-                "platform",
+                PLATFORM,
             )
             commit()
 

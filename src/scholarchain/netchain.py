@@ -1,12 +1,15 @@
-"""Lite permissioned chain: quorum re-execution over the protocol state.
+"""Lite permissioned chain: execute once, validate by replay.
 
 There is no timing model and no fork handling: one call to
-`produce_block` turns the pending pool into one candidate block.  Every
-peer independently re-executes the pending transactions against the tip
-state and approves when its post-state digest matches the proposer's; the
-block commits only with a two-thirds-plus-one quorum of matching digests.
-Transactions that fail protocol rules are kept in the block flagged as
-rejected and change nothing, preserving an auditable history.
+`produce_block` turns the pending pool into one candidate block.  The
+proposer executes the pending transactions once against a copy of the tip
+state.  Peers run the same deterministic code, so every honest peer would
+compute the proposer's digest and approves; peers named faulty never
+approve.  The block commits only with a two-thirds-plus-one quorum of
+approvals.  The independent check is `verify_chain`, which re-executes
+every block from genesis.  Transactions that fail protocol rules are kept
+in the block flagged as rejected and change nothing, preserving an
+auditable history.
 
 Blocks are hash-linked over their full content (header *and* transaction
 records), so any single-byte mutation of a committed block is caught by
@@ -29,6 +32,9 @@ GENESIS_PREV_HASH = "0" * 64
 APPLIED = "applied"
 REJECTED = "rejected"
 
+#: The submitter of every trusted-platform operation.
+PLATFORM = "platform"
+
 
 class TxKind(str, Enum):
     """Every state-changing ledger, lifecycle and market operation."""
@@ -47,7 +53,8 @@ class TxKind(str, Enum):
 
 
 #: Transactions a user issues about themself; the chain checks that the
-#: named actor is the submitter.  The rest are trusted-platform operations.
+#: named actor is the submitter.  The rest are trusted-platform operations,
+#: which only `PLATFORM` may submit.
 _USER_INITIATED = {
     TxKind.ESCROW,
     TxKind.SUBMIT_ARTICLE,
@@ -176,6 +183,10 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
                 raise ChainError(
                     f"{tx.submitter!r} cannot act for {actor!r} in {tx.kind.value}"
                 )
+        elif tx.submitter != PLATFORM:
+            raise ChainError(
+                f"{tx.submitter!r} cannot submit platform operation {tx.kind.value}"
+            )
         if tx.kind is TxKind.CREDIT:
             state.ledger.credit(p["user"], p["amount"], p.get("source", "mint"))
         elif tx.kind is TxKind.ESCROW:
@@ -210,7 +221,7 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
             state.claim_published_article(p["article"], p.get("doi", ""), tx.submitter)
         else:  # pragma: no cover - enum is exhaustive
             raise ChainError(f"unhandled kind {tx.kind}")
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
 
 
@@ -228,8 +239,8 @@ class TxPool:
         return len(self.pending)
 
 
-def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) -> TxPool:
-    """Validate a transaction's form and append it to the pool."""
+def _check_tx_form(tx: Transaction) -> None:
+    """Raise ChainError unless the transaction's fields have the right types."""
     if not isinstance(tx.kind, TxKind):
         raise ChainError(f"unknown transaction kind {tx.kind!r}")
     if not isinstance(tx.payload, dict):
@@ -238,10 +249,14 @@ def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) ->
         raise ChainError("submitter must be a nonempty user id")
     if not isinstance(tx.tx_id, int) or tx.tx_id < 0:
         raise ChainError(f"tx id must be a non-negative integer, got {tx.tx_id!r}")
+
+
+def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) -> TxPool:
+    """Validate a transaction's form and append it to the pool."""
+    _check_tx_form(tx)
     last = pool.pending[-1].tx_id if pool.pending else -1
     if chain is not None:
-        committed = (r.tx.tx_id for b in chain.blocks for r in b.txs)
-        last = max(last, max(committed, default=-1))
+        last = max(last, chain.last_tx_id)
     if tx.tx_id <= last:
         raise ChainError(f"tx id {tx.tx_id} is not strictly increasing (last {last})")
     pool.pending.append(tx)
@@ -255,6 +270,7 @@ class Chain:
         self.genesis = genesis.clone()
         self.tip = genesis.clone()
         self.blocks: list[Block] = []
+        self.last_tx_id = -1  # largest committed tx id
 
     @property
     def height(self) -> int:
@@ -273,40 +289,29 @@ def produce_block(
     peer_set: PeerSet,
     faulty_peers: Iterable[str] = (),
 ) -> BlockResult:
-    """Execute the pool against the tip and commit on quorum agreement.
+    """Execute the pool once against the tip and commit on quorum.
 
-    Simulated faulty peers report a corrupted digest and never approve.
-    On quorum failure the pool is retained and the chain is unchanged.
+    Honest peers are deterministic and approve; simulated faulty peers
+    never do.  On quorum failure nothing is executed, the pool is retained
+    and the chain is unchanged.
     """
     if not pool.pending:
         raise ChainError("pending pool is empty")
     faulty = set(faulty_peers)
-
-    def execute(base: ProtocolState) -> tuple[ProtocolState, list[TxRecord]]:
-        working = base.clone()
-        records = []
-        for tx in pool.pending:
-            try:
-                apply_tx(working, tx)
-                records.append(TxRecord(tx, APPLIED))
-            except ProtocolError as exc:
-                records.append(TxRecord(tx, REJECTED, str(exc)))
-        return working, records
-
-    proposed_state, records = execute(chain.tip)
-    proposed_digest = state_hash(proposed_state)
-
-    approvals = []
-    for peer in peer_set.peers:
-        if peer in faulty:
-            continue  # its divergent digest can never match
-        peer_state, _ = execute(chain.tip)
-        if state_hash(peer_state) == proposed_digest:
-            approvals.append(peer)
-    approvals = tuple(sorted(approvals))
-
+    approvals = tuple(sorted(p for p in peer_set.peers if p not in faulty))
     if len(approvals) < peer_set.quorum:
         return BlockResult(False, None, approvals)
+
+    # A copy keeps the block atomic if an exception escapes apply_tx.
+    proposed_state = chain.tip.clone()
+    records = []
+    for tx in pool.pending:
+        try:
+            apply_tx(proposed_state, tx)
+            records.append(TxRecord(tx, APPLIED))
+        except ProtocolError as exc:
+            records.append(TxRecord(tx, REJECTED, str(exc)))
+    proposed_digest = state_hash(proposed_state)
 
     prev_hash = chain.blocks[-1].block_hash if chain.blocks else GENESIS_PREV_HASH
     height = chain.height
@@ -322,6 +327,7 @@ def produce_block(
     )
     chain.blocks.append(block)
     chain.tip = proposed_state
+    chain.last_tx_id = max(chain.last_tx_id, *(r.tx.tx_id for r in records))
     pool.pending = []
     return BlockResult(True, block, approvals)
 
@@ -344,8 +350,8 @@ def verify_chain(
 
     Valid iff heights are consecutive, each prev_hash matches the previous
     block's content digest, every block's own digest seals its content,
-    approvals form a quorum of known peers, recorded tx statuses match
-    re-execution, and each recorded state hash equals the replayed one.
+    distinct approvals form a quorum of known peers, recorded tx statuses
+    match re-execution, and each recorded state hash equals the replayed one.
     """
     state = genesis.clone()
     prev_hash = GENESIS_PREV_HASH
@@ -363,8 +369,8 @@ def verify_chain(
         )
         if recomputed != block.block_hash:
             return bad("block content does not match its digest")
-        if len(block.approvals) < peer_set.quorum:
-            return bad("approvals below quorum")
+        if len(set(block.approvals)) < peer_set.quorum:
+            return bad("distinct approvals below quorum")
         if not set(block.approvals) <= set(peer_set.peers):
             return bad("approval from unknown peer")
         for record in block.txs:
@@ -410,6 +416,7 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         submitter=obj["submitter"],
         signature=obj["signature"],
     )
+    _check_tx_form(tx)
     return TxRecord(tx, obj["status"], obj["error"])
 
 
@@ -427,15 +434,20 @@ def import_chain(text: str) -> list[Block]:
             obj = json.loads(line)
             if not isinstance(obj, dict) or list(obj) != _BLOCK_WIRE_KEYS:
                 raise ChainError(f"block keys must be exactly {_BLOCK_WIRE_KEYS}")
+            approvals = obj["approvals"]
+            if not isinstance(approvals, list) or not all(
+                isinstance(a, str) for a in approvals
+            ):
+                raise ChainError("approvals must be a list of peer ids")
             block = Block(
                 height=obj["height"],
                 prev_hash=obj["prevHash"],
                 txs=tuple(_tx_record_from_obj(t) for t in obj["txs"]),
                 state_hash=obj["stateHash"],
-                approvals=tuple(obj["approvals"]),
+                approvals=tuple(approvals),
                 block_hash=obj["blockHash"],
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ChainError(f"line {lineno}: malformed block: {exc}") from exc
         blocks.append(block)
     return blocks

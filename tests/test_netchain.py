@@ -1,9 +1,11 @@
 """Tests for block production, quorum approval, replay and tampering."""
 
+import hashlib
 import json
 
 import pytest
 
+from scholarchain import netchain
 from scholarchain.errors import ChainError
 from scholarchain.lifecycle import ProtocolConfig, ProtocolState
 from scholarchain.netchain import (
@@ -86,6 +88,16 @@ class TestSubmitTx:
             submit_tx(pool, credit_tx(1, "bo"), chain)
         submit_tx(pool, credit_tx(2, "bo"), chain)
 
+    def test_last_tx_id_tracks_committed_blocks_only(self):
+        chain = Chain(genesis())
+        assert chain.last_tx_id == -1
+        produce_block(chain, pool_with(credit_tx(1, "ada"), credit_tx(4, "bo")), PEERS)
+        assert chain.last_tx_id == 4
+        produce_block(
+            chain, pool_with(credit_tx(7, "cy")), PEERS, faulty_peers={"p1", "p2"}
+        )
+        assert chain.last_tx_id == 4
+
 
 class TestProduceBlock:
     def test_honest_unanimity_commits(self):
@@ -148,12 +160,71 @@ class TestProduceBlock:
             {"article": "x", "outcome": "PUBLISH", "shares": 1, "user": "victim"},
             "mallory",
         )
+        self_mint = Transaction(
+            4, TxKind.CREDIT, {"user": "mallory", "amount": 10**9}, "mallory"
+        )
         result = produce_block(
-            chain, pool_with(credit_tx(1, "ada"), impersonation, forged), PEERS
+            chain,
+            pool_with(credit_tx(1, "ada"), impersonation, forged, self_mint),
+            PEERS,
         )
         assert result.block.txs[1].status == APPLIED  # platform op, unrestricted
         assert result.block.txs[2].status == REJECTED
         assert "cannot act for" in result.block.txs[2].error
+        assert result.block.txs[3].status == REJECTED
+        assert "platform operation" in result.block.txs[3].error
+        assert chain.tip.ledger.balance("mallory") == 10
+        assert chain.tip.ledger.minted_total == 60
+
+    def test_malformed_payload_values_recorded_as_rejected(self):
+        bad_trade = Transaction(
+            2, TxKind.TRADE,
+            {"article": "x", "outcome": "PUBLISH", "shares": "abc"}, "ada",
+        )
+        bad_votes = Transaction(
+            3, TxKind.CONCLUDE_REVIEW, {"article": "x", "votes": ["abc"]}, "platform"
+        )
+        huge_trade = Transaction(
+            4, TxKind.TRADE,
+            {"article": "x", "outcome": "PUBLISH", "shares": 10**400}, "ada",
+        )
+        chain = Chain(genesis())
+        result = produce_block(
+            chain, pool_with(credit_tx(1, "ada"), bad_trade, bad_votes, huge_trade),
+            PEERS,
+        )
+        assert result.committed
+        assert [r.status for r in result.block.txs] == [APPLIED] + [REJECTED] * 3
+        assert all("bad payload" in r.error for r in result.block.txs[1:])
+        clean = Chain(genesis())
+        produce_block(clean, pool_with(credit_tx(1, "ada")), PEERS)
+        assert state_hash(chain.tip) == state_hash(clean.tip)
+        assert verify_chain(chain.blocks, genesis(), PEERS).ok
+
+    def test_executes_once_per_committed_block(self, monkeypatch):
+        chain = Chain(genesis())
+        calls = {"clone": 0, "digest": 0}
+        clone, digest = ProtocolState.clone, netchain.state_hash
+
+        def counting_clone(state):
+            calls["clone"] += 1
+            return clone(state)
+
+        def counting_digest(state):
+            calls["digest"] += 1
+            return digest(state)
+
+        monkeypatch.setattr(ProtocolState, "clone", counting_clone)
+        monkeypatch.setattr(netchain, "state_hash", counting_digest)
+        pool = pool_with(credit_tx(1, "ada"), submit_article_tx(2))
+        result = produce_block(chain, pool, PEERS, faulty_peers={"p1", "p2"})
+        assert not result.committed
+        assert calls == {"clone": 0, "digest": 0}
+        result = produce_block(chain, pool, PEERS, faulty_peers={"p4"})
+        assert result.committed
+        assert calls == {"clone": 1, "digest": 1}
+        produce_block(chain, pool_with(credit_tx(3, "bo")), PEERS)
+        assert calls == {"clone": 2, "digest": 2}
 
 
 def demo_chain():
@@ -267,6 +338,19 @@ class TestStateHash:
         assert state_hash(state.clone()) == state_hash(state)
 
 
+def resealed_export(height: int, edit) -> str:
+    """Export the demo chain with `edit` applied to one block, hash recomputed."""
+    lines = export_chain(demo_chain().blocks).splitlines()
+    obj = json.loads(lines[height])
+    edit(obj)
+    content = {k: v for k, v in obj.items() if k != "blockHash"}
+    obj["blockHash"] = hashlib.sha256(
+        json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+    lines[height] = json.dumps(obj, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
 class TestWireFormat:
     def test_round_trip(self):
         chain = demo_chain()
@@ -286,6 +370,10 @@ class TestWireFormat:
         with pytest.raises(ChainError):
             import_chain('{"height": 0')
 
+    def test_deeply_nested_line_raises_chain_error(self):
+        with pytest.raises(ChainError):
+            import_chain("[" * 100_000)
+
     def test_every_single_byte_flip_breaks_verification(self):
         chain = demo_chain()
         data = export_chain(chain.blocks).encode("utf-8")
@@ -299,3 +387,17 @@ class TestWireFormat:
             except UnicodeDecodeError:
                 continue  # unreadable exports are trivially rejected upstream
             assert not verify_export(text, genesis(), PEERS), f"byte {pos}"
+
+    @pytest.mark.parametrize("height, edit, bad_height, reason", [
+        # Block 1 opens with the SUBMIT_ARTICLE record.
+        (1, lambda obj: obj["txs"][0].update(payload=[]), None,
+         "payload must be a mapping"),
+        (0, lambda obj: obj.update(approvals=[["p1"], ["p2"], ["p3"]]), None,
+         "approvals must be a list of peer ids"),
+        (0, lambda obj: obj.update(approvals=["p1", "p1", "p1"]), 0, "below quorum"),
+    ], ids=["list-payload", "list-approvals", "duplicate-approvals"])
+    def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
+        result = verify_export(resealed_export(height, edit), genesis(), PEERS)
+        assert not result.ok
+        assert result.first_bad_height == bad_height
+        assert reason in result.reason
