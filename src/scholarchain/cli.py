@@ -28,6 +28,7 @@ from typing import Mapping, Optional
 
 from . import market as market_mod
 from . import netchain, strategies
+from .errors import LifecycleError
 from .games import (
     ACTIONS,
     Action,
@@ -220,7 +221,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     config_spec["peers"] = peers
     try:
         config = ProtocolConfig(**config_spec)
-    except TypeError as exc:
+    except (TypeError, LifecycleError) as exc:
         raise ScenarioError(f"field 'config': {exc}") from exc
     article_spec = _require(scenario, "article", "protocol-run")
     author = _require(scenario, "author", "protocol-run")

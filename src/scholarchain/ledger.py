@@ -103,6 +103,8 @@ class TokenLedger:
     def credit(self, user_id: str, amount: int, source: str = MINT) -> None:
         """Grant tokens to a user, newly minted or out of the reserve."""
         amount = _positive_amount(amount)
+        if not isinstance(user_id, str):
+            raise LedgerError(f"user id must be a string, got {user_id!r}")
         if source not in (MINT, RESERVE):
             raise LedgerError(f"unknown credit source {source!r}")
         if source == RESERVE and self.platform_reserve < amount:

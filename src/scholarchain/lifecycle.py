@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -151,6 +150,10 @@ class ProtocolConfig:
             raise LifecycleError("config amounts cannot be negative")
         if self.reward_multiple < 1 or self.min_panel < 1:
             raise LifecycleError("reward multiple and panel minimum must be >= 1")
+        if not self.market_liquidity > 0:
+            raise LifecycleError(
+                f"market liquidity must be positive, got {self.market_liquidity}"
+            )
         if len(set(self.peers)) != len(self.peers):
             raise LifecycleError("peer list has duplicates")
 
@@ -309,11 +312,7 @@ class ProtocolState:
             raise LifecycleError("no quorum: neither decision has a panel majority")
 
         mkt = self.market_of(article)
-        payout_total = sum(
-            math.floor(shares)
-            for (_, outcome), shares in mkt.holdings.items()
-            if outcome == decision
-        )
+        payout_total = sum(market_mod.payouts(mkt, decision).values())
         deposit = article.author_deposit
         reserve_after_deposit = self.ledger.platform_reserve + (
             deposit if decision == REVISE else 0
@@ -418,8 +417,8 @@ class ProtocolState:
         self, article_hash: str, doi: str, caller: str
     ) -> Article:
         """Claim (co-)ownership of work already published elsewhere."""
-        if not article_hash:
-            raise LifecycleError("article hash must be nonempty")
+        if not isinstance(article_hash, str) or not article_hash:
+            raise LifecycleError("article hash must be a nonempty string")
         existing = self.articles.get(article_hash)
         if existing is None:
             article = Article(

@@ -133,7 +133,8 @@ def trade(
     """Buy (positive delta) or sell (negative delta) outcome shares.
 
     Token cost is ceil(real cost): rounding up what buyers pay and, for the
-    negative costs of sales, rounding the payout down.
+    negative costs of sales, rounding the payout down.  A buy costs at least
+    one token.
     """
     _require_open(market)
     _require_outcome(outcome)
@@ -145,6 +146,8 @@ def trade(
             f"{user_id!r} holds {held} {outcome} shares, cannot sell {-share_delta}"
         )
     token_cost = math.ceil(trade_cost(market, outcome, share_delta))
+    if share_delta > 0:
+        token_cost = max(token_cost, 1)  # a cost below float precision is still a buy
     if token_cost > 0:
         if ledger.balance(user_id) < token_cost:
             raise LedgerError(
@@ -183,22 +186,27 @@ def resolve(market: Market, ledger: TokenLedger, outcome: str) -> dict[str, int]
     """
     _require_open(market)
     _require_outcome(outcome)
-    payouts = {
-        uid: math.floor(shares)
-        for (uid, held_outcome), shares in sorted(market.holdings.items())
-        if held_outcome == outcome and math.floor(shares) > 0
-    }
-    total = sum(payouts.values())
+    owed = payouts(market, outcome)
+    total = sum(owed.values())
     if total > ledger.platform_reserve:
         raise LedgerError(
             f"reserve {ledger.platform_reserve} cannot cover payouts of {total}"
         )
-    for uid, amount in payouts.items():
+    for uid, amount in owed.items():
         ledger.credit(uid, amount, RESERVE)
     market.resolved = outcome
     market.events.append({"tx": market.trade_count + 1, "resolved": outcome,
-                          "payouts": payouts})
-    return payouts
+                          "payouts": owed})
+    return owed
+
+
+def payouts(market: Market, outcome: str) -> dict[str, int]:
+    """One token per winning share, rounded down, to each holder owed any."""
+    return {
+        uid: math.floor(shares)
+        for (uid, held_outcome), shares in sorted(market.holdings.items())
+        if held_outcome == outcome and math.floor(shares) > 0
+    }
 
 
 def event_log_lines(market: Market) -> str:

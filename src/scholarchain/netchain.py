@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .lifecycle import ContentMetadata, ProtocolState
@@ -37,11 +37,14 @@ PLATFORM = "platform"
 
 
 class TxKind(str, Enum):
-    """Every state-changing ledger, lifecycle and market operation."""
+    """Every state-changing operation a transaction can carry.
+
+    `CREDIT`, `CONCLUDE_REVIEW` and `RESOLVE_DISPUTE` are platform
+    operations; the rest are a user's own acts.  Escrow has no kind of its
+    own: review and dispute operations take and release it internally.
+    """
 
     CREDIT = "CREDIT"
-    ESCROW = "ESCROW"
-    RESOLVE_ESCROW = "RESOLVE_ESCROW"
     SUBMIT_ARTICLE = "SUBMIT_ARTICLE"
     COMMENT = "COMMENT"
     START_REVIEW = "START_REVIEW"
@@ -50,20 +53,6 @@ class TxKind(str, Enum):
     RAISE_OBJECTION = "RAISE_OBJECTION"
     RESOLVE_DISPUTE = "RESOLVE_DISPUTE"
     CLAIM_ARTICLE = "CLAIM_ARTICLE"
-
-
-#: Transactions a user issues about themself; the chain checks that the
-#: named actor is the submitter.  The rest are trusted-platform operations,
-#: which only `PLATFORM` may submit.
-_USER_INITIATED = {
-    TxKind.ESCROW,
-    TxKind.SUBMIT_ARTICLE,
-    TxKind.COMMENT,
-    TxKind.START_REVIEW,
-    TxKind.TRADE,
-    TxKind.RAISE_OBJECTION,
-    TxKind.CLAIM_ARTICLE,
-}
 
 
 @dataclass(frozen=True)
@@ -109,7 +98,7 @@ class Block:
     block_hash: str
 
     def to_canonical(self) -> dict:
-        # Field order is the wire format; block_hash seals all of it.
+        # Field order is the wire format; block_hash seals all the rest.
         return {
             "height": self.height,
             "prevHash": self.prev_hash,
@@ -138,8 +127,9 @@ class PeerSet:
         return (2 * len(self.peers)) // 3 + 1
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One shared encoder: `json.dumps` with these arguments builds a new encoder
+# on every call, which costs as much as encoding a small payload.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def state_hash(state: ProtocolState) -> str:
@@ -149,20 +139,10 @@ def state_hash(state: ProtocolState) -> str:
     ).hexdigest()
 
 
-def _block_content_hash(
-    height: int,
-    prev_hash: str,
-    txs: Sequence[TxRecord],
-    digest: str,
-    approvals: Sequence[str],
-) -> str:
-    content = {
-        "height": height,
-        "prevHash": prev_hash,
-        "txs": [t.to_canonical() for t in txs],
-        "stateHash": digest,
-        "approvals": list(approvals),
-    }
+def _seal(block: Block) -> str:
+    """SHA-256 of the block's canonical form without its own hash."""
+    content = block.to_canonical()
+    del content["blockHash"]
     return hashlib.sha256(_canonical_json(content).encode("utf-8")).hexdigest()
 
 
@@ -170,57 +150,58 @@ def _block_content_hash(
 # Transaction application
 # ---------------------------------------------------------------------------
 
+def _submit_article(state: ProtocolState, p: dict, submitter: str) -> None:
+    meta = ContentMetadata(
+        title=p["title"],
+        abstract=p.get("abstract", ""),
+        authors=tuple((a[0], a[1]) for a in p["authors"]),
+        institutions=tuple(p.get("institutions", ())),
+    )
+    state.submit_article(meta, submitter)
+
+
+#: kind -> (platform_only, handler): who may submit it, and what it does.
+#: Only `PLATFORM` may submit a platform operation; any other kind is a
+#: user's own act, and the actor it names (payload "user", default the
+#: submitter) must be the submitter.  Handlers take (state, payload, submitter).
+_RULES: dict[TxKind, tuple[bool, Callable[[ProtocolState, dict, str], object]]] = {
+    TxKind.CREDIT: (True, lambda s, p, who: s.ledger.credit(
+        p["user"], p["amount"], p.get("source", "mint"))),
+    TxKind.SUBMIT_ARTICLE: (False, _submit_article),
+    TxKind.COMMENT: (False, lambda s, p, who: s.comment(
+        p["article"], who, p["text_hash"])),
+    TxKind.START_REVIEW: (False, lambda s, p, who: s.start_review(
+        p["article"], who, p["deposit"], tuple(p["panel"]))),
+    TxKind.TRADE: (False, lambda s, p, who: s.trade_review_shares(
+        p["article"], who, p["outcome"], float(p["shares"]))),
+    TxKind.CONCLUDE_REVIEW: (True, lambda s, p, who: s.conclude_review(
+        p["article"], dict(p["votes"]))),
+    TxKind.RAISE_OBJECTION: (False, lambda s, p, who: s.raise_objection(
+        p["article"], who, p["stake"])),
+    TxKind.RESOLVE_DISPUTE: (True, lambda s, p, who: s.resolve_dispute(
+        p["dispute"], dict(p["votes"]))),
+    TxKind.CLAIM_ARTICLE: (False, lambda s, p, who: s.claim_published_article(
+        p["article"], p.get("doi", ""), who)),
+}
+
+
 def apply_tx(state: ProtocolState, tx: Transaction) -> None:
     """Execute one transaction against the state; raises on any violation.
 
     Operations validate before mutating, so a raise leaves `state` intact.
     """
+    platform_only, handler = _RULES[tx.kind]
     p = tx.payload
     try:
-        if tx.kind in _USER_INITIATED:
-            actor = p.get("user", tx.submitter)
-            if actor != tx.submitter:
-                raise ChainError(
-                    f"{tx.submitter!r} cannot act for {actor!r} in {tx.kind.value}"
-                )
-        elif tx.submitter != PLATFORM:
+        if platform_only and tx.submitter != PLATFORM:
             raise ChainError(
                 f"{tx.submitter!r} cannot submit platform operation {tx.kind.value}"
             )
-        if tx.kind is TxKind.CREDIT:
-            state.ledger.credit(p["user"], p["amount"], p.get("source", "mint"))
-        elif tx.kind is TxKind.ESCROW:
-            state.ledger.escrow(tx.submitter, p["amount"])
-        elif tx.kind is TxKind.RESOLVE_ESCROW:
-            state.ledger.resolve_escrow(p["user"], p["amount"], p["outcome"])
-        elif tx.kind is TxKind.SUBMIT_ARTICLE:
-            meta = ContentMetadata(
-                title=p["title"],
-                abstract=p.get("abstract", ""),
-                authors=tuple((a[0], a[1]) for a in p["authors"]),
-                institutions=tuple(p.get("institutions", ())),
+        if not platform_only and p.get("user", tx.submitter) != tx.submitter:
+            raise ChainError(
+                f"{tx.submitter!r} cannot act for {p['user']!r} in {tx.kind.value}"
             )
-            state.submit_article(meta, tx.submitter)
-        elif tx.kind is TxKind.COMMENT:
-            state.comment(p["article"], tx.submitter, p["text_hash"])
-        elif tx.kind is TxKind.START_REVIEW:
-            state.start_review(
-                p["article"], tx.submitter, p["deposit"], tuple(p["panel"])
-            )
-        elif tx.kind is TxKind.TRADE:
-            state.trade_review_shares(
-                p["article"], tx.submitter, p["outcome"], float(p["shares"])
-            )
-        elif tx.kind is TxKind.CONCLUDE_REVIEW:
-            state.conclude_review(p["article"], dict(p["votes"]))
-        elif tx.kind is TxKind.RAISE_OBJECTION:
-            state.raise_objection(p["article"], tx.submitter, p["stake"])
-        elif tx.kind is TxKind.RESOLVE_DISPUTE:
-            state.resolve_dispute(p["dispute"], dict(p["votes"]))
-        elif tx.kind is TxKind.CLAIM_ARTICLE:
-            state.claim_published_article(p["article"], p.get("doi", ""), tx.submitter)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ChainError(f"unhandled kind {tx.kind}")
+        handler(state, p, tx.submitter)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
 
@@ -254,6 +235,12 @@ def _check_tx_form(tx: Transaction) -> None:
 def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) -> TxPool:
     """Validate a transaction's form and append it to the pool."""
     _check_tx_form(tx)
+    # The block seal encodes every payload.  An imported payload was decoded
+    # from JSON, so only submission needs this check.
+    try:
+        _canonical_json(tx.payload)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ChainError(f"payload is not encodable as JSON: {exc}") from exc
     last = pool.pending[-1].tx_id if pool.pending else -1
     if chain is not None:
         last = max(last, chain.last_tx_id)
@@ -314,17 +301,9 @@ def produce_block(
     proposed_digest = state_hash(proposed_state)
 
     prev_hash = chain.blocks[-1].block_hash if chain.blocks else GENESIS_PREV_HASH
-    height = chain.height
-    block = Block(
-        height=height,
-        prev_hash=prev_hash,
-        txs=tuple(records),
-        state_hash=proposed_digest,
-        approvals=approvals,
-        block_hash=_block_content_hash(
-            height, prev_hash, records, proposed_digest, approvals
-        ),
-    )
+    block = Block(chain.height, prev_hash, tuple(records), proposed_digest,
+                  approvals, block_hash="")
+    block = replace(block, block_hash=_seal(block))
     chain.blocks.append(block)
     chain.tip = proposed_state
     chain.last_tx_id = max(chain.last_tx_id, *(r.tx.tx_id for r in records))
@@ -363,11 +342,7 @@ def verify_chain(
             return VerifyResult(False, expected_height, "height out of sequence")
         if block.prev_hash != prev_hash:
             return bad("broken prev-hash link")
-        recomputed = _block_content_hash(
-            block.height, block.prev_hash, block.txs, block.state_hash,
-            block.approvals,
-        )
-        if recomputed != block.block_hash:
+        if _seal(block) != block.block_hash:
             return bad("block content does not match its digest")
         if len(set(block.approvals)) < peer_set.quorum:
             return bad("distinct approvals below quorum")

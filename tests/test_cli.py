@@ -1,6 +1,7 @@
 """Tests for the scenario runner and its output contracts."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,6 +27,39 @@ BUNDLED = (
     "protocol_retract.json",
     "market_demo.json",
 )
+
+
+# SHA-256 over each bundled scenario's output file names and bytes (see
+# `outputs_digest`).  A change that should leave the outputs alone must keep
+# these; a deliberate output change updates them and says why in CHANGES.md.
+PINNED_OUTPUTS = {
+    "table3.json":
+        "1cebb4044a36fd83f3cfcdda068a0ecac6d4e44e7a2f5a6f27493966228c3c7c",
+    "table4.json":
+        "fb34e3543f2de418d3270aef016578b337b4ce279e312c45dbea768dd6014b00",
+    "delta_sweep.json":
+        "0d408117e56f62d8e704b3952e1b7bc21ba997060bf6a7aa511436df3adfc9a6",
+    "population.json":
+        "3524d2719ef463bac6d26639362e3ea93c9d7d638694fb04788707578e1fbdb8",
+    "protocol_publish.json":
+        "9ee408a73414a0bd005a14dd1a9cb36a8c3d18170db956fc7eaf12026982aa9e",
+    "protocol_revise.json":
+        "7da341eb008792f65d4f9ace613227b50a7c2951112837330e468a605ec23452",
+    "protocol_retract.json":
+        "fe063921d7fc9079a54359df7d59bcdc14637d850a943d1e1d1d1aafc7d7d97f",
+    "market_demo.json":
+        "1a51f0b8f7bb8effcf5c7582cb797f2929e8deec46c52034ce64b51beb0b3d0d",
+}
+
+
+def outputs_digest(paths) -> str:
+    """SHA-256 over (name, length, bytes) of each file, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(map(Path, paths), key=lambda p: p.name):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -65,6 +99,16 @@ class TestScenarioLoading:
     def test_verb_kind_mismatch(self, tmp_path, capsys):
         assert main(["sweep", "table3.json", "--out-dir", str(tmp_path)]) == 2
         assert "cannot run" in capsys.readouterr().err
+
+    def test_invalid_protocol_config_is_a_validation_error(self, tmp_path, capsys):
+        scenario = load_scenario(resolve_scenario_path("protocol_publish.json"))
+        scenario["config"]["market_liquidity"] = 0
+        bad = tmp_path / "zero_liquidity.json"
+        bad.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "protocol", str(bad)]) == 2
+        assert "market liquidity must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         bad = tmp_path / "half.json"
@@ -219,6 +263,10 @@ class TestBundledScenarios:
         second = run_scenario(name, str(tmp_path / "two"))
         for a, b in zip(first, second):
             assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_outputs_match_pinned_digest(self, tmp_path, name):
+        assert outputs_digest(run_scenario(name, str(tmp_path))) == PINNED_OUTPUTS[name]
 
     def test_verify_with_explicit_genesis(self, tmp_path):
         run_scenario("protocol_revise.json", str(tmp_path))

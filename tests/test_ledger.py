@@ -37,6 +37,15 @@ class TestCredit:
             with pytest.raises(LedgerError):
                 ledger.credit("u1", bad)
 
+    def test_user_id_must_be_a_string(self):
+        ledger = TokenLedger()
+        ledger.credit("u1", 5)
+        for bad in (5, None, ("u1",)):
+            with pytest.raises(LedgerError, match="user id must be a string"):
+                ledger.credit(bad, 5)
+        assert list(ledger.accounts) == ["u1"]
+        ledger.to_canonical()  # account ids still sort
+
 
 class TestEscrow:
     def test_escrow_moves_balance(self):

@@ -129,6 +129,11 @@ class TestStartReview:
         market = state.markets[article.market_id]
         assert market.resolved is None
 
+    @pytest.mark.parametrize("liquidity", [0, -1.0, float("nan")])
+    def test_nonpositive_liquidity_rejected_at_genesis(self, liquidity):
+        with pytest.raises(LifecycleError, match="market liquidity must be positive"):
+            ProtocolConfig(market_liquidity=liquidity)
+
     def test_deposit_must_strictly_exceed_minimum(self):
         state = state_with_author()
         article = state.submit_article(meta(), "ada")
@@ -369,6 +374,14 @@ class TestClaimPublishedArticle:
         state.claim_published_article("f" * 64, "10.1/x", "ada")
         with pytest.raises(LifecycleError, match="Owner has already claimed that article"):
             state.claim_published_article("f" * 64, "10.1/x", "ada")
+
+    @pytest.mark.parametrize("article_hash", ["", 7, None, ["f"]])
+    def test_hash_must_be_a_nonempty_string(self, article_hash):
+        state = state_with_author()
+        state.claim_published_article("f" * 64, "10.1/x", "ada")
+        with pytest.raises(LifecycleError, match="nonempty string"):
+            state.claim_published_article(article_hash, "10.1/x", "bo")
+        assert list(state.articles) == ["f" * 64]
 
     def test_owner_lists_stay_duplicate_free(self):
         state = state_with_author()

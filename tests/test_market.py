@@ -15,6 +15,7 @@ from scholarchain.market import (
     event_log_lines,
     open_market,
     payout_table_csv,
+    payouts,
     price,
     resolve,
     trade,
@@ -99,6 +100,14 @@ class TestTrade:
         assert executed.token_cost == 6
         assert ledger.balance("u1") == 994
         assert ledger.platform_reserve == 1006
+
+    def test_buy_below_float_precision_still_costs_one_token(self):
+        m = open_market(100)
+        ledger = funded_ledger()
+        assert trade_cost(m, PUBLISH, 1e-300) == 0.0
+        assert trade(m, ledger, "u1", PUBLISH, 1e-300).token_cost == 1
+        assert ledger.balance("u1") == 999
+        assert ledger.platform_reserve == 1001
 
     def test_buying_raises_the_price(self):
         m = open_market(100)
@@ -198,6 +207,19 @@ class TestResolve:
         ledger = funded_ledger()
         trade(m, ledger, "u1", PUBLISH, 7.9)
         assert resolve(m, ledger, PUBLISH) == {"u1": 7}
+
+    def test_payouts_query_is_what_resolve_pays(self):
+        m = open_market(100)
+        ledger = funded_ledger(u1=1000, u2=1000)
+        trade(m, ledger, "u1", PUBLISH, 7.9)
+        trade(m, ledger, "u2", PUBLISH, 0.5)
+        trade(m, ledger, "u2", REVISE, 3)
+        before = ledger.to_canonical()
+        owed = payouts(m, PUBLISH)
+        assert owed == {"u1": 7}
+        assert payouts(m, REVISE) == {"u2": 3}
+        assert m.resolved is None and ledger.to_canonical() == before
+        assert resolve(m, ledger, PUBLISH) == owed
 
     @pytest.mark.parametrize("seed", range(8))
     def test_maker_loss_bounded_pre_rounding(self, seed):

@@ -88,6 +88,20 @@ class TestSubmitTx:
             submit_tx(pool, credit_tx(1, "bo"), chain)
         submit_tx(pool, credit_tx(2, "bo"), chain)
 
+    @pytest.mark.parametrize("payload", [
+        {"user": "a", "amount": 5, "source": {1}},
+        {"user": "a", 1: 5},
+        {"user": float},
+    ], ids=["set-value", "mixed-key-types", "class-value"])
+    def test_payload_json_cannot_encode_rejected(self, payload):
+        chain = Chain(genesis())
+        pool = TxPool()
+        with pytest.raises(ChainError, match="not encodable as JSON"):
+            submit_tx(pool, Transaction(1, TxKind.CREDIT, payload, "platform"), chain)
+        assert len(pool) == 0
+        submit_tx(pool, credit_tx(2, "ada"), chain)
+        assert produce_block(chain, pool, PEERS).committed
+
     def test_last_tx_id_tracks_committed_blocks_only(self):
         chain = Chain(genesis())
         assert chain.last_tx_id == -1
@@ -126,20 +140,24 @@ class TestProduceBlock:
 
     def test_invalid_tx_recorded_as_rejected_and_state_neutral(self):
         chain = Chain(genesis())
-        bad = Transaction(2, TxKind.ESCROW, {"amount": 10}, "pauper")
+        bad = Transaction(
+            2, TxKind.RAISE_OBJECTION, {"article": "x", "stake": 10}, "pauper"
+        )
         result = produce_block(chain, pool_with(credit_tx(1, "ada"), bad), PEERS)
         assert result.committed
         statuses = [r.status for r in result.block.txs]
         assert statuses == [APPLIED, REJECTED]
-        assert "cannot escrow" in result.block.txs[1].error
+        assert "no article with hash" in result.block.txs[1].error
         assert chain.tip.ledger.escrowed("pauper") == 0
+        assert chain.tip.disputes == {}
 
     def test_rejected_txs_do_not_affect_state_hash(self):
         chain_a = Chain(genesis())
         produce_block(
             chain_a,
             pool_with(credit_tx(1, "ada"),
-                      Transaction(2, TxKind.ESCROW, {"amount": 999}, "ada")),
+                      Transaction(2, TxKind.CREDIT, {"user": "ada", "amount": 999},
+                                  "ada")),
             PEERS,
         )
         chain_b = Chain(genesis())
@@ -201,6 +219,27 @@ class TestProduceBlock:
         assert state_hash(chain.tip) == state_hash(clean.tip)
         assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
+    def test_buy_below_float_precision_costs_one_token(self):
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(
+            credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
+        article = next(iter(chain.tip.articles))
+        start = Transaction(
+            4, TxKind.START_REVIEW,
+            {"article": article, "deposit": 10, "panel": ["r1", "r2", "r3"]}, "ada",
+        )
+        tiny = Transaction(
+            5, TxKind.TRADE,
+            {"article": article, "outcome": "PUBLISH", "shares": 1e-300}, "bo",
+        )
+        reserve = chain.tip.ledger.platform_reserve
+        result = produce_block(chain, pool_with(start, tiny), PEERS)
+        assert [r.status for r in result.block.txs] == [APPLIED, APPLIED]
+        assert chain.tip.ledger.balance("bo") == 49
+        assert chain.tip.ledger.platform_reserve == reserve + 1
+        assert chain.tip.ledger.conservation_gap() == 0
+        assert verify_chain(chain.blocks, genesis(), PEERS).ok
+
     def test_executes_once_per_committed_block(self, monkeypatch):
         chain = Chain(genesis())
         calls = {"clone": 0, "digest": 0}
@@ -227,6 +266,44 @@ class TestProduceBlock:
         assert calls == {"clone": 2, "digest": 2}
 
 
+class TestTxRules:
+    def test_every_kind_has_exactly_one_rule(self):
+        assert len(TxKind) == 9
+        assert set(netchain._RULES) == set(TxKind)
+
+    def test_raw_escrow_kinds_are_gone(self):
+        for name in ("ESCROW", "RESOLVE_ESCROW"):
+            with pytest.raises(ValueError):
+                TxKind(name)
+
+    def test_platform_only_kinds_reject_other_submitters(self):
+        platform_only = [kind for kind, (only, _) in netchain._RULES.items() if only]
+        assert platform_only == [
+            TxKind.CREDIT, TxKind.CONCLUDE_REVIEW, TxKind.RESOLVE_DISPUTE,
+        ]
+        chain = Chain(genesis())
+        txs = [
+            Transaction(i, kind, {}, "mallory") for i, kind in enumerate(platform_only)
+        ]
+        result = produce_block(chain, pool_with(*txs), PEERS)
+        assert [r.error for r in result.block.txs] == [
+            f"'mallory' cannot submit platform operation {kind.value}"
+            for kind in platform_only
+        ]
+
+    def test_user_acts_reject_acting_for_another(self):
+        user_acts = [kind for kind, (only, _) in netchain._RULES.items() if not only]
+        chain = Chain(genesis())
+        txs = [
+            Transaction(i, kind, {"user": "victim"}, "mallory")
+            for i, kind in enumerate(user_acts)
+        ]
+        result = produce_block(chain, pool_with(*txs), PEERS)
+        assert [r.error for r in result.block.txs] == [
+            f"'mallory' cannot act for 'victim' in {kind.value}" for kind in user_acts
+        ]
+
+
 def demo_chain():
     """Three committed blocks exercising article flow and a rejection."""
     state = genesis()
@@ -240,7 +317,8 @@ def demo_chain():
         chain,
         pool_with(
             submit_article_tx(3),
-            Transaction(4, TxKind.ESCROW, {"amount": 9999}, "bo"),  # rejected
+            # Rejected: only the platform may credit.
+            Transaction(4, TxKind.CREDIT, {"user": "bo", "amount": 9999}, "bo"),
         ),
         PEERS,
     )
@@ -395,7 +473,9 @@ class TestWireFormat:
         (0, lambda obj: obj.update(approvals=[["p1"], ["p2"], ["p3"]]), None,
          "approvals must be a list of peer ids"),
         (0, lambda obj: obj.update(approvals=["p1", "p1", "p1"]), 0, "below quorum"),
-    ], ids=["list-payload", "list-approvals", "duplicate-approvals"])
+        (1, lambda obj: obj["txs"][1].update(kind="ESCROW"), None,
+         "'ESCROW' is not a valid TxKind"),
+    ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
