@@ -310,11 +310,10 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     resolved_market = next(
         (m for m in final.markets.values() if m.resolved is not None), None
     )
-    payouts = {}
-    if resolved_market is not None:
-        for event in resolved_market.events:
-            if "payouts" in event:
-                payouts = event["payouts"]
+    payouts = (
+        market_mod.payouts(resolved_market, resolved_market.resolved)
+        if resolved_market is not None else {}
+    )
     summary = {
         "article_hash": article_hash,
         "final_article_state": article.state.value if article else None,
@@ -455,11 +454,11 @@ def _cmd_verify(args) -> int:
         if args.genesis
         else Path(str(chain_path).replace("_chain.jsonl", "_genesis.json"))
     )
-    if genesis_path.is_file():
-        descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
-        config = ProtocolConfig(**descriptor["config"])
-    else:
-        config = ProtocolConfig()
+    if not genesis_path.is_file():
+        print(f"error: genesis descriptor {genesis_path} is missing", file=sys.stderr)
+        return 2
+    descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
+    config = ProtocolConfig(**descriptor["config"])
     genesis = ProtocolState(config)
     if not config.peers:
         print("error: genesis config names no peers", file=sys.stderr)

@@ -16,7 +16,6 @@ of tokens a user holds, escrowed ones included.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
@@ -146,9 +145,6 @@ class TokenLedger:
             acct.balance += amount
 
     # -- snapshots ------------------------------------------------------------
-
-    def clone(self) -> "TokenLedger":
-        return copy.deepcopy(self)
 
     def to_canonical(self) -> dict:
         """Deterministic dict form; account keys sorted for stable hashing."""

@@ -53,12 +53,25 @@ class ContentMetadata:
     institutions: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.title, str) or not self.title:
+            raise LifecycleError("article title must be a nonempty string")
+        if not isinstance(self.abstract, str):
+            raise LifecycleError("article abstract must be a string")
+        if not isinstance(self.authors, (list, tuple)) or not all(
+            _strings(a) and len(a) == 2 for a in self.authors
+        ):
+            raise LifecycleError("authors must be (display name, user id) string pairs")
+        if not _strings(self.institutions):
+            raise LifecycleError("institutions must be a list of strings")
         object.__setattr__(self, "authors", tuple(tuple(a) for a in self.authors))
         object.__setattr__(self, "institutions", tuple(self.institutions))
-        if not self.title:
-            raise LifecycleError("article title must be nonempty")
         if not self.authors:
             raise LifecycleError("article needs at least one author")
+
+
+def _strings(value) -> bool:
+    """True for a list or tuple of strings; a string alone is not one."""
+    return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
 
 
 def content_hash(meta: ContentMetadata) -> str:
@@ -218,6 +231,8 @@ class ProtocolState:
 
     def comment(self, article_hash: str, user_id: str, text_hash: str) -> Article:
         """Append a comment; free in every state except under review."""
+        if not isinstance(text_hash, str):
+            raise LifecycleError("comment text hash must be a string")
         article = self.article(article_hash)
         if article.state is ArticleState.UNDER_REVIEW:
             # Commenting during review means trading on the outcome market.
@@ -419,6 +434,8 @@ class ProtocolState:
         """Claim (co-)ownership of work already published elsewhere."""
         if not isinstance(article_hash, str) or not article_hash:
             raise LifecycleError("article hash must be a nonempty string")
+        if not isinstance(doi, str):
+            raise LifecycleError("DOI must be a string")
         existing = self.articles.get(article_hash)
         if existing is None:
             article = Article(

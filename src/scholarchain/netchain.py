@@ -2,14 +2,16 @@
 
 There is no timing model and no fork handling: one call to
 `produce_block` turns the pending pool into one candidate block.  The
-proposer executes the pending transactions once against a copy of the tip
+proposer executes the pending transactions once, in place on the tip
 state.  Peers run the same deterministic code, so every honest peer would
 compute the proposer's digest and approves; peers named faulty never
 approve.  The block commits only with a two-thirds-plus-one quorum of
-approvals.  The independent check is `verify_chain`, which re-executes
-every block from genesis.  Transactions that fail protocol rules are kept
-in the block flagged as rejected and change nothing, preserving an
-auditable history.
+approvals, which is known before anything executes.  The independent
+check is `verify_chain`, which re-executes every block from genesis with
+the same loop.  Transactions that fail protocol rules are kept in the
+block flagged as rejected and change nothing, because every operation
+validates before it mutates.  A program fault in the middle of a block
+rebuilds the tip by that same replay, so the tip never holds half a block.
 
 Blocks are hash-linked over their full content (header *and* transaction
 records), so any single-byte mutation of a committed block is caught by
@@ -154,10 +156,17 @@ def _submit_article(state: ProtocolState, p: dict, submitter: str) -> None:
     meta = ContentMetadata(
         title=p["title"],
         abstract=p.get("abstract", ""),
-        authors=tuple((a[0], a[1]) for a in p["authors"]),
-        institutions=tuple(p.get("institutions", ())),
+        authors=p["authors"],
+        institutions=p.get("institutions", ()),
     )
     state.submit_article(meta, submitter)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a bool or a numeric string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 #: kind -> (platform_only, handler): who may submit it, and what it does.
@@ -173,7 +182,7 @@ _RULES: dict[TxKind, tuple[bool, Callable[[ProtocolState, dict, str], object]]] 
     TxKind.START_REVIEW: (False, lambda s, p, who: s.start_review(
         p["article"], who, p["deposit"], tuple(p["panel"]))),
     TxKind.TRADE: (False, lambda s, p, who: s.trade_review_shares(
-        p["article"], who, p["outcome"], float(p["shares"]))),
+        p["article"], who, p["outcome"], _number(p["shares"]))),
     TxKind.CONCLUDE_REVIEW: (True, lambda s, p, who: s.conclude_review(
         p["article"], dict(p["votes"]))),
     TxKind.RAISE_OBJECTION: (False, lambda s, p, who: s.raise_objection(
@@ -206,6 +215,18 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
 
 
+def _execute(state: ProtocolState, txs: Iterable[Transaction]) -> list[TxRecord]:
+    """Apply transactions in place, in order; a rule violation rejects only its own."""
+    records = []
+    for tx in txs:
+        try:
+            apply_tx(state, tx)
+            records.append(TxRecord(tx, APPLIED))
+        except ProtocolError as exc:
+            records.append(TxRecord(tx, REJECTED, str(exc)))
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Pool and chain
 # ---------------------------------------------------------------------------
@@ -232,6 +253,27 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError(f"tx id must be a non-negative integer, got {tx.tx_id!r}")
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _require_string_keys(value) -> None:
+    """Raise TypeError for a mapping key, at any depth, that is not a string.
+
+    JSON turns such a key into a string, so the exported payload would
+    replay differently from the one that was executed.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            if isinstance(item, _CONTAINERS):
+                _require_string_keys(item)
+    else:
+        for item in value:
+            if isinstance(item, _CONTAINERS):
+                _require_string_keys(item)
+
+
 def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) -> TxPool:
     """Validate a transaction's form and append it to the pool."""
     _check_tx_form(tx)
@@ -239,6 +281,7 @@ def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) ->
     # from JSON, so only submission needs this check.
     try:
         _canonical_json(tx.payload)
+        _require_string_keys(tx.payload)
     except (TypeError, ValueError, RecursionError) as exc:
         raise ChainError(f"payload is not encodable as JSON: {exc}") from exc
     last = pool.pending[-1].tx_id if pool.pending else -1
@@ -279,7 +322,8 @@ def produce_block(
     """Execute the pool once against the tip and commit on quorum.
 
     Honest peers are deterministic and approve; simulated faulty peers
-    never do.  On quorum failure nothing is executed, the pool is retained
+    never do.  On quorum failure nothing is executed; then, and when a
+    program fault escapes execution (it is re-raised), the pool is retained
     and the chain is unchanged.
     """
     if not pool.pending:
@@ -289,23 +333,20 @@ def produce_block(
     if len(approvals) < peer_set.quorum:
         return BlockResult(False, None, approvals)
 
-    # A copy keeps the block atomic if an exception escapes apply_tx.
-    proposed_state = chain.tip.clone()
-    records = []
-    for tx in pool.pending:
-        try:
-            apply_tx(proposed_state, tx)
-            records.append(TxRecord(tx, APPLIED))
-        except ProtocolError as exc:
-            records.append(TxRecord(tx, REJECTED, str(exc)))
-    proposed_digest = state_hash(proposed_state)
+    try:
+        records = _execute(chain.tip, pool.pending)
+    except BaseException:
+        # A program fault may leave half a transaction: rebuild the tip by replay.
+        chain.tip = chain.genesis.clone()
+        for committed in chain.blocks:
+            _execute(chain.tip, [r.tx for r in committed.txs])
+        raise
 
     prev_hash = chain.blocks[-1].block_hash if chain.blocks else GENESIS_PREV_HASH
-    block = Block(chain.height, prev_hash, tuple(records), proposed_digest,
+    block = Block(chain.height, prev_hash, tuple(records), state_hash(chain.tip),
                   approvals, block_hash="")
     block = replace(block, block_hash=_seal(block))
     chain.blocks.append(block)
-    chain.tip = proposed_state
     chain.last_tx_id = max(chain.last_tx_id, *(r.tx.tx_id for r in records))
     pool.pending = []
     return BlockResult(True, block, approvals)
@@ -348,13 +389,9 @@ def verify_chain(
             return bad("distinct approvals below quorum")
         if not set(block.approvals) <= set(peer_set.peers):
             return bad("approval from unknown peer")
-        for record in block.txs:
-            try:
-                apply_tx(state, record.tx)
-                replay_status = APPLIED
-            except ProtocolError:
-                replay_status = REJECTED
-            if replay_status != record.status:
+        replayed = _execute(state, [r.tx for r in block.txs])
+        for record, again in zip(block.txs, replayed):
+            if again.status != record.status:
                 return bad(f"tx {record.tx.tx_id} status diverges on replay")
         if state_hash(state) != block.state_hash:
             return bad("replayed state hash mismatch")

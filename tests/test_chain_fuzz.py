@@ -6,7 +6,8 @@ blocks of arbitrary transactions, through `submit_tx` -> `produce_block` ->
 `export_chain` -> `verify_export`.  After every block nothing has raised,
 the exported chain verifies, tokens are conserved, and every article moved
 only along legal transitions, checked one transaction at a time on a
-replayed copy.
+replayed copy, where each rejected transaction leaves the state digest as
+it was.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,6 +32,7 @@ from scholarchain.netchain import (
     apply_tx,
     export_chain,
     produce_block,
+    state_hash,
     submit_tx,
     verify_export,
 )
@@ -159,12 +161,16 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
 
         for record in result.block.txs:
             before = {h: a.state for h, a in replay.articles.items()}
+            digest = state_hash(replay) if record.status == REJECTED else None
             try:
                 apply_tx(replay, record.tx)
                 status = APPLIED
             except ProtocolError:
                 status = REJECTED
             assert status == record.status
+            if status == REJECTED:
+                # Blocks execute in place on the tip: a rejection must change nothing.
+                assert state_hash(replay) == digest
             for h, article in replay.articles.items():
                 if h in before:
                     assert (before[h], article.state) in LEGAL_TRANSITIONS

@@ -220,6 +220,13 @@ class TestProtocolVerb:
         assert main(["verify", str(chain_file)]) == 1
         assert "FAILED" in capsys.readouterr().err
 
+    def test_verify_names_a_missing_genesis(self, tmp_path, capsys):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        genesis_file = tmp_path / "protocol_publish_genesis.json"
+        genesis_file.unlink()
+        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
+        assert f"genesis descriptor {genesis_file} is missing" in capsys.readouterr().err
+
 
 class TestMarketVerb:
     def test_bundled_demo_costs(self, tmp_path):

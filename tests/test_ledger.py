@@ -130,7 +130,6 @@ class TestApiSurface:
             "credit",
             "escrow",
             "resolve_escrow",
-            "clone",
             "to_canonical",
             "to_json",
         }
@@ -139,7 +138,7 @@ class TestApiSurface:
         ledger = TokenLedger(balances={"zeta": 1, "alpha": 2})
         keys = list(ledger.to_canonical()["accounts"])
         assert keys == ["alpha", "zeta"]
-        assert ledger.to_json() == ledger.clone().to_json()
+        assert ledger.to_json() == TokenLedger(balances={"alpha": 2, "zeta": 1}).to_json()
 
 
 ops = st.lists(

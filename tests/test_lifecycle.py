@@ -80,6 +80,18 @@ class TestContentHash:
         with pytest.raises(LifecycleError):
             ContentMetadata("t", "a", ())
 
+    @pytest.mark.parametrize("authors, institutions", [
+        (["xy"], ()),
+        ((("X", "u1", "extra"),), ()),
+        ((("X", 1),), ()),
+        ((("X", "u1"),), "MIT"),
+        ((("X", "u1"),), ("MIT", 5)),
+    ], ids=["author-string", "author-triple", "author-int-id",
+            "institutions-string", "institution-int"])
+    def test_wrong_shape_rejected(self, authors, institutions):
+        with pytest.raises(LifecycleError):
+            ContentMetadata("t", "a", authors, institutions)
+
 
 class TestSubmit:
     def test_fresh_submission_is_active_with_one_owner(self):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from scholarchain import netchain
-from scholarchain.errors import ChainError
+from scholarchain.errors import ChainError, ProtocolError
 from scholarchain.lifecycle import ProtocolConfig, ProtocolState
 from scholarchain.netchain import (
     APPLIED,
@@ -101,6 +101,18 @@ class TestSubmitTx:
         assert len(pool) == 0
         submit_tx(pool, credit_tx(2, "ada"), chain)
         assert produce_block(chain, pool, PEERS).committed
+
+    @pytest.mark.parametrize("payload", [
+        {"article": "a", "votes": {1: "PUBLISH", 2: "PUBLISH"}},
+        {"article": "a", "votes": [{"r1": {3: "x"}}]},
+    ], ids=["int-keys", "nested-int-key"])
+    def test_non_string_payload_key_rejected(self, payload):
+        # Export would turn the key into a string, so the honest chain's
+        # replay would diverge from what was executed.
+        pool = TxPool()
+        with pytest.raises(ChainError, match="is not a string"):
+            submit_tx(pool, Transaction(1, TxKind.CONCLUDE_REVIEW, payload, "platform"))
+        assert len(pool) == 0
 
     def test_last_tx_id_tracks_committed_blocks_only(self):
         chain = Chain(genesis())
@@ -219,6 +231,35 @@ class TestProduceBlock:
         assert state_hash(chain.tip) == state_hash(clean.tip)
         assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
+    @pytest.mark.parametrize("kind, payload, reason", [
+        (TxKind.SUBMIT_ARTICLE, {"title": "t", "authors": ["xy"]},
+         "authors must be (display name, user id) string pairs"),
+        (TxKind.SUBMIT_ARTICLE,
+         {"title": "t", "authors": [["A", "ada"]], "institutions": "MIT"},
+         "institutions must be a list of strings"),
+        (TxKind.TRADE, {"outcome": "PUBLISH", "shares": True},
+         "bad payload for TRADE: expected a number, got True"),
+        (TxKind.COMMENT, {"text_hash": {"x": [1]}}, "comment text hash must be a string"),
+        (TxKind.CLAIM_ARTICLE, {"article": "elsewhere", "doi": [5]}, "DOI must be a string"),
+    ], ids=["author-string", "institutions-string", "shares-bool", "comment-hash-object",
+            "doi-list"])
+    def test_wrong_shape_payload_recorded_as_rejected(self, kind, payload, reason):
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(
+            credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
+        article = next(iter(chain.tip.articles))
+        produce_block(chain, pool_with(Transaction(
+            4, TxKind.START_REVIEW,
+            {"article": article, "deposit": 10, "panel": ["r1", "r2", "r3"]}, "ada",
+        )), PEERS)
+        before = state_hash(chain.tip)
+        submitter = "ada" if kind is TxKind.SUBMIT_ARTICLE else "bo"
+        tx = Transaction(5, kind, {"article": article, **payload}, submitter)
+        result = produce_block(chain, pool_with(tx), PEERS)
+        assert [(r.status, r.error) for r in result.block.txs] == [(REJECTED, reason)]
+        assert state_hash(chain.tip) == before
+        assert verify_chain(chain.blocks, genesis(), PEERS).ok
+
     def test_buy_below_float_precision_costs_one_token(self):
         chain = Chain(genesis())
         produce_block(chain, pool_with(
@@ -261,9 +302,34 @@ class TestProduceBlock:
         assert calls == {"clone": 0, "digest": 0}
         result = produce_block(chain, pool, PEERS, faulty_peers={"p4"})
         assert result.committed
-        assert calls == {"clone": 1, "digest": 1}
+        assert calls == {"clone": 0, "digest": 1}
         produce_block(chain, pool_with(credit_tx(3, "bo")), PEERS)
-        assert calls == {"clone": 2, "digest": 2}
+        assert calls == {"clone": 0, "digest": 2}
+
+    def test_program_fault_mid_block_rebuilds_tip(self, monkeypatch):
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(credit_tx(1, "ada"), submit_article_tx(2)), PEERS)
+        platform_only, credit = netchain._RULES[TxKind.CREDIT]
+
+        def faulty_credit(state, payload, submitter):
+            if payload["user"] == "cy":
+                raise ZeroDivisionError("fault")
+            return credit(state, payload, submitter)
+
+        monkeypatch.setitem(netchain._RULES, TxKind.CREDIT, (platform_only, faulty_credit))
+        pool = pool_with(credit_tx(3, "bo"), credit_tx(4, "cy"), credit_tx(5, "dee"))
+        with pytest.raises(ZeroDivisionError):
+            produce_block(chain, pool, PEERS)
+        assert state_hash(chain.tip) == chain.blocks[-1].state_hash
+        assert chain.tip.ledger.balance("bo") == 0
+        assert chain.height == 1
+        assert [t.tx_id for t in pool.pending] == [3, 4, 5]
+
+        monkeypatch.undo()
+        result = produce_block(chain, pool, PEERS)
+        assert [r.status for r in result.block.txs] == [APPLIED] * 3
+        assert chain.tip.ledger.balance("cy") == 50
+        assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
 
 class TestTxRules:
@@ -360,9 +426,17 @@ class TestVerifyChain:
 
     def test_replay_reproduces_tip_hash(self):
         chain = demo_chain()
-        state = genesis()
-        replayed = Chain(state)
-        assert chain.blocks[-1].state_hash == state_hash(chain.tip)
+        replayed = genesis()
+        for block in chain.blocks:
+            for record in block.txs:
+                try:
+                    netchain.apply_tx(replayed, record.tx)
+                    status = APPLIED
+                except ProtocolError:
+                    status = REJECTED
+                assert status == record.status
+        assert state_hash(replayed) == state_hash(chain.tip)
+        assert state_hash(replayed) == chain.blocks[-1].state_hash
 
     def test_flipped_payload_byte_detected(self):
         chain = demo_chain()
