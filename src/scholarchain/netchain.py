@@ -10,8 +10,9 @@ approvals, which is known before anything executes.  The independent
 check is `verify_chain`, which re-executes every block from genesis with
 the same loop.  Transactions that fail protocol rules are kept in the
 block flagged as rejected and change nothing, because every operation
-validates before it mutates.  A program fault in the middle of a block
-rebuilds the tip by that same replay, so the tip never holds half a block.
+validates before it mutates.  A program fault before a block is appended
+rebuilds the tip by that same replay, checked against the last block's
+digest, so the tip never holds half a block.
 
 Blocks are hash-linked over their full content (header *and* transaction
 records), so any single-byte mutation of a committed block is caught by
@@ -322,9 +323,11 @@ def produce_block(
     """Execute the pool once against the tip and commit on quorum.
 
     Honest peers are deterministic and approve; simulated faulty peers
-    never do.  On quorum failure nothing is executed; then, and when a
-    program fault escapes execution (it is re-raised), the pool is retained
-    and the chain is unchanged.
+    never do.  On quorum failure nothing is executed and the pool is kept.
+    A program fault before the block is appended is re-raised with the pool
+    and blocks kept, after the tip is rebuilt by replaying the committed
+    blocks.  A replay that raises or misses the last block's digest leaves
+    the tip as the fault left it.  An interrupt is not recovered.
     """
     if not pool.pending:
         raise ChainError("pending pool is empty")
@@ -333,23 +336,31 @@ def produce_block(
     if len(approvals) < peer_set.quorum:
         return BlockResult(False, None, approvals)
 
+    prev_hash = chain.blocks[-1].block_hash if chain.blocks else GENESIS_PREV_HASH
     try:
         records = _execute(chain.tip, pool.pending)
-    except BaseException:
-        # A program fault may leave half a transaction: rebuild the tip by replay.
-        chain.tip = chain.genesis.clone()
-        for committed in chain.blocks:
-            _execute(chain.tip, [r.tx for r in committed.txs])
+        block = Block(chain.height, prev_hash, tuple(records), state_hash(chain.tip),
+                      approvals, block_hash="")
+        block = replace(block, block_hash=_seal(block))
+        chain.blocks.append(block)
+    except Exception:
+        # The tip may hold part of the block: rebuild it from the committed blocks.
+        _rebuild_tip(chain)
         raise
-
-    prev_hash = chain.blocks[-1].block_hash if chain.blocks else GENESIS_PREV_HASH
-    block = Block(chain.height, prev_hash, tuple(records), state_hash(chain.tip),
-                  approvals, block_hash="")
-    block = replace(block, block_hash=_seal(block))
-    chain.blocks.append(block)
     chain.last_tx_id = max(chain.last_tx_id, *(r.tx.tx_id for r in records))
     pool.pending = []
     return BlockResult(True, block, approvals)
+
+
+def _rebuild_tip(chain: Chain) -> None:
+    """Replay the committed blocks into a new tip, kept only if it matches their digest."""
+    state = chain.genesis.clone()
+    for committed in chain.blocks:
+        _execute(state, [r.tx for r in committed.txs])
+    expected = chain.blocks[-1].state_hash if chain.blocks else state_hash(chain.genesis)
+    if state_hash(state) != expected:
+        raise ChainError("cannot rebuild the tip: replay does not match the last block")
+    chain.tip = state
 
 
 class VerifyResult(NamedTuple):

@@ -331,6 +331,53 @@ class TestProduceBlock:
         assert chain.tip.ledger.balance("cy") == 50
         assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
+    @pytest.mark.parametrize("name", ["state_hash", "_seal"])
+    def test_program_fault_after_execution_rebuilds_tip(self, monkeypatch, name):
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        real = getattr(netchain, name)
+        faults = [ZeroDivisionError("fault")]
+
+        def fails_once(arg):
+            if faults:
+                raise faults.pop()
+            return real(arg)
+
+        monkeypatch.setattr(netchain, name, fails_once)
+        pool = pool_with(credit_tx(2, "bo"))
+        with pytest.raises(ZeroDivisionError):
+            produce_block(chain, pool, PEERS)
+        assert state_hash(chain.tip) == chain.blocks[-1].state_hash
+        assert chain.tip.ledger.balance("bo") == 0
+        assert chain.height == 1
+        assert [t.tx_id for t in pool.pending] == [2]
+
+        result = produce_block(chain, pool, PEERS)
+        assert result.committed
+        assert chain.tip.ledger.balance("bo") == 50
+        assert verify_chain(chain.blocks, genesis(), PEERS).ok
+
+    def test_fault_on_empty_chain_rebuilds_genesis(self, monkeypatch):
+        chain = Chain(genesis())
+        monkeypatch.setattr(netchain, "_seal", lambda block: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        assert state_hash(chain.tip) == state_hash(genesis())
+        assert chain.height == 0
+
+    def test_unreplayable_chain_is_not_rebuilt(self, monkeypatch):
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        # A committed payload changed by its caller no longer replays to the digest.
+        chain.blocks[0].txs[0].tx.payload["amount"] = 70
+        tip = chain.tip
+        monkeypatch.setattr(netchain, "_seal", lambda block: 1 / 0)
+        with pytest.raises(ChainError, match="cannot rebuild the tip") as caught:
+            produce_block(chain, pool_with(credit_tx(2, "bo")), PEERS)
+        assert isinstance(caught.value.__context__, ZeroDivisionError)
+        assert chain.tip is tip
+        assert chain.height == 1
+
 
 class TestTxRules:
     def test_every_kind_has_exactly_one_rule(self):
