@@ -21,10 +21,9 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import market as market_mod
 from . import netchain, strategies
@@ -52,22 +51,6 @@ from .netchain import (
     submit_tx,
     verify_export,
 )
-
-KINDS = (
-    "game-analysis",
-    "repeated-game-sweep",
-    "population-run",
-    "protocol-run",
-    "market-demo",
-)
-
-VERB_KINDS = {
-    "analyze": ("game-analysis",),
-    "sweep": ("repeated-game-sweep", "population-run"),
-    "protocol": ("protocol-run",),
-    "market": ("market-demo",),
-}
-
 
 class ScenarioError(Exception):
     """Scenario file failed to parse or validate; message names the field."""
@@ -117,7 +100,7 @@ def resolve_scenario_path(name: str) -> Path:
 # game-analysis
 # ---------------------------------------------------------------------------
 
-def _analysis_outputs(scenario: dict) -> dict[str, str]:
+def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
     game = game_from_json(_require(scenario, "game", "game-analysis"))
     es = equilibrium_set(game)
     lines = ["record,row_action,col_action,row_value,col_value"]
@@ -149,7 +132,7 @@ def _analysis_outputs(scenario: dict) -> dict[str, str]:
 # repeated-game-sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_outputs(scenario: dict) -> dict[str, str]:
+def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
     game = game_from_json(_require(scenario, "game", "repeated-game-sweep"))
     grid = _require(scenario, "delta_grid", "repeated-game-sweep")
     start = as_rational(_require(grid, "start"))
@@ -386,6 +369,22 @@ def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
 # dispatch and entry point
 # ---------------------------------------------------------------------------
 
+#: kind -> (verb that runs it, renderer).  A renderer takes (scenario, seed)
+#: and returns {file name: content}.
+KINDS: dict[str, tuple[str, Callable[[dict, int], dict[str, str]]]] = {
+    "game-analysis": ("analyze", _analysis_outputs),
+    "repeated-game-sweep": ("sweep", _sweep_outputs),
+    "population-run": ("sweep", _population_outputs),
+    "protocol-run": ("protocol", run_protocol_demo),
+    "market-demo": ("market", _market_outputs),
+}
+
+VERB_KINDS = {
+    verb: tuple(k for k, (v, _) in KINDS.items() if v == verb)
+    for verb, _ in KINDS.values()
+}
+
+
 def run_scenario(
     name: str, out_dir: str = "out", seed_override: Optional[int] = None
 ) -> list[str]:
@@ -397,17 +396,8 @@ def run_scenario(
     path = resolve_scenario_path(name)
     scenario = load_scenario(path)
     seed = seed_override if seed_override is not None else scenario["seed"]
-    kind = scenario["kind"]
-    if kind == "game-analysis":
-        outputs = _analysis_outputs(scenario)
-    elif kind == "repeated-game-sweep":
-        outputs = _sweep_outputs(scenario)
-    elif kind == "population-run":
-        outputs = _population_outputs(scenario, seed)
-    elif kind == "protocol-run":
-        outputs = run_protocol_demo(scenario, seed)
-    else:
-        outputs = _market_outputs(scenario, seed)
+    _, render = KINDS[scenario["kind"]]
+    outputs = render(scenario, seed)
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
     written = []
@@ -427,6 +417,9 @@ def _cmd_run(verb: str, args) -> int:
                 f"'{verb}' (expects one of {', '.join(VERB_KINDS[verb])})"
             )
     if args.parallel and len(args.scenarios) > 1:
+        # Imported here: the import alone costs every other command start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor() as pool:
             futures = [
                 pool.submit(run_scenario, name, args.out_dir, args.seed)

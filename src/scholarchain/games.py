@@ -44,6 +44,9 @@ _CELL_ORDER = (
     (Action.D, Action.D),
 )
 
+#: Scenario names of the cells, row action first, in `_CELL_ORDER` order.
+_CELL_NAMES = ("CC", "CD", "DC", "DD")
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
@@ -362,8 +365,7 @@ def game_from_json(obj: Mapping) -> PayoffMatrix2x2:
         {"type": "publication", "R": "4", "e": "1",
          "P": {"e0": "1", "0e": "0", "ee": "1/2", "00": "1/2"}}
         {"type": "commons2", "B": "2", "e": "1"}
-        {"type": "matrix", "cells": {"CC": ["1","1"], "CD": ["-1","2"],
-                                     "DC": ["2","-1"], "DD": ["0","0"]}}
+        {"type": "matrix", "cells": {<each of _CELL_NAMES>: ["1", "-1"], ...}}
     """
     kind = obj.get("type")
     if kind == "publication":
@@ -376,28 +378,16 @@ def game_from_json(obj: Mapping) -> PayoffMatrix2x2:
     if kind == "commons2":
         return two_player_commons_game(obj["B"], obj["e"])
     if kind == "matrix":
-        cells = obj["cells"]
-        def cell(key: str) -> tuple[Fraction, Fraction]:
-            r, c = cells[key]
-            return (as_rational(r), as_rational(c))
-        return PayoffMatrix2x2.from_cells(
-            {
-                (Action.C, Action.C): cell("CC"),
-                (Action.C, Action.D): cell("CD"),
-                (Action.D, Action.C): cell("DC"),
-                (Action.D, Action.D): cell("DD"),
-            }
-        )
+        return PayoffMatrix2x2(tuple(obj["cells"][name] for name in _CELL_NAMES))
     raise ValueError(f"unknown game type {kind!r}")
 
 
 def game_to_json(game: PayoffMatrix2x2) -> dict:
     """Serialize a game as an explicit-matrix scenario object."""
-    keys = ("CC", "CD", "DC", "DD")
     return {
         "type": "matrix",
         "cells": {
-            k: [format_rational(r), format_rational(c)]
-            for k, (r, c) in zip(keys, game.cells)
+            name: [format_rational(r), format_rational(c)]
+            for name, (r, c) in zip(_CELL_NAMES, game.cells)
         },
     }

@@ -182,9 +182,23 @@ class ProtocolConfig:
         }
 
 
-def _majority(votes: Mapping[str, str], choice: str, electorate_size: int) -> bool:
+def _decide(
+    votes: Mapping[str, str],
+    electorate: Sequence[str],
+    choices: tuple[str, str],
+    body: str,
+) -> str:
     # Strict majority of the FULL electorate; abstentions count against.
-    return sum(1 for v in votes.values() if v == choice) > electorate_size // 2
+    outsiders = [v for v in votes if v not in electorate]
+    if outsiders:
+        raise LifecycleError(f"votes from outside the {body}: {outsiders}")
+    unknown = [v for v in votes.values() if v not in choices]
+    if unknown:
+        raise LifecycleError(f"unknown vote values for the {body}: {unknown}")
+    for choice in choices:
+        if sum(1 for v in votes.values() if v == choice) > len(electorate) // 2:
+            return choice
+    raise LifecycleError(f"no quorum: no choice has a majority of the {body}")
 
 
 class ProtocolState:
@@ -312,19 +326,9 @@ class ProtocolState:
         article = self.article(article_hash)
         if article.state is not ArticleState.UNDER_REVIEW:
             raise LifecycleError("no review in progress")
-        panel = article.review_panel
-        outsiders = [v for v in reviewer_votes if v not in panel]
-        if outsiders:
-            raise LifecycleError(f"votes from outside the panel: {outsiders}")
-        bad_values = [d for d in reviewer_votes.values() if d not in (PUBLISH, REVISE)]
-        if bad_values:
-            raise LifecycleError(f"unknown review decisions: {bad_values}")
-        if _majority(reviewer_votes, PUBLISH, len(panel)):
-            decision = PUBLISH
-        elif _majority(reviewer_votes, REVISE, len(panel)):
-            decision = REVISE
-        else:
-            raise LifecycleError("no quorum: neither decision has a panel majority")
+        decision = _decide(
+            reviewer_votes, article.review_panel, (PUBLISH, REVISE), "review panel"
+        )
 
         mkt = self.market_of(article)
         payout_total = sum(market_mod.payouts(mkt, decision).values())
@@ -399,17 +403,11 @@ class ProtocolState:
             raise LifecycleError(f"no dispute {dispute_id!r}")
         if dispute.resolution is not None:
             raise LifecycleError(f"dispute {dispute_id!r} already resolved")
-        peers = self.config.peers
-        if not peers:
+        if not self.config.peers:
             raise LifecycleError("no peers configured to decide disputes")
-        outsiders = [v for v in peer_votes if v not in peers]
-        if outsiders:
-            raise LifecycleError(f"votes from non-peers: {outsiders}")
-        bad_values = [v for v in peer_votes.values() if v not in (RETRACT, UPHOLD)]
-        if bad_values:
-            raise LifecycleError(f"unknown dispute votes: {bad_values}")
+        outcome = _decide(peer_votes, self.config.peers, (RETRACT, UPHOLD), "peer set")
         article = self.article(dispute.article_hash)
-        if _majority(peer_votes, RETRACT, len(peers)):
+        if outcome == RETRACT:
             bounty = dispute.stake
             if self.ledger.platform_reserve < bounty:
                 raise LifecycleError(
@@ -419,12 +417,9 @@ class ProtocolState:
             self.ledger.resolve_escrow(dispute.challenger, dispute.stake, REFUND)
             self.ledger.credit(dispute.challenger, bounty, RESERVE)
             article.state = ArticleState.RETRACTED
-            dispute.resolution = RETRACT
-        elif _majority(peer_votes, UPHOLD, len(peers)):
-            self.ledger.resolve_escrow(dispute.challenger, dispute.stake, FORFEIT)
-            dispute.resolution = UPHOLD
         else:
-            raise LifecycleError("no quorum: neither outcome has a peer majority")
+            self.ledger.resolve_escrow(dispute.challenger, dispute.stake, FORFEIT)
+        dispute.resolution = outcome
         self._tick()
         return article
 

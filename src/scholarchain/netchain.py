@@ -250,7 +250,7 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError("payload must be a mapping")
     if not isinstance(tx.submitter, str) or not tx.submitter:
         raise ChainError("submitter must be a nonempty user id")
-    if not isinstance(tx.tx_id, int) or tx.tx_id < 0:
+    if type(tx.tx_id) is not int or tx.tx_id < 0:
         raise ChainError(f"tx id must be a non-negative integer, got {tx.tx_id!r}")
 
 
@@ -381,11 +381,13 @@ def verify_chain(
 
     Valid iff heights are consecutive, each prev_hash matches the previous
     block's content digest, every block's own digest seals its content,
-    distinct approvals form a quorum of known peers, recorded tx statuses
-    match re-execution, and each recorded state hash equals the replayed one.
+    distinct approvals form a quorum of known peers, tx ids increase
+    strictly across the chain, recorded tx statuses match re-execution, and
+    each recorded state hash equals the replayed one.
     """
     state = genesis.clone()
     prev_hash = GENESIS_PREV_HASH
+    last_tx_id = -1
     for expected_height, block in enumerate(blocks):
         def bad(reason: str) -> VerifyResult:
             return VerifyResult(False, block.height, reason)
@@ -400,6 +402,10 @@ def verify_chain(
             return bad("distinct approvals below quorum")
         if not set(block.approvals) <= set(peer_set.peers):
             return bad("approval from unknown peer")
+        for record in block.txs:
+            if record.tx.tx_id <= last_tx_id:
+                return bad(f"tx id {record.tx.tx_id} is not strictly increasing")
+            last_tx_id = record.tx.tx_id
         replayed = _execute(state, [r.tx for r in block.txs])
         for record, again in zip(block.txs, replayed):
             if again.status != record.status:
@@ -432,6 +438,8 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         raise ChainError(f"tx record keys must be exactly {_TX_WIRE_KEYS}")
     if obj["status"] not in (APPLIED, REJECTED):
         raise ChainError(f"unknown tx status {obj['status']!r}")
+    if not isinstance(obj["signature"], str) or not isinstance(obj["error"], str):
+        raise ChainError("tx signature and error must be strings")
     tx = Transaction(
         tx_id=obj["tx_id"],
         kind=TxKind(obj["kind"]),
@@ -462,6 +470,11 @@ def import_chain(text: str) -> list[Block]:
                 isinstance(a, str) for a in approvals
             ):
                 raise ChainError("approvals must be a list of peer ids")
+            if type(obj["height"]) is not int:
+                raise ChainError("block height must be an integer")
+            hashes = (obj["prevHash"], obj["stateHash"], obj["blockHash"])
+            if not all(isinstance(h, str) for h in hashes):
+                raise ChainError("block hashes must be strings")
             block = Block(
                 height=obj["height"],
                 prev_hash=obj["prevHash"],

@@ -190,17 +190,21 @@ def discounted_average_payoff(
         raise ValueError("transcript is empty")
     d = _check_delta(delta)
     idx = {"a": 2, "b": 3}[player]
+    payoffs = [row[idx] for row in transcript.rounds]
+    total, weight = _discounted_sum(payoffs, d)
+    value = (1 - d) * total
+    bound = weight * max(map(abs, payoffs))  # weight is d^K
+    return DiscountedPayoff(float(value), float(bound))
+
+
+def _discounted_sum(payoffs: list[Fraction], d: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact sum of d^k * u_k over the payoffs, and d^len(payoffs)."""
     total = Fraction(0)
     weight = Fraction(1)
-    max_abs = Fraction(0)
-    for row in transcript.rounds:
-        u = row[idx]
+    for u in payoffs:
         total += weight * u
         weight *= d
-        max_abs = max(max_abs, abs(u))
-    value = (1 - d) * total
-    bound = weight * max_abs  # weight is now d^K
-    return DiscountedPayoff(float(value), float(bound))
+    return total, weight
 
 
 def _joint_cycle(
@@ -231,20 +235,10 @@ def _closed_form_exact(
     d: Fraction,
 ) -> Fraction:
     payoffs, start = _joint_cycle(strategy_a, strategy_b, game)
-    tail, cycle = payoffs[:start], payoffs[start:]
-    total = Fraction(0)
-    weight = Fraction(1)
-    for u in tail:
-        total += weight * u
-        weight *= d
-    cycle_sum = Fraction(0)
-    w = Fraction(1)
-    for u in cycle:
-        cycle_sum += w * u
-        w *= d
-    # weight is d^start here; the cycle repeats with ratio d^len(cycle).
-    total += weight * cycle_sum / (1 - d ** len(cycle))
-    return (1 - d) * total
+    tail_sum, weight = _discounted_sum(payoffs[:start], d)
+    cycle_sum, ratio = _discounted_sum(payoffs[start:], d)
+    # The cycle starts at weight d^start and repeats with ratio d^len(cycle).
+    return (1 - d) * (tail_sum + weight * cycle_sum / (1 - ratio))
 
 
 def closed_form_payoff(

@@ -367,6 +367,38 @@ class TestDisputes:
         assert article.state is R
 
 
+def open_review(state):
+    article = reviewed_article(state)  # panel r1, r2, r3
+    return lambda votes: state.conclude_review(article.article_hash, votes)
+
+
+def open_dispute(state):
+    dispute = state.raise_objection(published_article(state).article_hash, "cy", 5)
+    return lambda votes: state.resolve_dispute(dispute.dispute_id, votes)  # peers p1-p5
+
+
+class TestVoteRule:
+    """Reviews and disputes share one rule: a strict majority of the full electorate."""
+
+    @pytest.mark.parametrize("open_vote, votes, named", [
+        # Without the unknown vote, the rest would still be a majority.
+        (open_review, {"r1": "MAYBE", "r2": "PUBLISH", "r3": "PUBLISH"},
+         ["review panel", "MAYBE"]),
+        (open_dispute, {"p1": "MAYBE", "p2": "retract", "p3": "retract", "p4": "retract"},
+         ["peer set", "MAYBE"]),
+        # Unanimous among the voters, but 2 of 5 peers is no majority.
+        (open_dispute, {"p1": "retract", "p2": "retract"}, ["no quorum", "peer set"]),
+    ], ids=["review-unknown-value", "dispute-unknown-value", "dispute-abstentions"])
+    def test_refused_vote_changes_nothing(self, open_vote, votes, named):
+        state = state_with_author()
+        vote = open_vote(state)
+        before = state.to_canonical()
+        with pytest.raises(LifecycleError) as refused:
+            vote(votes)
+        assert all(part in str(refused.value) for part in named)
+        assert state.to_canonical() == before
+
+
 class TestClaimPublishedArticle:
     def test_unknown_hash_creates_published_article(self):
         state = state_with_author()

@@ -538,16 +538,21 @@ class TestStateHash:
 
 
 def resealed_export(height: int, edit) -> str:
-    """Export the demo chain with `edit` applied to one block, hash recomputed."""
-    lines = export_chain(demo_chain().blocks).splitlines()
-    obj = json.loads(lines[height])
-    edit(obj)
-    content = {k: v for k, v in obj.items() if k != "blockHash"}
-    obj["blockHash"] = hashlib.sha256(
-        json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-    lines[height] = json.dumps(obj, separators=(",", ":"))
-    return "\n".join(lines) + "\n"
+    """Export the demo chain with `edit` applied to one block.
+
+    That block and every later one are re-linked and re-sealed, so only the
+    edit itself can make the chain fail.
+    """
+    objs = [json.loads(line) for line in export_chain(demo_chain().blocks).splitlines()]
+    edit(objs[height])
+    for i in range(height, len(objs)):
+        if i:
+            objs[i]["prevHash"] = objs[i - 1]["blockHash"]
+        content = {k: v for k, v in objs[i].items() if k != "blockHash"}
+        objs[i]["blockHash"] = hashlib.sha256(
+            json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest()
+    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
 
 
 class TestWireFormat:
@@ -596,7 +601,21 @@ class TestWireFormat:
         (0, lambda obj: obj.update(approvals=["p1", "p1", "p1"]), 0, "below quorum"),
         (1, lambda obj: obj["txs"][1].update(kind="ESCROW"), None,
          "'ESCROW' is not a valid TxKind"),
-    ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind"])
+        # Each of these equals a valid value under ==, or was never type-checked.
+        (0, lambda obj: obj.update(height=0.0), None, "block height must be an integer"),
+        (1, lambda obj: obj.update(height=True), None, "block height must be an integer"),
+        (1, lambda obj: obj["txs"][0].update(error={"x": 1}), None,
+         "tx signature and error must be strings"),
+        (1, lambda obj: obj["txs"][0].update(signature=[1]), None,
+         "tx signature and error must be strings"),
+        (1, lambda obj: obj["txs"][0].update(tx_id=True), None,
+         "tx id must be a non-negative integer"),
+        # Block 0 holds tx ids 1 and 2.
+        (1, lambda obj: obj["txs"][0].update(tx_id=1), 1,
+         "tx id 1 is not strictly increasing"),
+    ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
+            "float-height", "bool-height", "object-error", "list-signature",
+            "bool-tx-id", "duplicate-tx-id"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
