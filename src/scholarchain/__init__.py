@@ -19,106 +19,76 @@ Module map:
     cli         scenario runner (`scholarchain` command)
 """
 
-from .games import (
-    Action,
-    CommonsParams,
-    EquilibriumSet,
-    PayoffMatrix2x2,
-    PublicationParams,
-    build_commons_payoff,
-    build_publication_game,
-    dominant_action,
-    equilibrium_set,
-    game_from_json,
-    mixed_equilibrium,
-    pure_equilibria,
-    two_player_commons_game,
-)
-from .ledger import TokenLedger
-from .lifecycle import (
-    Article,
-    ArticleState,
-    ContentMetadata,
-    ProtocolConfig,
-    ProtocolState,
-    content_hash,
-)
-from .market import Market, open_market, price, resolve, trade
-from .netchain import (
-    Block,
-    Chain,
-    PeerSet,
-    Transaction,
-    TxKind,
-    TxPool,
-    produce_block,
-    state_hash,
-    submit_tx,
-    verify_chain,
-)
-from .strategies import (
-    PopulationConfig,
-    StrategyAutomaton,
-    all_c,
-    all_d,
-    closed_form_payoff,
-    cooperation_sustained,
-    cooperation_threshold_population,
-    discounted_average_payoff,
-    grim,
-    play_match,
-    reputation_grim,
-    run_population,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "Article",
-    "ArticleState",
-    "Block",
-    "Chain",
-    "CommonsParams",
-    "ContentMetadata",
-    "EquilibriumSet",
-    "Market",
-    "PayoffMatrix2x2",
-    "PeerSet",
-    "PopulationConfig",
-    "ProtocolConfig",
-    "ProtocolState",
-    "PublicationParams",
-    "StrategyAutomaton",
-    "TokenLedger",
-    "Transaction",
-    "TxKind",
-    "TxPool",
-    "all_c",
-    "all_d",
-    "build_commons_payoff",
-    "build_publication_game",
-    "closed_form_payoff",
-    "content_hash",
-    "cooperation_sustained",
-    "cooperation_threshold_population",
-    "discounted_average_payoff",
-    "dominant_action",
-    "equilibrium_set",
-    "game_from_json",
-    "grim",
-    "mixed_equilibrium",
-    "open_market",
-    "play_match",
-    "price",
-    "produce_block",
-    "pure_equilibria",
-    "reputation_grim",
-    "resolve",
-    "run_population",
-    "state_hash",
-    "submit_tx",
-    "trade",
-    "two_player_commons_game",
-    "verify_chain",
-]
+#: module -> the public names it defines.  A module is imported when one of
+#: its names is first read, so the chain verbs never load the game-theory layer.
+_EXPORTS = {
+    "games": (
+        "Action",
+        "CommonsParams",
+        "EquilibriumSet",
+        "PayoffMatrix2x2",
+        "PublicationParams",
+        "build_commons_payoff",
+        "build_publication_game",
+        "dominant_action",
+        "equilibrium_set",
+        "game_from_json",
+        "mixed_equilibrium",
+        "pure_equilibria",
+        "two_player_commons_game",
+    ),
+    "ledger": ("TokenLedger",),
+    "lifecycle": (
+        "Article",
+        "ArticleState",
+        "ContentMetadata",
+        "ProtocolConfig",
+        "ProtocolState",
+        "content_hash",
+    ),
+    "market": (
+        "Market",
+        "open_market",
+        "price",
+        "resolve",
+        "trade",
+    ),
+    "netchain": (
+        "Block",
+        "Chain",
+        "PeerSet",
+        "Transaction",
+        "TxKind",
+        "TxPool",
+        "produce_block",
+        "state_hash",
+        "submit_tx",
+        "verify_chain",
+    ),
+    "strategies": (
+        "PopulationConfig",
+        "StrategyAutomaton",
+        "all_c",
+        "all_d",
+        "closed_form_payoff",
+        "cooperation_sustained",
+        "cooperation_threshold_population",
+        "discounted_average_payoff",
+        "grim",
+        "play_match",
+        "reputation_grim",
+        "run_population",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

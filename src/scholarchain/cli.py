@@ -25,18 +25,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
+# Only the renderers that use it import the game-theory layer.
 from . import market as market_mod
-from . import netchain, strategies
+from . import netchain
 from .errors import LifecycleError
-from .games import (
-    ACTIONS,
-    Action,
-    as_rational,
-    dominant_action,
-    equilibrium_set,
-    format_rational,
-    game_from_json,
-)
 from .ledger import TokenLedger
 from .lifecycle import ProtocolConfig, ProtocolState
 from .netchain import (
@@ -101,6 +93,9 @@ def resolve_scenario_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
+    from .games import (
+        ACTIONS, dominant_action, equilibrium_set, format_rational, game_from_json,
+    )
     game = game_from_json(_require(scenario, "game", "game-analysis"))
     es = equilibrium_set(game)
     lines = ["record,row_action,col_action,row_value,col_value"]
@@ -133,6 +128,8 @@ def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
+    from . import strategies
+    from .games import as_rational, game_from_json
     game = game_from_json(_require(scenario, "game", "repeated-game-sweep"))
     grid = _require(scenario, "delta_grid", "repeated-game-sweep")
     start = as_rational(_require(grid, "start"))
@@ -163,6 +160,8 @@ def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def _population_outputs(scenario: dict, seed: int) -> dict[str, str]:
+    from . import strategies
+    from .games import game_from_json
     game = game_from_json(_require(scenario, "game", "population-run"))
     size = _require(scenario, "size", "population-run")
     chosen = _require(scenario, "strategies", "population-run")
@@ -329,6 +328,7 @@ def _text_hash(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
+    from .games import as_rational
     b = float(as_rational(str(_require(scenario, "b", "market-demo"))))
     traders = _require(scenario, "traders", "market-demo")
     trades = _require(scenario, "trades", "market-demo")

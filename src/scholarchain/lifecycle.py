@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -163,7 +164,7 @@ class ProtocolConfig:
             raise LifecycleError("config amounts cannot be negative")
         if self.reward_multiple < 1 or self.min_panel < 1:
             raise LifecycleError("reward multiple and panel minimum must be >= 1")
-        if not self.market_liquidity > 0:
+        if not 0 < self.market_liquidity < math.inf:
             raise LifecycleError(
                 f"market liquidity must be positive, got {self.market_liquidity}"
             )

@@ -131,8 +131,11 @@ class PeerSet:
 
 
 # One shared encoder: `json.dumps` with these arguments builds a new encoder
-# on every call, which costs as much as encoding a small payload.
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# on every call, which costs as much as encoding a small payload.  NaN and
+# the infinities are refused: they are not JSON (RFC 8259).
+_canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
 
 
 def state_hash(state: ProtocolState) -> str:
@@ -427,6 +430,13 @@ def export_chain(blocks: Sequence[Block]) -> str:
     )
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# One shared decoder: `json.loads` with `parse_constant` builds one per call.
+_decode_block = json.JSONDecoder(parse_constant=_refuse_constant).decode
+
 _TX_WIRE_KEYS = ["tx_id", "kind", "payload", "submitter", "signature",
                  "status", "error"]
 _BLOCK_WIRE_KEYS = ["height", "prevHash", "txs", "stateHash", "approvals",
@@ -462,7 +472,7 @@ def import_chain(text: str) -> list[Block]:
         if line == "":
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_block(line)
             if not isinstance(obj, dict) or list(obj) != _BLOCK_WIRE_KEYS:
                 raise ChainError(f"block keys must be exactly {_BLOCK_WIRE_KEYS}")
             approvals = obj["approvals"]

@@ -292,3 +292,53 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert (tmp_path / "table3_analysis.csv").exists()
+
+
+# The package root's public names, as they stood before it became lazy.
+PUBLIC_NAMES = (
+    "Action", "Article", "ArticleState", "Block", "Chain", "CommonsParams",
+    "ContentMetadata", "EquilibriumSet", "Market", "PayoffMatrix2x2", "PeerSet",
+    "PopulationConfig", "ProtocolConfig", "ProtocolState", "PublicationParams",
+    "StrategyAutomaton", "TokenLedger", "Transaction", "TxKind", "TxPool",
+    "all_c", "all_d", "build_commons_payoff", "build_publication_game",
+    "closed_form_payoff", "content_hash", "cooperation_sustained",
+    "cooperation_threshold_population", "discounted_average_payoff",
+    "dominant_action", "equilibrium_set", "game_from_json", "grim",
+    "mixed_equilibrium", "open_market", "play_match", "price", "produce_block",
+    "pure_equilibria", "reputation_grim", "resolve", "run_population",
+    "state_hash", "submit_tx", "trade", "two_player_commons_game", "verify_chain",
+)
+
+# Modules that only the game-theory renderers need.
+GAME_THEORY_MODULES = (
+    "scholarchain.games", "scholarchain.strategies", "fractions", "decimal",
+)
+
+
+class TestPackageRoot:
+    def test_public_names_resolve_to_their_defining_module(self):
+        import scholarchain
+
+        assert scholarchain.__all__ == list(PUBLIC_NAMES)
+        for name in PUBLIC_NAMES:
+            obj = getattr(scholarchain, name)
+            assert obj.__module__.startswith("scholarchain."), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+        with pytest.raises(AttributeError):
+            scholarchain.no_such_name
+
+    def test_chain_verbs_do_not_load_game_theory(self, tmp_path):
+        # A fresh interpreter, since this process has loaded every module.
+        script = (
+            "import sys\n"
+            "from scholarchain import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['--out-dir', out, 'protocol', 'protocol_publish.json']) == 0\n"
+            "assert cli.main(['verify', out + '/protocol_publish_chain.jsonl']) == 0\n"
+            f"print([m for m in {GAME_THEORY_MODULES!r} if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"

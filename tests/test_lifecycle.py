@@ -141,7 +141,7 @@ class TestStartReview:
         market = state.markets[article.market_id]
         assert market.resolved is None
 
-    @pytest.mark.parametrize("liquidity", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("liquidity", [0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_liquidity_rejected_at_genesis(self, liquidity):
         with pytest.raises(LifecycleError, match="market liquidity must be positive"):
             ProtocolConfig(market_liquidity=liquidity)

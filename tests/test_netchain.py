@@ -92,7 +92,9 @@ class TestSubmitTx:
         {"user": "a", "amount": 5, "source": {1}},
         {"user": "a", 1: 5},
         {"user": float},
-    ], ids=["set-value", "mixed-key-types", "class-value"])
+        {"user": "a", "amount": float("nan")},
+        {"user": "a", "amount": float("-inf")},
+    ], ids=["set-value", "mixed-key-types", "class-value", "nan-value", "infinite-value"])
     def test_payload_json_cannot_encode_rejected(self, payload):
         chain = Chain(genesis())
         pool = TxPool()
@@ -613,9 +615,12 @@ class TestWireFormat:
         # Block 0 holds tx ids 1 and 2.
         (1, lambda obj: obj["txs"][0].update(tx_id=1), 1,
          "tx id 1 is not strictly increasing"),
+        # `json.dumps` writes a bare NaN token, which is not JSON.
+        (1, lambda obj: obj["txs"][0]["payload"].update(note=float("nan")), None,
+         "NaN is not a JSON value"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
-            "bool-tx-id", "duplicate-tx-id"])
+            "bool-tx-id", "duplicate-tx-id", "nan-payload"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
