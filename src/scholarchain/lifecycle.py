@@ -159,6 +159,18 @@ class ProtocolConfig:
     peers: tuple[str, ...] = ()
 
     def __post_init__(self):
+        amounts = ("min_review_deposit", "reward_multiple", "min_panel", "initial_reserve")
+        for name in amounts:
+            if type(getattr(self, name)) is not int:
+                raise LifecycleError(f"{name} must be an integer")
+        if type(self.authors_may_trade) is not bool:
+            raise LifecycleError("authors_may_trade must be a bool")
+        if isinstance(self.market_liquidity, bool) or not isinstance(
+            self.market_liquidity, (int, float)
+        ):
+            raise LifecycleError("market_liquidity must be a number")
+        if not _strings(self.peers):
+            raise LifecycleError("peers must be a list of strings")
         object.__setattr__(self, "peers", tuple(self.peers))
         if self.min_review_deposit < 0 or self.initial_reserve < 0:
             raise LifecycleError("config amounts cannot be negative")
@@ -246,8 +258,6 @@ class ProtocolState:
 
     def comment(self, article_hash: str, user_id: str, text_hash: str) -> Article:
         """Append a comment; free in every state except under review."""
-        if not isinstance(text_hash, str):
-            raise LifecycleError("comment text hash must be a string")
         article = self.article(article_hash)
         if article.state is ArticleState.UNDER_REVIEW:
             # Commenting during review means trading on the outcome market.
@@ -274,6 +284,8 @@ class ProtocolState:
             raise LifecycleError(
                 f"deposit must exceed {self.config.min_review_deposit} tokens"
             )
+        if not _strings(panel):
+            raise LifecycleError("review panel must be a list of strings")
         panel = tuple(panel)
         if len(set(panel)) != len(panel):
             raise LifecycleError("review panel has duplicate members")
@@ -430,8 +442,6 @@ class ProtocolState:
         """Claim (co-)ownership of work already published elsewhere."""
         if not isinstance(article_hash, str) or not article_hash:
             raise LifecycleError("article hash must be a nonempty string")
-        if not isinstance(doi, str):
-            raise LifecycleError("DOI must be a string")
         existing = self.articles.get(article_hash)
         if existing is None:
             article = Article(

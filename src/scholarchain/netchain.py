@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
+from .ledger import MINT
 from .lifecycle import ContentMetadata, ProtocolState
 
 GENESIS_PREV_HASH = "0" * 64
@@ -76,8 +78,7 @@ class Transaction:
         }
 
 
-@dataclass(frozen=True)
-class TxRecord:
+class TxRecord(NamedTuple):
     """A transaction as committed: applied, or rejected with the reason."""
 
     tx: Transaction
@@ -156,45 +157,42 @@ def _seal(block: Block) -> str:
 # Transaction application
 # ---------------------------------------------------------------------------
 
-def _submit_article(state: ProtocolState, p: dict, submitter: str) -> None:
-    meta = ContentMetadata(
-        title=p["title"],
-        abstract=p.get("abstract", ""),
-        authors=p["authors"],
-        institutions=p.get("institutions", ()),
-    )
-    state.submit_article(meta, submitter)
-
-
-def _number(value) -> float:
-    """A JSON number as a float; a bool or a numeric string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-#: kind -> (platform_only, handler): who may submit it, and what it does.
-#: Only `PLATFORM` may submit a platform operation; any other kind is a
-#: user's own act, and the actor it names (payload "user", default the
-#: submitter) must be the submitter.  Handlers take (state, payload, submitter).
-_RULES: dict[TxKind, tuple[bool, Callable[[ProtocolState, dict, str], object]]] = {
-    TxKind.CREDIT: (True, lambda s, p, who: s.ledger.credit(
-        p["user"], p["amount"], p.get("source", "mint"))),
-    TxKind.SUBMIT_ARTICLE: (False, _submit_article),
-    TxKind.COMMENT: (False, lambda s, p, who: s.comment(
-        p["article"], who, p["text_hash"])),
-    TxKind.START_REVIEW: (False, lambda s, p, who: s.start_review(
-        p["article"], who, p["deposit"], tuple(p["panel"]))),
-    TxKind.TRADE: (False, lambda s, p, who: s.trade_review_shares(
-        p["article"], who, p["outcome"], _number(p["shares"]))),
-    TxKind.CONCLUDE_REVIEW: (True, lambda s, p, who: s.conclude_review(
-        p["article"], dict(p["votes"]))),
-    TxKind.RAISE_OBJECTION: (False, lambda s, p, who: s.raise_objection(
-        p["article"], who, p["stake"])),
-    TxKind.RESOLVE_DISPUTE: (True, lambda s, p, who: s.resolve_dispute(
-        p["dispute"], dict(p["votes"]))),
-    TxKind.CLAIM_ARTICLE: (False, lambda s, p, who: s.claim_published_article(
-        p["article"], p.get("doi", ""), who)),
+_Field = namedtuple("_Field", "name type default", defaults=[None])  # None: required
+_JSON_TYPES = {"a string": str, "an integer": int, "a number": (int, float),
+               "a list": (list, tuple), "an object": dict}
+_ARTICLE, _VOTES = _Field("article", "a string"), _Field("votes", "an object")
+#: kind -> (platform_only, fields, handler).  Only `PLATFORM` may submit a
+#: platform operation; any other kind is a user's own act, and the actor it
+#: names (payload "user", default the submitter) must be the submitter.  Each
+#: field has a name, a JSON type (never a bool; a number becomes a float) and,
+#: if optional, a default.  Undeclared keys are ignored, like calldata past a
+#: contract call's arguments.  A handler takes (state, fields, submitter).
+_RULES: dict[TxKind, tuple[bool, tuple[_Field, ...], Callable]] = {
+    TxKind.CREDIT: (True, (
+        _Field("user", "a string"), _Field("amount", "an integer"),
+        _Field("source", "a string", MINT)),
+        lambda s, f, who: s.ledger.credit(f["user"], f["amount"], f["source"])),
+    TxKind.SUBMIT_ARTICLE: (False, (
+        _Field("title", "a string"), _Field("abstract", "a string", ""),
+        _Field("authors", "a list"), _Field("institutions", "a list", ())),
+        lambda s, f, who: s.submit_article(ContentMetadata(**f), who)),
+    TxKind.COMMENT: (False, (_ARTICLE, _Field("text_hash", "a string")),
+        lambda s, f, who: s.comment(f["article"], who, f["text_hash"])),
+    TxKind.START_REVIEW: (False, (
+        _ARTICLE, _Field("deposit", "an integer"), _Field("panel", "a list")),
+        lambda s, f, who: s.start_review(f["article"], who, f["deposit"], f["panel"])),
+    TxKind.TRADE: (False, (
+        _ARTICLE, _Field("outcome", "a string"), _Field("shares", "a number")),
+        lambda s, f, who: s.trade_review_shares(
+            f["article"], who, f["outcome"], f["shares"])),
+    TxKind.CONCLUDE_REVIEW: (True, (_ARTICLE, _VOTES),
+        lambda s, f, who: s.conclude_review(f["article"], f["votes"])),
+    TxKind.RAISE_OBJECTION: (False, (_ARTICLE, _Field("stake", "an integer")),
+        lambda s, f, who: s.raise_objection(f["article"], who, f["stake"])),
+    TxKind.RESOLVE_DISPUTE: (True, (_Field("dispute", "a string"), _VOTES),
+        lambda s, f, who: s.resolve_dispute(f["dispute"], f["votes"])),
+    TxKind.CLAIM_ARTICLE: (False, (_ARTICLE, _Field("doi", "a string", "")),
+        lambda s, f, who: s.claim_published_article(f["article"], f["doi"], who)),
 }
 
 
@@ -203,18 +201,21 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
 
     Operations validate before mutating, so a raise leaves `state` intact.
     """
-    platform_only, handler = _RULES[tx.kind]
-    p = tx.payload
+    platform_only, fields, handler = _RULES[tx.kind]
+    p, who = tx.payload, tx.submitter
+    if platform_only and who != PLATFORM:
+        raise ChainError(f"{who!r} cannot submit platform operation {tx.kind.value}")
+    if not platform_only and p.get("user", who) != who:
+        raise ChainError(f"{who!r} cannot act for {p['user']!r} in {tx.kind.value}")
+    checked = {}
     try:
-        if platform_only and tx.submitter != PLATFORM:
-            raise ChainError(
-                f"{tx.submitter!r} cannot submit platform operation {tx.kind.value}"
-            )
-        if not platform_only and p.get("user", tx.submitter) != tx.submitter:
-            raise ChainError(
-                f"{tx.submitter!r} cannot act for {p['user']!r} in {tx.kind.value}"
-            )
-        handler(state, p, tx.submitter)
+        for name, json_type, default in fields:
+            value = p.get(name, default)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+                raise ChainError(f"bad payload for {tx.kind.value}: "
+                                 f"field {name!r} must be {json_type}")
+            checked[name] = float(value) if json_type == "a number" else value
+        handler(state, checked, who)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
 
@@ -385,8 +386,8 @@ def verify_chain(
     Valid iff heights are consecutive, each prev_hash matches the previous
     block's content digest, every block's own digest seals its content,
     distinct approvals form a quorum of known peers, tx ids increase
-    strictly across the chain, recorded tx statuses match re-execution, and
-    each recorded state hash equals the replayed one.
+    strictly across the chain, recorded tx statuses and rejection reasons
+    match re-execution, and each recorded state hash equals the replayed one.
     """
     state = genesis.clone()
     prev_hash = GENESIS_PREV_HASH
@@ -413,6 +414,8 @@ def verify_chain(
         for record, again in zip(block.txs, replayed):
             if again.status != record.status:
                 return bad(f"tx {record.tx.tx_id} status diverges on replay")
+            if again.error != record.error:
+                return bad(f"tx {record.tx.tx_id} reason diverges on replay")
         if state_hash(state) != block.state_hash:
             return bad("replayed state hash mismatch")
         prev_hash = block.block_hash

@@ -4,10 +4,11 @@ Each example commits a fixed opening block (funded users, an article under
 review, an active one, and a published one with an open dispute), then
 blocks of arbitrary transactions, through `submit_tx` -> `produce_block` ->
 `export_chain` -> `verify_export`.  After every block nothing has raised,
-the exported chain verifies, tokens are conserved, and every article moved
-only along legal transitions, checked one transaction at a time on a
-replayed copy, where each rejected transaction leaves the state digest as
-it was.
+the exported chain verifies (rejection reasons included), tokens are
+conserved, and every article moved only along legal transitions, checked
+one transaction at a time on a replayed copy, where each transaction
+replays to its recorded status and reason and each rejected one leaves the
+state digest as it was.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -164,10 +165,10 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
             digest = state_hash(replay) if record.status == REJECTED else None
             try:
                 apply_tx(replay, record.tx)
-                status = APPLIED
-            except ProtocolError:
-                status = REJECTED
-            assert status == record.status
+                status, error = APPLIED, ""
+            except ProtocolError as exc:
+                status, error = REJECTED, str(exc)
+            assert (status, error) == (record.status, record.error)
             if status == REJECTED:
                 # Blocks execute in place on the tip: a rejection must change nothing.
                 assert state_hash(replay) == digest

@@ -146,6 +146,23 @@ class TestStartReview:
         with pytest.raises(LifecycleError, match="market liquidity must be positive"):
             ProtocolConfig(market_liquidity=liquidity)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("min_review_deposit", 5.5, "min_review_deposit must be an integer"),
+        ("reward_multiple", True, "reward_multiple must be an integer"),
+        ("min_panel", "3", "min_panel must be an integer"),
+        ("initial_reserve", 1.5, "initial_reserve must be an integer"),
+        ("authors_may_trade", 1, "authors_may_trade must be a bool"),
+        ("market_liquidity", True, "market_liquidity must be a number"),
+        ("market_liquidity", "20", "market_liquidity must be a number"),
+        ("peers", "p1", "peers must be a list of strings"),
+        ("peers", ["p1", 2], "peers must be a list of strings"),
+    ], ids=["float-deposit", "bool-multiple", "string-panel", "float-reserve",
+            "int-trade-flag", "bool-liquidity", "string-liquidity", "string-peers",
+            "int-peer"])
+    def test_wrong_type_config_rejected_at_genesis(self, field, value, reason):
+        with pytest.raises(LifecycleError, match=reason):
+            ProtocolConfig(**{field: value})
+
     def test_deposit_must_strictly_exceed_minimum(self):
         state = state_with_author()
         article = state.submit_article(meta(), "ada")

@@ -238,11 +238,13 @@ class TestProduceBlock:
          "authors must be (display name, user id) string pairs"),
         (TxKind.SUBMIT_ARTICLE,
          {"title": "t", "authors": [["A", "ada"]], "institutions": "MIT"},
-         "institutions must be a list of strings"),
+         "bad payload for SUBMIT_ARTICLE: field 'institutions' must be a list"),
         (TxKind.TRADE, {"outcome": "PUBLISH", "shares": True},
-         "bad payload for TRADE: expected a number, got True"),
-        (TxKind.COMMENT, {"text_hash": {"x": [1]}}, "comment text hash must be a string"),
-        (TxKind.CLAIM_ARTICLE, {"article": "elsewhere", "doi": [5]}, "DOI must be a string"),
+         "bad payload for TRADE: field 'shares' must be a number"),
+        (TxKind.COMMENT, {"text_hash": {"x": [1]}},
+         "bad payload for COMMENT: field 'text_hash' must be a string"),
+        (TxKind.CLAIM_ARTICLE, {"article": "elsewhere", "doi": [5]},
+         "bad payload for CLAIM_ARTICLE: field 'doi' must be a string"),
     ], ids=["author-string", "institutions-string", "shares-bool", "comment-hash-object",
             "doi-list"])
     def test_wrong_shape_payload_recorded_as_rejected(self, kind, payload, reason):
@@ -311,14 +313,15 @@ class TestProduceBlock:
     def test_program_fault_mid_block_rebuilds_tip(self, monkeypatch):
         chain = Chain(genesis())
         produce_block(chain, pool_with(credit_tx(1, "ada"), submit_article_tx(2)), PEERS)
-        platform_only, credit = netchain._RULES[TxKind.CREDIT]
+        platform_only, fields, credit = netchain._RULES[TxKind.CREDIT]
 
-        def faulty_credit(state, payload, submitter):
-            if payload["user"] == "cy":
+        def faulty_credit(state, checked, submitter):
+            if checked["user"] == "cy":
                 raise ZeroDivisionError("fault")
-            return credit(state, payload, submitter)
+            return credit(state, checked, submitter)
 
-        monkeypatch.setitem(netchain._RULES, TxKind.CREDIT, (platform_only, faulty_credit))
+        monkeypatch.setitem(
+            netchain._RULES, TxKind.CREDIT, (platform_only, fields, faulty_credit))
         pool = pool_with(credit_tx(3, "bo"), credit_tx(4, "cy"), credit_tx(5, "dee"))
         with pytest.raises(ZeroDivisionError):
             produce_block(chain, pool, PEERS)
@@ -392,7 +395,7 @@ class TestTxRules:
                 TxKind(name)
 
     def test_platform_only_kinds_reject_other_submitters(self):
-        platform_only = [kind for kind, (only, _) in netchain._RULES.items() if only]
+        platform_only = [kind for kind, (only, _, _) in netchain._RULES.items() if only]
         assert platform_only == [
             TxKind.CREDIT, TxKind.CONCLUDE_REVIEW, TxKind.RESOLVE_DISPUTE,
         ]
@@ -407,7 +410,7 @@ class TestTxRules:
         ]
 
     def test_user_acts_reject_acting_for_another(self):
-        user_acts = [kind for kind, (only, _) in netchain._RULES.items() if not only]
+        user_acts = [kind for kind, (only, _, _) in netchain._RULES.items() if not only]
         chain = Chain(genesis())
         txs = [
             Transaction(i, kind, {"user": "victim"}, "mallory")
@@ -417,6 +420,40 @@ class TestTxRules:
         assert [r.error for r in result.block.txs] == [
             f"'mallory' cannot act for 'victim' in {kind.value}" for kind in user_acts
         ]
+
+
+#: A value of each declared JSON type, to fill every field of a payload.
+TYPE_EXAMPLES = {"a string": "s", "an integer": 1, "a number": 1.5, "a list": [],
+                 "an object": {}}
+SCHEMA_CASES = [
+    (kind, field, missing)
+    for kind, (_, fields, _) in netchain._RULES.items()
+    for field in fields
+    for missing in ((True, False) if field.default is None else (False,))
+]
+
+
+@pytest.mark.parametrize("kind, field, missing", SCHEMA_CASES, ids=[
+    f"{kind.value}-{field.name}-{'missing' if missing else 'true'}"
+    for kind, field, missing in SCHEMA_CASES
+])
+def test_declared_field_missing_or_true_is_rejected(kind, field, missing):
+    platform_only, fields, _ = netchain._RULES[kind]
+    payload = {f.name: TYPE_EXAMPLES[f.type] for f in fields}
+    if missing:
+        del payload[field.name]
+    else:
+        payload[field.name] = True
+    chain = Chain(genesis())
+    produce_block(chain, pool_with(credit_tx(1, "bo")), PEERS)
+    before = state_hash(chain.tip)
+    submitter = netchain.PLATFORM if platform_only else "bo"
+    result = produce_block(
+        chain, pool_with(Transaction(2, kind, payload, submitter)), PEERS)
+    reason = f"bad payload for {kind.value}: field {field.name!r} must be {field.type}"
+    assert [(r.status, r.error) for r in result.block.txs] == [(REJECTED, reason)]
+    assert state_hash(chain.tip) == before
+    assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
 
 def demo_chain():
@@ -618,9 +655,12 @@ class TestWireFormat:
         # `json.dumps` writes a bare NaN token, which is not JSON.
         (1, lambda obj: obj["txs"][0]["payload"].update(note=float("nan")), None,
          "NaN is not a JSON value"),
+        # Block 1's second record is the rejected CREDIT by "bo".
+        (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
+         "tx 4 reason diverges on replay"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
-            "bool-tx-id", "duplicate-tx-id", "nan-payload"])
+            "bool-tx-id", "duplicate-tx-id", "nan-payload", "rewritten-reason"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
