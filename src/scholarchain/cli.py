@@ -388,10 +388,11 @@ VERB_KINDS = {
 def run_scenario(
     name: str, out_dir: str = "out", seed_override: Optional[int] = None
 ) -> list[str]:
-    """Run one scenario file; returns the paths written.
+    """Run one scenario file; returns the paths of its outputs.
 
     All outputs are rendered in memory first: a failing scenario writes
-    nothing at all.
+    nothing at all.  A file that already holds the same bytes is left
+    untouched, since truncating it can cost more than the whole run.
     """
     path = resolve_scenario_path(name)
     scenario = load_scenario(path)
@@ -400,12 +401,18 @@ def run_scenario(
     outputs = render(scenario, seed)
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    written = []
+    paths = []
     for filename, content in outputs.items():
         file_path = target / filename
-        file_path.write_text(content, encoding="utf-8")
-        written.append(str(file_path))
-    return written
+        data = content.encode("utf-8")
+        try:
+            unchanged = file_path.read_bytes() == data
+        except OSError:
+            unchanged = False
+        if not unchanged:
+            file_path.write_bytes(data)
+        paths.append(str(file_path))
+    return paths
 
 
 def _cmd_run(verb: str, args) -> int:

@@ -33,6 +33,10 @@ class Account:
     user_id: str
     balance: int = 0
     escrowed: int = 0
+    _json = None  # cached digest fragment; every write drops it first
+
+    def to_canonical(self) -> dict:
+        return {"balance": self.balance, "escrowed": self.escrowed}
 
 
 class Reputation(NamedTuple):
@@ -111,6 +115,7 @@ class TokenLedger:
                 f"reserve {self.platform_reserve} cannot cover credit of {amount}"
             )
         acct = self.accounts.setdefault(user_id, Account(user_id))
+        acct._json = None
         if source == MINT:
             self.minted_total += amount
         else:
@@ -124,6 +129,7 @@ class TokenLedger:
         if acct is None or acct.balance < amount:
             have = acct.balance if acct else 0
             raise LedgerError(f"{user_id!r} has {have}, cannot escrow {amount}")
+        acct._json = None
         acct.balance -= amount
         acct.escrowed += amount
 
@@ -138,6 +144,7 @@ class TokenLedger:
             raise LedgerError(
                 f"{user_id!r} has {have} in escrow, cannot resolve {amount}"
             )
+        acct._json = None
         acct.escrowed -= amount
         if outcome == FORFEIT:
             self.platform_reserve += amount
@@ -150,8 +157,7 @@ class TokenLedger:
         """Deterministic dict form; account keys sorted for stable hashing."""
         return {
             "accounts": {
-                uid: {"balance": a.balance, "escrowed": a.escrowed}
-                for uid, a in sorted(self.accounts.items())
+                uid: a.to_canonical() for uid, a in sorted(self.accounts.items())
             },
             "platform_reserve": self.platform_reserve,
             "minted_total": self.minted_total,

@@ -36,6 +36,13 @@ UPHOLD = "uphold"
 
 _FIELD_SEP = "\x1f"
 
+# The one canonical byte form: sorted keys, no spaces, and no NaN or
+# infinity (RFC 8259).  One shared encoder, because `json.dumps` with these
+# arguments builds a new one on every call.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
 
 class ArticleState(str, Enum):
     ACTIVE = "ACTIVE"
@@ -103,6 +110,7 @@ class Article:
     comments: list[tuple[str, int, str]] = field(default_factory=list)
     review_round: int = 0
     dispute_seq: int = 0
+    _json = None  # cached digest fragment; `ProtocolState.article` drops it
 
     def to_canonical(self) -> dict:
         return {
@@ -129,6 +137,7 @@ class Dispute:
     challenger: str
     stake: int
     resolution: Optional[str] = None  # "retract" | "uphold" once decided
+    _json = None  # cached digest fragment; `resolve_dispute` drops it
 
     def to_canonical(self) -> dict:
         return {
@@ -224,19 +233,26 @@ class ProtocolState:
         self.disputes: dict[str, Dispute] = {}
         self.markets: dict[str, Market] = {}
         self.clock = 0  # logical time; ticks once per applied operation
+        self._config_json = None  # None until the first digest
 
     # -- helpers --------------------------------------------------------------
+
+    # Every write to an existing entity first drops its digest fragment: here,
+    # in `resolve_dispute`, `claim_published_article` and the ledger's writes.
 
     def article(self, article_hash: str) -> Article:
         art = self.articles.get(article_hash)
         if art is None:
             raise LifecycleError(f"no article with hash {article_hash!r}")
+        art._json = None
         return art
 
     def market_of(self, article: Article) -> Market:
         if article.market_id is None or article.market_id not in self.markets:
             raise LifecycleError(f"article {article.article_hash!r} has no market")
-        return self.markets[article.market_id]
+        mkt = self.markets[article.market_id]
+        mkt._json = None
+        return mkt
 
     def _tick(self) -> int:
         self.clock += 1
@@ -414,6 +430,7 @@ class ProtocolState:
         dispute = self.disputes.get(dispute_id)
         if dispute is None:
             raise LifecycleError(f"no dispute {dispute_id!r}")
+        dispute._json = None
         if dispute.resolution is not None:
             raise LifecycleError(f"dispute {dispute_id!r} already resolved")
         if not self.config.peers:
@@ -455,6 +472,7 @@ class ProtocolState:
             return article
         if caller in existing.owners:
             raise LifecycleError("Owner has already claimed that article")
+        existing._json = None
         existing.owners.append(caller)
         self._tick()
         return existing
@@ -480,7 +498,50 @@ class ProtocolState:
             "clock": self.clock,
         }
 
+    def to_canonical_json(self) -> str:
+        """`canonical_json(self.to_canonical())`, joined from cached fragments.
+
+        Each account, article, dispute and market keeps its canonical JSON
+        until a write drops it, and only dropped ones are encoded again.  A
+        state's first call encodes every entity from one `to_canonical()`.
+        """
+        first = {}
+        if self._config_json is None:
+            snapshot = self.to_canonical()
+            self._config_json = canonical_json(snapshot["config"])
+            first = {name: dict(zip(sorted(getattr(self, name)), snapshot[name]))
+                     for name in ("articles", "disputes", "markets")}
+            first["accounts"] = snapshot["ledger"]["accounts"]
+        led = self.ledger
+        # Keys in the order `sort_keys` writes them.
+        return (
+            f'{{"articles":[{_join(self.articles, first.get("articles"))}],'
+            f'"clock":{canonical_json(self.clock)},"config":{self._config_json},'
+            f'"disputes":[{_join(self.disputes, first.get("disputes"))}],'
+            f'"ledger":{{"accounts":{{{_join(led.accounts, first.get("accounts"), True)}}},'
+            f'"burned_total":{canonical_json(led.burned_total)},'
+            f'"initial_supply":{canonical_json(led.initial_supply)},'
+            f'"minted_total":{canonical_json(led.minted_total)},'
+            f'"platform_reserve":{canonical_json(led.platform_reserve)}}},'
+            f'"markets":[{_join(self.markets, first.get("markets"))}]}}'
+        )
+
     def registry_export_json(self) -> str:
         """Article registry as a JSON array sorted by article hash."""
         entries = [self.articles[h].to_canonical() for h in sorted(self.articles)]
         return json.dumps(entries, indent=2, sort_keys=True) + "\n"
+
+
+def _join(entities: dict, forms: Optional[dict] = None, keyed: bool = False) -> str:
+    """The entities' digest fragments, comma-joined in key order.
+
+    A missing fragment is encoded, from `forms[key]` if given, and kept.  A
+    keyed fragment is an object member (`"key":{...}`), else an array item.
+    """
+    def encode(key) -> str:
+        entity = entities[key]
+        body = canonical_json(forms[key] if forms else entity.to_canonical())
+        entity._json = f"{canonical_json(key)}:{body}" if keyed else body
+        return entity._json
+
+    return ",".join([entities[key]._json or encode(key) for key in sorted(entities)])

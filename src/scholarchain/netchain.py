@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .lifecycle import ContentMetadata, ProtocolState
+from .lifecycle import ContentMetadata, ProtocolState, canonical_json
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -131,26 +131,17 @@ class PeerSet:
         return (2 * len(self.peers)) // 3 + 1
 
 
-# One shared encoder: `json.dumps` with these arguments builds a new encoder
-# on every call, which costs as much as encoding a small payload.  NaN and
-# the infinities are refused: they are not JSON (RFC 8259).
-_canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-).encode
-
-
 def state_hash(state: ProtocolState) -> str:
-    """SHA-256 of the canonical (ledger, articles, markets) serialization."""
-    return hashlib.sha256(
-        _canonical_json(state.to_canonical()).encode("utf-8")
-    ).hexdigest()
+    """SHA-256 of the state's canonical JSON; only entities written since the
+    last digest are encoded again (`ProtocolState.to_canonical_json`)."""
+    return hashlib.sha256(state.to_canonical_json().encode("utf-8")).hexdigest()
 
 
 def _seal(block: Block) -> str:
     """SHA-256 of the block's canonical form without its own hash."""
     content = block.to_canonical()
     del content["blockHash"]
-    return hashlib.sha256(_canonical_json(content).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(content).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +202,14 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
     try:
         for name, json_type, default in fields:
             value = p.get(name, default)
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+            ok = not isinstance(value, bool) and isinstance(value, _JSON_TYPES[json_type])
+            try:  # a number must also fit a double
+                checked[name] = float(value) if ok and json_type == "a number" else value
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ChainError(f"bad payload for {tx.kind.value}: "
                                  f"field {name!r} must be {json_type}")
-            checked[name] = float(value) if json_type == "a number" else value
         handler(state, checked, who)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
@@ -285,7 +280,7 @@ def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) ->
     # The block seal encodes every payload.  An imported payload was decoded
     # from JSON, so only submission needs this check.
     try:
-        _canonical_json(tx.payload)
+        canonical_json(tx.payload)
         _require_string_keys(tx.payload)
     except (TypeError, ValueError, RecursionError) as exc:
         raise ChainError(f"payload is not encodable as JSON: {exc}") from exc

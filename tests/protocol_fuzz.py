@@ -4,12 +4,15 @@ Shared by the lifecycle tests and the acceptance suite: it hammers a fresh
 `ProtocolState` with a random operation sequence, collecting every observed
 article state transition, and checks after each step that
 
-* a rejected operation left the canonical state identical, and
-* the ledger conservation identity still holds exactly.
+* a rejected operation left the canonical state identical,
+* the ledger conservation identity still holds exactly, and
+* the cached state digest equals `full_state_hash`, the whole state
+  encoded again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -20,7 +23,9 @@ from scholarchain.lifecycle import (
     ContentMetadata,
     ProtocolConfig,
     ProtocolState,
+    canonical_json,
 )
+from scholarchain.netchain import state_hash
 
 USERS = ["ada", "bo", "cy", "dee"]
 PEERS = ["p1", "p2", "p3"]
@@ -43,8 +48,15 @@ class WalkResult:
     atomicity_violations: int = 0
     conservation_violations: int = 0
     retraction_violations: int = 0
+    digest_violations: int = 0
     ops_applied: int = 0
     ops_rejected: int = 0
+
+
+def full_state_hash(state: ProtocolState) -> str:
+    """The digest oracle: SHA-256 of the whole state encoded again, no cache."""
+    encoded = canonical_json(state.to_canonical()).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
 
 
 def fresh_state() -> ProtocolState:
@@ -170,6 +182,8 @@ def random_walk(seed: int, steps: int = 12) -> WalkResult:
                 result.atomicity_violations += 1
         if state.ledger.conservation_gap() != 0:
             result.conservation_violations += 1
+        if state_hash(state) != full_state_hash(state):
+            result.digest_violations += 1
         for h, article in state.articles.items():
             before = states_before.get(h)
             if before is not None:

@@ -164,6 +164,7 @@ def test_criterion_5_lifecycle_fsm_fuzz():
             transitions |= result.transitions
             assert result.atomicity_violations == 0
             assert result.retraction_violations == 0
+            assert result.digest_violations == 0
         assert transitions <= LEGAL_TRANSITIONS
 
         # The three claim branches, including the exact contract error.

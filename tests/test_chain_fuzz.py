@@ -2,13 +2,14 @@
 
 Each example commits a fixed opening block (funded users, an article under
 review, an active one, and a published one with an open dispute), then
-blocks of arbitrary transactions, through `submit_tx` -> `produce_block` ->
+blocks of arbitrary transactions, then three fixed closing acts, through `submit_tx` -> `produce_block` ->
 `export_chain` -> `verify_export`.  After every block nothing has raised,
-the exported chain verifies (rejection reasons included), tokens are
+the block's cached state digest equals the whole state encoded again, the
+exported chain verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
 one transaction at a time on a replayed copy, where each transaction
 replays to its recorded status and reason and each rejected one leaves the
-state digest as it was.
+state digest as it was, cached and encoded again alike.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -37,7 +38,7 @@ from scholarchain.netchain import (
     submit_tx,
     verify_export,
 )
-from protocol_fuzz import LEGAL_TRANSITIONS
+from protocol_fuzz import LEGAL_TRANSITIONS, full_state_hash
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 USERS = ("ada", "bo", "cy", PLATFORM)
@@ -56,6 +57,18 @@ OPENING = [
     (TxKind.SUBMIT_ARTICLE, {"title": "t1", "authors": [["A", "ada"]]}, "ada"),
     (TxKind.CLAIM_ARTICLE, {"article": CLAIMED}, "cy"),
     (TxKind.RAISE_OBJECTION, {"article": CLAIMED, "stake": 5}, "bo"),
+]
+
+# Fuzzed decisions rarely carry a winning vote and fuzzed reviews rarely
+# start, so each example ends with three acts, each alone in its block: the
+# dispute upheld, the review sent back and the active article put under
+# review.  Each applies if the fuzzed blocks left its article as it was.
+CLOSING = [
+    [(TxKind.RESOLVE_DISPUTE,
+      {"dispute": DISPUTE, "votes": dict.fromkeys(PEERS.peers, "uphold")}, PLATFORM)],
+    [(TxKind.CONCLUDE_REVIEW,
+      {"article": REVIEWED, "votes": dict.fromkeys(PANEL, "REVISE")}, PLATFORM)],
+    [(TxKind.START_REVIEW, {"article": FRESH, "deposit": 6, "panel": list(PANEL)}, "ada")],
 ]
 
 json_values = st.recursive(
@@ -150,13 +163,14 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
     chain = Chain(genesis())
     replay = genesis()
     tx_id = 0
-    for block in [OPENING] + fuzzed_blocks:
+    for block in [OPENING] + fuzzed_blocks + CLOSING:
         pool = TxPool()
         for kind, payload, submitter in block:
             tx_id += 1
             submit_tx(pool, Transaction(tx_id, kind, payload, submitter), chain)
         result = produce_block(chain, pool, PEERS)
         assert result.committed
+        assert result.block.state_hash == full_state_hash(chain.tip)
         if block is OPENING:
             assert all(r.status == APPLIED for r in result.block.txs)
 
@@ -171,7 +185,7 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
             assert (status, error) == (record.status, record.error)
             if status == REJECTED:
                 # Blocks execute in place on the tip: a rejection must change nothing.
-                assert state_hash(replay) == digest
+                assert state_hash(replay) == digest == full_state_hash(replay)
             for h, article in replay.articles.items():
                 if h in before:
                     assert (before[h], article.state) in LEGAL_TRANSITIONS

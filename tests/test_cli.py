@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,21 @@ class TestBundledScenarios:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_outputs_match_pinned_digest(self, tmp_path, name):
         assert outputs_digest(run_scenario(name, str(tmp_path))) == PINNED_OUTPUTS[name]
+
+    def test_unchanged_outputs_are_left_untouched(self, tmp_path):
+        paths = run_scenario("market_demo.json", str(tmp_path))
+        old = 10**9  # an mtime no write of this run can give
+        for p in paths:
+            os.utime(p, ns=(old, old))
+        stamps = [(os.stat(p).st_ino, old) for p in paths]
+        assert run_scenario("market_demo.json", str(tmp_path)) == paths
+        assert [(os.stat(p).st_ino, os.stat(p).st_mtime_ns) for p in paths] == stamps
+        # Another seed changes the summary, and the new bytes are written.
+        assert run_scenario("market_demo.json", str(tmp_path), 9) == paths
+        fresh = run_scenario("market_demo.json", str(tmp_path / "fresh"), 9)
+        assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in fresh]
+        summary = str(tmp_path / "market_demo_summary.json")
+        assert os.stat(summary).st_mtime_ns != old
 
     def test_verify_with_explicit_genesis(self, tmp_path):
         run_scenario("protocol_revise.json", str(tmp_path))

@@ -463,6 +463,7 @@ class TestTransitionLegality:
             assert result.atomicity_violations == 0
             assert result.conservation_violations == 0
             assert result.retraction_violations == 0
+            assert result.digest_violations == 0
 
     def test_registry_export_sorted(self):
         state = state_with_author()
