@@ -93,26 +93,19 @@ def resolve_scenario_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
-    from .games import (
-        ACTIONS, dominant_action, equilibrium_set, format_rational, game_from_json,
-    )
+    from .games import ACTIONS, dominant_action, equilibrium_set, game_from_json
     game = game_from_json(_require(scenario, "game", "game-analysis"))
     es = equilibrium_set(game)
     lines = ["record,row_action,col_action,row_value,col_value"]
     for a in ACTIONS:
         for b in ACTIONS:
             r, c = game.payoff(a, b)
-            lines.append(
-                f"payoff,{a.value},{b.value},{format_rational(r)},{format_rational(c)}"
-            )
+            lines.append(f"payoff,{a.value},{b.value},{r},{c}")
     for a, b in es.pure:
         lines.append(f"pure_equilibrium,{a.value},{b.value},,")
     if es.mixed is not None:
         p_row, p_col = es.mixed
-        lines.append(
-            "mixed_equilibrium,D,D,"
-            f"{format_rational(p_row)},{format_rational(p_col)}"
-        )
+        lines.append(f"mixed_equilibrium,D,D,{p_row},{p_col}")
     row_dom = dominant_action(game, "row")
     col_dom = dominant_action(game, "col")
     lines.append(
@@ -446,6 +439,9 @@ def _cmd_verify(args) -> int:
     chain_path = Path(args.chain)
     try:
         text = chain_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"FAILED at parse: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

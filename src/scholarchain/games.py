@@ -64,11 +64,6 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"exact rational required, got {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Inverse of :func:`as_rational` for JSON/CSV output ("p/q" or "p")."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class PayoffMatrix2x2:
     """Bimatrix game over actions {C, D} with exact rational payoffs.
@@ -387,7 +382,7 @@ def game_to_json(game: PayoffMatrix2x2) -> dict:
     return {
         "type": "matrix",
         "cells": {
-            name: [format_rational(r), format_rational(c)]
+            name: [str(r), str(c)]
             for name, (r, c) in zip(_CELL_NAMES, game.cells)
         },
     }

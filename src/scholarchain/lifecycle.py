@@ -371,9 +371,8 @@ class ProtocolState:
                 f"of {payout_total}"
             )
 
-        depositor = article.depositor or article.owners[0]
         if decision == PUBLISH:
-            self.ledger.resolve_escrow(depositor, deposit, REFUND)
+            self.ledger.resolve_escrow(article.depositor, deposit, REFUND)
             reward = self.config.reward_multiple * deposit
             share, remainder = divmod(reward, len(article.owners))
             for i, owner in enumerate(article.owners):
@@ -382,7 +381,7 @@ class ProtocolState:
                     self.ledger.credit(owner, amount, MINT)
             article.state = ArticleState.PUBLISHED
         else:
-            self.ledger.resolve_escrow(depositor, deposit, FORFEIT)
+            self.ledger.resolve_escrow(article.depositor, deposit, FORFEIT)
             article.state = ArticleState.ACTIVE
         market_mod.resolve(mkt, self.ledger, decision)
         article.author_deposit = 0

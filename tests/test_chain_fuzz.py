@@ -3,18 +3,27 @@
 Each example commits a fixed opening block (funded users, an article under
 review, an active one, and a published one with an open dispute), then
 blocks of arbitrary transactions, then three fixed closing acts, through `submit_tx` -> `produce_block` ->
-`export_chain` -> `verify_export`.  After every block nothing has raised,
+`export_chain` -> `verify_export`.  Submission refuses exactly the
+transactions with a non-string signature or a payload nested more than 16
+containers deep.  After every block nothing has raised,
 the block's cached state digest equals the whole state encoded again, the
 exported chain verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
 one transaction at a time on a replayed copy, where each transaction
 replays to its recorded status and reason and each rejected one leaves the
-state digest as it was, cached and encoded again alike.
+state digest as it was, cached and encoded again alike.  At the end every
+admitted transaction is in the blocks exactly once.
+
+A second property mutates one line of an exported chain and checks that
+`verify_export` returns a result rather than raising.
 """
+
+import json
+import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scholarchain.errors import ProtocolError
+from scholarchain.errors import ChainError, ProtocolError
 from scholarchain.lifecycle import (
     ArticleState,
     ContentMetadata,
@@ -31,6 +40,7 @@ from scholarchain.netchain import (
     Transaction,
     TxKind,
     TxPool,
+    VerifyResult,
     apply_tx,
     export_chain,
     produce_block,
@@ -141,11 +151,38 @@ def payloads(kind: TxKind, submitter: str):
     )
 
 
+def nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def depth(value) -> int:
+    """How many containers nest in `value`, itself included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, list):
+        return 0
+    return 1 + max(map(depth, value), default=0)
+
+
 submitters = st.one_of(
     st.just(PLATFORM), st.sampled_from(USERS[:3]), st.text(min_size=1, max_size=4)
 )
+# Mostly the empty signature; a non-string one must be refused at submission.
+signatures = st.just("") | st.text(max_size=3) | json_values
+# Mostly unnested; past the bound of 16 containers it must be refused too.
+deep_notes = st.just(None) | st.builds(nested, json_values, st.integers(10, 18))
+
+
+def with_note(payload: dict, note):
+    return payload if note is None else {**payload, "note": note}
+
+
 transactions = st.tuples(st.sampled_from(list(TxKind)), submitters).flatmap(
-    lambda ks: st.tuples(st.just(ks[0]), payloads(*ks), st.just(ks[1]))
+    lambda ks: st.tuples(
+        st.just(ks[0]), st.builds(with_note, payloads(*ks), deep_notes),
+        st.just(ks[1]), signatures)
 )
 blocks = st.lists(st.lists(transactions, min_size=1, max_size=4), min_size=1, max_size=4)
 
@@ -163,11 +200,22 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
     chain = Chain(genesis())
     replay = genesis()
     tx_id = 0
+    admitted = []
     for block in [OPENING] + fuzzed_blocks + CLOSING:
         pool = TxPool()
-        for kind, payload, submitter in block:
+        for kind, payload, submitter, *signature in block:
             tx_id += 1
-            submit_tx(pool, Transaction(tx_id, kind, payload, submitter), chain)
+            tx = Transaction(tx_id, kind, payload, submitter, *signature)
+            inadmissible = not isinstance(tx.signature, str) or depth(payload) > 16
+            try:
+                submit_tx(pool, tx, chain)
+            except ChainError:
+                assert inadmissible
+                continue
+            assert not inadmissible
+            admitted.append(tx)
+        if not pool.pending:
+            continue
         result = produce_block(chain, pool, PEERS)
         assert result.committed
         assert result.block.state_hash == full_state_hash(chain.tip)
@@ -193,3 +241,61 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
                     assert article.state in (ArticleState.ACTIVE, ArticleState.PUBLISHED)
         assert chain.tip.ledger.conservation_gap() == 0
         assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+    # Every admitted transaction is committed exactly once, in order.
+    assert [r.tx for b in chain.blocks for r in b.txs] == admitted
+
+
+def committed_export() -> list[str]:
+    """The export of the opening and closing blocks, one string per line."""
+    chain = Chain(genesis())
+    tx_id = 0
+    for block in [OPENING] + CLOSING:
+        pool = TxPool()
+        for kind, payload, submitter in block:
+            tx_id += 1
+            submit_tx(pool, Transaction(tx_id, kind, payload, submitter), chain)
+        produce_block(chain, pool, PEERS)
+    return export_chain(chain.blocks).splitlines(keepends=True)
+
+
+EXPORT = committed_export()
+NUMBER = re.compile(r"(?<=[:,\[])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[,\]}])")
+
+
+def flip_bit(line: str, data) -> str:
+    raw = bytearray(line.encode("utf-8"))
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    return raw.decode("utf-8", "surrogateescape")
+
+
+def respell_number(line: str, data) -> str:
+    match = data.draw(st.sampled_from(list(NUMBER.finditer(line))))
+    spelled = data.draw(st.sampled_from(("1e400", "-1e999", "NaN", "Infinity")))
+    return line[:match.start()] + spelled + line[match.end():]
+
+
+def wrap_payload_value(line: str, data) -> str:
+    """Wrap one payload value in up to 2000 lists, written without recursion."""
+    block = json.loads(line)
+    payload = data.draw(st.sampled_from(block["txs"]))["payload"]
+    key = data.draw(st.sampled_from(sorted(payload)))
+    value, payload[key] = payload[key], "\x00marker"
+    lists = data.draw(st.integers(1, 2000))
+    wrapped = "[" * lists + json.dumps(value) + "]" * lists
+    text = json.dumps(block, separators=(",", ":"))
+    return text.replace('"\\u0000marker"', wrapped) + "\n"
+
+
+def truncate(line: str, data) -> str:
+    return line[:data.draw(st.integers(0, len(line) - 2))] + "\n"
+
+
+@given(st.integers(0, len(EXPORT) - 1),
+       st.sampled_from((flip_bit, respell_number, wrap_payload_value, truncate)),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_is_total_on_one_mutated_line(index, mutate, data):
+    lines = list(EXPORT)
+    lines[index] = mutate(lines[index], data)
+    result = verify_export("".join(lines), genesis(), PEERS)
+    assert isinstance(result, VerifyResult)

@@ -221,6 +221,24 @@ class TestProtocolVerb:
         assert main(["verify", str(chain_file)]) == 1
         assert "FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("number", ["1e400", "-1e999", "Infinity"])
+    def test_verify_fails_a_non_finite_number_at_parse(self, tmp_path, capsys, number):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        chain_file = tmp_path / "protocol_publish_chain.jsonl"
+        text = chain_file.read_text(encoding="utf-8")
+        assert '"amount":100}' in text
+        chain_file.write_text(text.replace('"amount":100}', f'"amount":{number}}}', 1),
+                              encoding="utf-8")
+        assert main(["verify", str(chain_file)]) == 1
+        assert "FAILED at parse" in capsys.readouterr().err
+
+    def test_verify_fails_bytes_that_are_not_utf8_at_parse(self, tmp_path, capsys):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        chain_file = tmp_path / "protocol_publish_chain.jsonl"
+        chain_file.write_bytes(b"\xff" + chain_file.read_bytes())
+        assert main(["verify", str(chain_file)]) == 1
+        assert "FAILED at parse" in capsys.readouterr().err
+
     def test_verify_names_a_missing_genesis(self, tmp_path, capsys):
         run_scenario("protocol_publish.json", str(tmp_path))
         genesis_file = tmp_path / "protocol_publish_genesis.json"

@@ -50,6 +50,13 @@ def pool_with(*txs):
     return pool
 
 
+def nested_list(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestPeerSet:
     def test_quorum_formula(self):
         assert PeerSet(("a",)).quorum == 1
@@ -116,6 +123,25 @@ class TestSubmitTx:
             submit_tx(pool, Transaction(1, TxKind.CONCLUDE_REVIEW, payload, "platform"))
         assert len(pool) == 0
 
+    def test_non_string_signature_rejected(self):
+        pool = TxPool()
+        tx = Transaction(1, TxKind.CREDIT, {"user": "ada", "amount": 5}, "platform",
+                         signature=5)
+        with pytest.raises(ChainError, match="signature must be a string"):
+            submit_tx(pool, tx)
+        assert len(pool) == 0
+
+    def test_payload_nesting_is_bounded(self):
+        # The payload object is the first of the containers counted.
+        deep, deepest = {"note": nested_list(16)}, {"note": nested_list(15)}
+        pool = TxPool()
+        with pytest.raises(ChainError, match="nests more than 16 containers"):
+            submit_tx(pool, Transaction(1, TxKind.CREDIT, deep, "platform"))
+        submit_tx(pool, Transaction(2, TxKind.CREDIT, deepest, "platform"))
+        chain = Chain(genesis())
+        assert produce_block(chain, pool, PEERS).committed
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
     def test_last_tx_id_tracks_committed_blocks_only(self):
         chain = Chain(genesis())
         assert chain.last_tx_id == -1
@@ -177,6 +203,18 @@ class TestProduceBlock:
         chain_b = Chain(genesis())
         produce_block(chain_b, pool_with(credit_tx(1, "ada")), PEERS)
         assert chain_a.blocks[0].state_hash == chain_b.blocks[0].state_hash
+
+    def test_reused_committed_id_refused_and_pool_kept(self):
+        # Submitted without the chain, the pool cannot see committed ids.
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(credit_tx(0, "ada")), PEERS)
+        pool = pool_with(credit_tx(0, "bo"))
+        with pytest.raises(ChainError, match="tx id 0 is not strictly increasing"):
+            produce_block(chain, pool, PEERS)
+        assert [t.tx_id for t in pool.pending] == [0]
+        assert chain.height == 1
+        assert chain.tip.ledger.balance("bo") == 0
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ChainError):
@@ -584,10 +622,11 @@ def resealed_export(height: int, edit) -> str:
     """Export the demo chain with `edit` applied to one block.
 
     That block and every later one are re-linked and re-sealed, so only the
-    edit itself can make the chain fail.
+    edit itself can make the chain fail.  An edit may return an (old, new)
+    pair to respell in the text, for a number `json` cannot write.
     """
     objs = [json.loads(line) for line in export_chain(demo_chain().blocks).splitlines()]
-    edit(objs[height])
+    respell = edit(objs[height])
     for i in range(height, len(objs)):
         if i:
             objs[i]["prevHash"] = objs[i - 1]["blockHash"]
@@ -595,7 +634,16 @@ def resealed_export(height: int, edit) -> str:
         objs[i]["blockHash"] = hashlib.sha256(
             json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
-    return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
+    text = "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in objs)
+    return text.replace(*respell) if respell else text
+
+
+def payload_note(value, respell=None):
+    """An edit that adds `value` to block 1's first payload as an undeclared key."""
+    def edit(obj):
+        obj["txs"][0]["payload"]["note"] = value
+        return respell
+    return edit
 
 
 class TestWireFormat:
@@ -648,23 +696,31 @@ class TestWireFormat:
         (0, lambda obj: obj.update(height=0.0), None, "block height must be an integer"),
         (1, lambda obj: obj.update(height=True), None, "block height must be an integer"),
         (1, lambda obj: obj["txs"][0].update(error={"x": 1}), None,
-         "tx signature and error must be strings"),
+         "tx error must be a string"),
         (1, lambda obj: obj["txs"][0].update(signature=[1]), None,
-         "tx signature and error must be strings"),
+         "tx signature must be a string"),
         (1, lambda obj: obj["txs"][0].update(tx_id=True), None,
          "tx id must be a non-negative integer"),
         # Block 0 holds tx ids 1 and 2.
         (1, lambda obj: obj["txs"][0].update(tx_id=1), 1,
          "tx id 1 is not strictly increasing"),
-        # `json.dumps` writes a bare NaN token, which is not JSON.
-        (1, lambda obj: obj["txs"][0]["payload"].update(note=float("nan")), None,
-         "NaN is not a JSON value"),
+        # `json.dumps` writes bare NaN and Infinity tokens, which are not JSON,
+        # and a number beyond a double's range decodes to an infinity.
+        (1, payload_note(float("nan")), None, "nan is not finite"),
+        (1, payload_note(float("inf")), None, "inf is not finite"),
+        (1, payload_note(float("inf"), ("Infinity", "1e400")), None, "inf is not finite"),
+        (1, payload_note(float("-inf"), ("-Infinity", "-1e999")), None,
+         "-inf is not finite"),
+        # About as deep as `json.dumps` can encode under the test runner; a few
+        # tens of levels deeper, sealing the block raised RecursionError.
+        (1, payload_note(nested_list(900)), None, "nests more than 16 containers"),
         # Block 1's second record is the rejected CREDIT by "bo".
         (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
          "tx 4 reason diverges on replay"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
-            "bool-tx-id", "duplicate-tx-id", "nan-payload", "rewritten-reason"])
+            "bool-tx-id", "duplicate-tx-id", "nan-payload", "infinity-payload",
+            "1e400-payload", "-1e999-payload", "deep-payload", "rewritten-reason"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
