@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 # Only the renderers that use it import the game-theory layer.
 from . import market as market_mod
 from . import netchain
-from .errors import LifecycleError
+from .errors import LifecycleError, ProtocolError
 from .ledger import TokenLedger
 from .lifecycle import ProtocolConfig, ProtocolState
 from .netchain import (
@@ -453,13 +453,18 @@ def _cmd_verify(args) -> int:
     if not genesis_path.is_file():
         print(f"error: genesis descriptor {genesis_path} is missing", file=sys.stderr)
         return 2
-    descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
-    config = ProtocolConfig(**descriptor["config"])
-    genesis = ProtocolState(config)
-    if not config.peers:
+    try:
+        descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
+        config = ProtocolConfig(**descriptor["config"])
+        peer_set = PeerSet(config.peers) if config.peers else None
+    except (OSError, ValueError, LookupError, TypeError, RecursionError,
+            ProtocolError) as exc:
+        print(f"error: genesis descriptor {genesis_path}: {exc}", file=sys.stderr)
+        return 2
+    if peer_set is None:
         print("error: genesis config names no peers", file=sys.stderr)
         return 2
-    result = verify_export(text, genesis, PeerSet(config.peers))
+    result = verify_export(text, ProtocolState(config), peer_set)
     if result.ok:
         print(f"OK: {args.chain} replays cleanly")
         return 0

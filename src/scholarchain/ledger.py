@@ -26,6 +26,9 @@ MINT = "mint"
 RESERVE = "reserve"
 FORFEIT = "forfeit"
 REFUND = "refund"
+#: Every amount is below 2**256, as token amounts are in the Ethereum Yellow
+#: Paper, so no sum of them on a chain comes near 4300 digits.
+AMOUNT_BOUND = 2**256
 
 
 @dataclass
@@ -49,6 +52,8 @@ class Reputation(NamedTuple):
 def _positive_amount(amount) -> int:
     if isinstance(amount, bool) or not isinstance(amount, int) or amount <= 0:
         raise LedgerError(f"amount must be a positive integer, got {amount!r}")
+    if amount >= AMOUNT_BOUND:
+        raise LedgerError("amount must be below 2**256")
     return amount
 
 

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import market as market_mod
 from .errors import CommentRedirectsToMarket, LifecycleError
-from .ledger import FORFEIT, MINT, REFUND, RESERVE, TokenLedger
+from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
 from .market import Market, Trade
 
 PUBLISH = market_mod.PUBLISH
@@ -172,6 +172,8 @@ class ProtocolConfig:
         for name in amounts:
             if type(getattr(self, name)) is not int:
                 raise LifecycleError(f"{name} must be an integer")
+            if getattr(self, name) >= AMOUNT_BOUND:
+                raise LifecycleError(f"{name} must be below 2**256")
         if type(self.authors_may_trade) is not bool:
             raise LifecycleError("authors_may_trade must be a bool")
         if isinstance(self.market_liquidity, bool) or not isinstance(
@@ -313,6 +315,8 @@ class ProtocolState:
             raise LifecycleError(
                 f"{author!r} cannot cover the review deposit of {deposit}"
             )
+        if self.config.reward_multiple * deposit >= AMOUNT_BOUND:  # minted on publication
+            raise LifecycleError("the deposit's reward must be below 2**256")
         self.ledger.escrow(author, deposit)
         article.review_round += 1
         market_id = f"{article.article_hash[:16]}:r{article.review_round}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import LedgerError, MarketError
-from .ledger import FORFEIT, RESERVE, TokenLedger
+from .ledger import AMOUNT_BOUND, FORFEIT, RESERVE, TokenLedger
 
 PUBLISH = "PUBLISH"
 REVISE = "REVISE"
@@ -146,6 +146,8 @@ def trade(
         raise MarketError(
             f"{user_id!r} holds {held} {outcome} shares, cannot sell {-share_delta}"
         )
+    if held + share_delta >= AMOUNT_BOUND:  # so that every payout is an amount
+        raise MarketError("a holding must stay below 2**256 shares")
     token_cost = math.ceil(trade_cost(market, outcome, share_delta))
     if share_delta > 0:
         token_cost = max(token_cost, 1)  # a cost below float precision is still a buy

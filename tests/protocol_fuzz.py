@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from scholarchain.errors import ProtocolError
@@ -57,6 +59,17 @@ def full_state_hash(state: ProtocolState) -> str:
     """The digest oracle: SHA-256 of the whole state encoded again, no cache."""
     encoded = canonical_json(state.to_canonical()).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """Run with the interpreter's int<->str limit set to `digits`; 0 lifts it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def fresh_state() -> ProtocolState:

@@ -1,11 +1,13 @@
-"""Chain-level fuzz: arbitrary JSON payloads for every kind and submitter.
+"""Chain-level fuzz: arbitrary payloads for every kind and submitter.
 
 Each example commits a fixed opening block (funded users, an article under
 review, an active one, and a published one with an open dispute), then
 blocks of arbitrary transactions, then three fixed closing acts, through `submit_tx` -> `produce_block` ->
-`export_chain` -> `verify_export`.  Submission refuses exactly the
-transactions with a non-string signature or a payload nested more than 16
-containers deep.  After every block nothing has raised,
+`export_chain` -> `verify_export`.  Payload leaves include integers of
+around 4300 digits and values that are not JSON.  Submission refuses exactly
+the transactions with a non-string signature, a payload nested more than 16
+containers deep, or a payload that `canonical_json` cannot encode under
+CPython's default int<->str limit.  After every block nothing has raised,
 the block's cached state digest equals the whole state encoded again, the
 exported chain verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
@@ -29,6 +31,7 @@ from scholarchain.lifecycle import (
     ContentMetadata,
     ProtocolConfig,
     ProtocolState,
+    canonical_json,
     content_hash,
 )
 from scholarchain.netchain import (
@@ -48,7 +51,7 @@ from scholarchain.netchain import (
     submit_tx,
     verify_export,
 )
-from protocol_fuzz import LEGAL_TRANSITIONS, full_state_hash
+from protocol_fuzz import LEGAL_TRANSITIONS, full_state_hash, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 USERS = ("ada", "bo", "cy", PLATFORM)
@@ -81,19 +84,31 @@ CLOSING = [
     [(TxKind.START_REVIEW, {"article": FRESH, "deposit": 6, "panel": list(PANEL)}, "ada")],
 ]
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6,
-)
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
+# Integers of 4300 digits are the longest admitted; one more digit is refused.
+long_integers = st.builds(lambda sign, d: sign * (10**4300 + d),
+                          st.sampled_from((1, -1)), st.integers(-2, 1))
+not_json = st.sampled_from((b"x", {1}, 1j, float, object()))
+
+
+def values_of(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=6,
+    )
+
+
+json_values = values_of(json_leaves)
+any_values = values_of(json_leaves | long_integers | not_json)
 
 
 # Values that some state lets an operation accept, per payload field;
-# unusable ones come from the arbitrary JSON mixed in below.
+# unusable ones come from the arbitrary values mixed in below.
 USABLE = {
-    "amount": st.sampled_from((1, 50)),
+    "amount": st.sampled_from((1, 50, 2**256 - 1, 2**256, 10**4300 - 1)),
     "source": st.sampled_from(("mint", "reserve")),
     "title": st.sampled_from(("t2", "t3")),
     "abstract": st.just("y"),
@@ -114,7 +129,7 @@ USABLE = {
     "dispute": st.sampled_from((DISPUTE, f"{FRESH[:16]}:d1")),
     "doi": st.just("10.1/x"),
 }
-USABLE_OR_ANY = {f: v | json_values for f, v in USABLE.items()}
+USABLE_OR_ANY = {f: v | any_values for f, v in USABLE.items()}
 # The fields each kind reads without a default.
 REQUIRED = {
     TxKind.CREDIT: ("user", "amount"),
@@ -130,8 +145,8 @@ REQUIRED = {
 
 
 def payloads(kind: TxKind, submitter: str):
-    """The kind's fields holding usable values, or usable values and any JSON,
-    or any JSON object at all.
+    """The kind's fields holding usable values, or usable values and any value,
+    or any mapping of string keys at all.
 
     Usable values let operations get past their checks often enough to move
     the state; any other known field may be present too.  A usable "user" is
@@ -146,8 +161,8 @@ def payloads(kind: TxKind, submitter: str):
     user = st.just(submitter)
     return st.one_of(
         shaped({**USABLE, "user": user}),
-        shaped({**USABLE_OR_ANY, "user": user | st.sampled_from(USERS) | json_values}),
-        st.dictionaries(st.text(max_size=4), json_values, max_size=4),
+        shaped({**USABLE_OR_ANY, "user": user | st.sampled_from(USERS) | any_values}),
+        st.dictionaries(st.text(max_size=4), any_values, max_size=4),
     )
 
 
@@ -164,6 +179,16 @@ def depth(value) -> int:
     elif not isinstance(value, list):
         return 0
     return 1 + max(map(depth, value), default=0)
+
+
+def writable(payload) -> bool:
+    """The oracle: `canonical_json` encodes the payload under the default limit."""
+    with int_digit_limit(4300):
+        try:
+            canonical_json(payload)
+        except (TypeError, ValueError):
+            return False
+    return True
 
 
 submitters = st.one_of(
@@ -206,7 +231,8 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
         for kind, payload, submitter, *signature in block:
             tx_id += 1
             tx = Transaction(tx_id, kind, payload, submitter, *signature)
-            inadmissible = not isinstance(tx.signature, str) or depth(payload) > 16
+            inadmissible = (not isinstance(tx.signature, str) or depth(payload) > 16
+                            or not writable(payload))
             try:
                 submit_tx(pool, tx, chain)
             except ChainError:

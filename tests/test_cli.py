@@ -246,6 +246,17 @@ class TestProtocolVerb:
         assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
         assert f"genesis descriptor {genesis_file} is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor", [
+        "not json", '{"config": {"bogus": 1}}', "[1]",
+        '{"config": {"initial_reserve": -1, "peers": ["p1"]}}',
+    ], ids=["not-json", "unknown-field", "json-list", "refused-config"])
+    def test_verify_names_a_malformed_genesis(self, tmp_path, capsys, descriptor):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        genesis_file = tmp_path / "protocol_publish_genesis.json"
+        genesis_file.write_text(descriptor, encoding="utf-8")
+        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
+        assert f"error: genesis descriptor {genesis_file}: " in capsys.readouterr().err
+
 
 class TestMarketVerb:
     def test_bundled_demo_costs(self, tmp_path):

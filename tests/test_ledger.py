@@ -37,6 +37,15 @@ class TestCredit:
             with pytest.raises(LedgerError):
                 ledger.credit("u1", bad)
 
+    def test_amount_must_be_below_2_256(self):
+        ledger = TokenLedger(initial_reserve=2**256, balances={"u1": 2**256})
+        ledger.credit("u1", 2**256 - 1)
+        for operation in (ledger.credit, ledger.escrow):
+            with pytest.raises(LedgerError, match=r"amount must be below 2\*\*256"):
+                operation("u1", 2**256)
+        assert ledger.balance("u1") == 2**257 - 1
+        assert ledger.escrowed("u1") == 0
+
     def test_user_id_must_be_a_string(self):
         ledger = TokenLedger()
         ledger.credit("u1", 5)

@@ -163,6 +163,28 @@ class TestStartReview:
         with pytest.raises(LifecycleError, match=reason):
             ProtocolConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field", ["min_review_deposit", "reward_multiple", "min_panel", "initial_reserve"])
+    def test_config_integers_are_below_2_256(self, field):
+        ProtocolConfig(**{field: 2**256 - 1})
+        with pytest.raises(LifecycleError, match=rf"{field} must be below 2\*\*256"):
+            ProtocolConfig(**{field: 2**256})
+
+    def test_reward_must_be_below_2_256(self):
+        # Publication mints reward_multiple (here 2) times the deposit, so a
+        # review that could not pay its reward does not start.
+        state = state_with_author(balance=2**256 - 1)
+        article = state.submit_article(meta(), "ada")
+        before = state.to_canonical()
+        with pytest.raises(LifecycleError, match=r"reward must be below 2\*\*256"):
+            state.start_review(article.article_hash, "ada", 2**255, ("r1", "r2", "r3"))
+        assert state.to_canonical() == before
+        state.start_review(article.article_hash, "ada", 2**255 - 1, ("r1", "r2", "r3"))
+        state.conclude_review(article.article_hash, dict.fromkeys(("r1", "r2"), "PUBLISH"))
+        assert article.state is P
+        assert state.ledger.minted_total == 4 * (2**256 - 1) + 2**256 - 2
+        assert state.ledger.conservation_gap() == 0
+
     def test_deposit_must_strictly_exceed_minimum(self):
         state = state_with_author()
         article = state.submit_article(meta(), "ada")

@@ -24,6 +24,7 @@ from scholarchain.netchain import (
     verify_chain,
     verify_export,
 )
+from protocol_fuzz import int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 
@@ -67,6 +68,13 @@ class TestPeerSet:
     def test_empty_rejected(self):
         with pytest.raises(ChainError):
             PeerSet(())
+
+    @pytest.mark.parametrize("peers", [(1, 2, 3, 4), ("p1", ""), ("p1", None)],
+                             ids=["int-ids", "empty-id", "none-id"])
+    def test_peer_ids_must_be_nonempty_strings(self, peers):
+        # An export writes approvals as peer ids, and import reads back strings only.
+        with pytest.raises(ChainError, match="peer ids must be non-empty strings"):
+            PeerSet(peers)
 
 
 class TestSubmitTx:
@@ -114,7 +122,8 @@ class TestSubmitTx:
     @pytest.mark.parametrize("payload", [
         {"article": "a", "votes": {1: "PUBLISH", 2: "PUBLISH"}},
         {"article": "a", "votes": [{"r1": {3: "x"}}]},
-    ], ids=["int-keys", "nested-int-key"])
+        {"article": "a", "votes": {10**4300: "PUBLISH"}},
+    ], ids=["int-keys", "nested-int-key", "4301-digit-key"])
     def test_non_string_payload_key_rejected(self, payload):
         # Export would turn the key into a string, so the honest chain's
         # replay would diverge from what was executed.
@@ -130,6 +139,24 @@ class TestSubmitTx:
         with pytest.raises(ChainError, match="signature must be a string"):
             submit_tx(pool, tx)
         assert len(pool) == 0
+
+    @pytest.mark.parametrize("digits_limit", [4300, 0], ids=["default-limit", "no-limit"])
+    def test_integers_past_4300_digits_rejected(self, digits_limit):
+        # The bound is fixed, so admission does not depend on the interpreter's limit.
+        chain = Chain(genesis())
+        pool = TxPool()
+        with int_digit_limit(digits_limit):
+            with pytest.raises(ChainError, match="tx id must be a non-negative integer"):
+                submit_tx(pool, credit_tx(10**4300, "ada"), chain)
+            for tx_id, note in enumerate((10**4300, -10**4300), start=1):
+                payload = {"user": "ada", "amount": 5, "note": note}
+                with pytest.raises(ChainError, match="integer over 4300 digits"):
+                    submit_tx(pool, Transaction(tx_id, TxKind.CREDIT, payload, "platform"))
+            assert len(pool) == 0
+            longest = {"user": "ada", "amount": 5, "note": 1 - 10**4300}
+            submit_tx(pool, Transaction(10**4300 - 1, TxKind.CREDIT, longest, "platform"))
+        assert produce_block(chain, pool, PEERS).committed
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_payload_nesting_is_bounded(self):
         # The payload object is the first of the containers counted.
@@ -463,6 +490,27 @@ class TestTxRules:
             f"'mallory' cannot act for 'victim' in {kind.value}" for kind in user_acts
         ]
 
+    def test_credit_amount_is_below_2_256(self):
+        chain = Chain(genesis())
+        pool = pool_with(credit_tx(1, "ada", 2**256 - 1), credit_tx(2, "bo", 2**256))
+        result = produce_block(chain, pool, PEERS)
+        assert [(r.status, r.error) for r in result.block.txs] == [
+            (APPLIED, ""), (REJECTED, "amount must be below 2**256")]
+        assert chain.tip.ledger.balance("ada") == 2**256 - 1
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
+    def test_credits_summing_past_4300_digits_are_rejected(self):
+        # Both are admitted, and applied they would sum to a balance that
+        # neither the digest nor an export could write.
+        chain = Chain(genesis())
+        longest = 10**4300 - 1
+        pool = pool_with(credit_tx(1, "bo", longest), credit_tx(2, "bo", longest))
+        result = produce_block(chain, pool, PEERS)
+        assert result.committed
+        assert [(r.status, r.error) for r in result.block.txs] == [
+            (REJECTED, "amount must be below 2**256")] * 2
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
 
 #: A value of each declared JSON type, to fill every field of a payload.
 TYPE_EXAMPLES = {"a string": "s", "an integer": 1, "a number": 1.5, "a list": [],
@@ -714,15 +762,19 @@ class TestWireFormat:
         # About as deep as `json.dumps` can encode under the test runner; a few
         # tens of levels deeper, sealing the block raised RecursionError.
         (1, payload_note(nested_list(900)), None, "nests more than 16 containers"),
+        # Readable here only because the test lifts the interpreter's limit.
+        (1, payload_note(10**4300), None, "integer over 4300 digits"),
         # Block 1's second record is the rejected CREDIT by "bo".
         (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
          "tx 4 reason diverges on replay"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
             "bool-tx-id", "duplicate-tx-id", "nan-payload", "infinity-payload",
-            "1e400-payload", "-1e999-payload", "deep-payload", "rewritten-reason"])
+            "1e400-payload", "-1e999-payload", "deep-payload", "4301-digit-payload",
+            "rewritten-reason"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
-        result = verify_export(resealed_export(height, edit), genesis(), PEERS)
+        with int_digit_limit(0):
+            result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
         assert result.first_bad_height == bad_height
         assert reason in result.reason
