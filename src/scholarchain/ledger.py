@@ -36,7 +36,6 @@ class Account:
     user_id: str
     balance: int = 0
     escrowed: int = 0
-    _json = None  # cached digest fragment; every write drops it first
 
     def to_canonical(self) -> dict:
         return {"balance": self.balance, "escrowed": self.escrowed}
@@ -68,6 +67,11 @@ class TokenLedger:
         if initial_reserve < 0:
             raise LedgerError("initial reserve cannot be negative")
         self.accounts: dict[str, Account] = {}
+        # Ids of the accounts written since the state's last digest; every
+        # write records its account here first (`ProtocolState.to_canonical_json`).
+        # A dict used as a set, because `copy.deepcopy` copies a set through
+        # its pickle protocol, several times slower, and each state copy copies it.
+        self.written: dict[str, None] = {}
         self.platform_reserve = initial_reserve
         self.minted_total = 0
         self.burned_total = 0
@@ -120,7 +124,7 @@ class TokenLedger:
                 f"reserve {self.platform_reserve} cannot cover credit of {amount}"
             )
         acct = self.accounts.setdefault(user_id, Account(user_id))
-        acct._json = None
+        self.written[user_id] = None
         if source == MINT:
             self.minted_total += amount
         else:
@@ -134,7 +138,7 @@ class TokenLedger:
         if acct is None or acct.balance < amount:
             have = acct.balance if acct else 0
             raise LedgerError(f"{user_id!r} has {have}, cannot escrow {amount}")
-        acct._json = None
+        self.written[user_id] = None
         acct.balance -= amount
         acct.escrowed += amount
 
@@ -149,7 +153,7 @@ class TokenLedger:
             raise LedgerError(
                 f"{user_id!r} has {have} in escrow, cannot resolve {amount}"
             )
-        acct._json = None
+        self.written[user_id] = None
         acct.escrowed -= amount
         if outcome == FORFEIT:
             self.platform_reserve += amount

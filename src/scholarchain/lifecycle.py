@@ -16,6 +16,7 @@ whole state unchanged.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
 import json
@@ -110,7 +111,6 @@ class Article:
     comments: list[tuple[str, int, str]] = field(default_factory=list)
     review_round: int = 0
     dispute_seq: int = 0
-    _json = None  # cached digest fragment; `ProtocolState.article` drops it
 
     def to_canonical(self) -> dict:
         return {
@@ -137,7 +137,6 @@ class Dispute:
     challenger: str
     stake: int
     resolution: Optional[str] = None  # "retract" | "uphold" once decided
-    _json = None  # cached digest fragment; `resolve_dispute` drops it
 
     def to_canonical(self) -> dict:
         return {
@@ -187,6 +186,10 @@ class ProtocolConfig:
             raise LifecycleError("config amounts cannot be negative")
         if self.reward_multiple < 1 or self.min_panel < 1:
             raise LifecycleError("reward multiple and panel minimum must be >= 1")
+        try:
+            float(self.market_liquidity)
+        except OverflowError:
+            raise LifecycleError("market liquidity is too large for a double") from None
         if not 0 < self.market_liquidity < math.inf:
             raise LifecycleError(
                 f"market liquidity must be positive, got {self.market_liquidity}"
@@ -235,26 +238,31 @@ class ProtocolState:
         self.disputes: dict[str, Dispute] = {}
         self.markets: dict[str, Market] = {}
         self.clock = 0  # logical time; ticks once per applied operation
-        self._config_json = None  # None until the first digest
+        # Keys written since the last digest, per section, each a dict used
+        # as a set like `TokenLedger.written`, which keeps the accounts'.  The
+        # sections are built by the first digest.
+        self._written = {"articles": {}, "disputes": {}, "markets": {}}
+        self._sections: Optional[tuple[_Section, ...]] = None
+        self._config_json = None
 
     # -- helpers --------------------------------------------------------------
 
-    # Every write to an existing entity first drops its digest fragment: here,
-    # in `resolve_dispute`, `claim_published_article` and the ledger's writes.
+    # Every write to an entity, and every new entity, records its key as
+    # written first: here, at each creation, in `resolve_dispute`,
+    # `claim_published_article` and the ledger's writes.
 
     def article(self, article_hash: str) -> Article:
         art = self.articles.get(article_hash)
         if art is None:
             raise LifecycleError(f"no article with hash {article_hash!r}")
-        art._json = None
+        self._written["articles"][article_hash] = None
         return art
 
     def market_of(self, article: Article) -> Market:
         if article.market_id is None or article.market_id not in self.markets:
             raise LifecycleError(f"article {article.article_hash!r} has no market")
-        mkt = self.markets[article.market_id]
-        mkt._json = None
-        return mkt
+        self._written["markets"][article.market_id] = None
+        return self.markets[article.market_id]
 
     def _tick(self) -> int:
         self.clock += 1
@@ -271,6 +279,7 @@ class ProtocolState:
             article_hash=digest, state=ArticleState.ACTIVE, owners=[submitter]
         )
         self.articles[digest] = article
+        self._written["articles"][digest] = None
         self._tick()
         return article
 
@@ -323,6 +332,7 @@ class ProtocolState:
         self.markets[market_id] = market_mod.open_market(
             self.config.market_liquidity, market_id
         )
+        self._written["markets"][market_id] = None
         article.state = ArticleState.UNDER_REVIEW
         article.author_deposit = deposit
         article.depositor = author
@@ -419,6 +429,7 @@ class ProtocolState:
             stake=stake,
         )
         self.disputes[dispute.dispute_id] = dispute
+        self._written["disputes"][dispute.dispute_id] = None
         self._tick()
         return dispute
 
@@ -433,7 +444,7 @@ class ProtocolState:
         dispute = self.disputes.get(dispute_id)
         if dispute is None:
             raise LifecycleError(f"no dispute {dispute_id!r}")
-        dispute._json = None
+        self._written["disputes"][dispute_id] = None
         if dispute.resolution is not None:
             raise LifecycleError(f"dispute {dispute_id!r} already resolved")
         if not self.config.peers:
@@ -471,11 +482,12 @@ class ProtocolState:
                 doi=doi,
             )
             self.articles[article_hash] = article
+            self._written["articles"][article_hash] = None
             self._tick()
             return article
         if caller in existing.owners:
             raise LifecycleError("Owner has already claimed that article")
-        existing._json = None
+        self._written["articles"][article_hash] = None
         existing.owners.append(caller)
         self._tick()
         return existing
@@ -502,31 +514,39 @@ class ProtocolState:
         }
 
     def to_canonical_json(self) -> str:
-        """`canonical_json(self.to_canonical())`, joined from cached fragments.
+        """`canonical_json(self.to_canonical())`, spliced from kept section text.
 
-        Each account, article, dispute and market keeps its canonical JSON
-        until a write drops it, and only dropped ones are encoded again.  A
-        state's first call encodes every entity from one `to_canonical()`.
+        The articles, disputes, accounts and markets each keep their keys in
+        sorted order, each key's fragment and the fragments' joined text.  A
+        digest encodes again only the keys written since the last one, and
+        joins again only the sections that have some.  A state's first call
+        builds every section from one `to_canonical()`.
         """
-        first = {}
-        if self._config_json is None:
+        led = self.ledger
+        if self._sections is None:
             snapshot = self.to_canonical()
             self._config_json = canonical_json(snapshot["config"])
-            first = {name: dict(zip(sorted(getattr(self, name)), snapshot[name]))
+            forms = {name: dict(zip(sorted(getattr(self, name)), snapshot[name]))
                      for name in ("articles", "disputes", "markets")}
-            first["accounts"] = snapshot["ledger"]["accounts"]
-        led = self.ledger
+            w = self._written
+            self._sections = (
+                _Section(self.articles, w["articles"], forms["articles"]),
+                _Section(self.disputes, w["disputes"], forms["disputes"]),
+                _Section(led.accounts, led.written, snapshot["ledger"]["accounts"], True),
+                _Section(self.markets, w["markets"], forms["markets"]),
+            )
+        articles, disputes, accounts, markets = (s.text() for s in self._sections)
         # Keys in the order `sort_keys` writes them.
         return (
-            f'{{"articles":[{_join(self.articles, first.get("articles"))}],'
+            f'{{"articles":[{articles}],'
             f'"clock":{canonical_json(self.clock)},"config":{self._config_json},'
-            f'"disputes":[{_join(self.disputes, first.get("disputes"))}],'
-            f'"ledger":{{"accounts":{{{_join(led.accounts, first.get("accounts"), True)}}},'
+            f'"disputes":[{disputes}],'
+            f'"ledger":{{"accounts":{{{accounts}}},'
             f'"burned_total":{canonical_json(led.burned_total)},'
             f'"initial_supply":{canonical_json(led.initial_supply)},'
             f'"minted_total":{canonical_json(led.minted_total)},'
             f'"platform_reserve":{canonical_json(led.platform_reserve)}}},'
-            f'"markets":[{_join(self.markets, first.get("markets"))}]}}'
+            f'"markets":[{markets}]}}'
         )
 
     def registry_export_json(self) -> str:
@@ -535,16 +555,49 @@ class ProtocolState:
         return json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
 
-def _join(entities: dict, forms: Optional[dict] = None, keyed: bool = False) -> str:
-    """The entities' digest fragments, comma-joined in key order.
+class _Section:
+    """One collection's part of the digest: its keys in sorted order, each
+    key's canonical JSON fragment, and the fragments comma-joined.
 
-    A missing fragment is encoded, from `forms[key]` if given, and kept.  A
-    keyed fragment is an object member (`"key":{...}`), else an array item.
+    `written` holds the collection's keys written since the last digest.
+    A keyed fragment is an object member (`"key":{...}`), else an array item.
     """
-    def encode(key) -> str:
-        entity = entities[key]
-        body = canonical_json(forms[key] if forms else entity.to_canonical())
-        entity._json = f"{canonical_json(key)}:{body}" if keyed else body
-        return entity._json
 
-    return ",".join([entities[key]._json or encode(key) for key in sorted(entities)])
+    def __init__(self, entities: dict, written: dict, forms: dict, keyed: bool = False):
+        """`forms` maps every key, in sorted order, to its canonical form."""
+        self.entities, self.written, self.keyed = entities, written, keyed
+        self.keys = list(forms)
+        self.fragments = [self._fragment(key, form) for key, form in forms.items()]
+        self.joined = ",".join(self.fragments)
+        written.clear()
+
+    def __deepcopy__(self, memo) -> "_Section":
+        # The default copy visits every key and fragment; a copy needs only
+        # lists of its own, and shares the immutable strings.
+        copied = _Section.__new__(_Section)
+        copied.__dict__.update(self.__dict__)
+        copied.entities = copy.deepcopy(self.entities, memo)
+        copied.written = copy.deepcopy(self.written, memo)
+        copied.keys, copied.fragments = self.keys[:], self.fragments[:]
+        return copied
+
+    def _fragment(self, key, form) -> str:
+        body = canonical_json(form)
+        return f"{canonical_json(key)}:{body}" if self.keyed else body
+
+    def text(self) -> str:
+        """The joined text, after encoding each written key again into its
+        slot (a new key into a new slot)."""
+        if self.written:
+            keys, fragments = self.keys, self.fragments
+            for key in self.written:
+                fragment = self._fragment(key, self.entities[key].to_canonical())
+                i = bisect.bisect_left(keys, key)
+                if i < len(keys) and keys[i] == key:
+                    fragments[i] = fragment
+                else:
+                    keys.insert(i, key)
+                    fragments.insert(i, fragment)
+            self.written.clear()
+            self.joined = ",".join(fragments)
+        return self.joined

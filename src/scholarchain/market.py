@@ -57,7 +57,6 @@ class Market:
     resolved: Optional[str] = None
     trade_count: int = 0
     events: list[dict] = field(default_factory=list)
-    _json = None  # cached digest fragment; `ProtocolState.market_of` drops it
 
     def holding(self, user_id: str, outcome: str) -> float:
         return self.holdings.get((user_id, outcome), 0.0)

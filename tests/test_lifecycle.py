@@ -146,6 +146,13 @@ class TestStartReview:
         with pytest.raises(LifecycleError, match="market liquidity must be positive"):
             ProtocolConfig(market_liquidity=liquidity)
 
+    def test_liquidity_beyond_a_double_rejected_at_genesis(self):
+        # `open_market` takes the liquidity as a double, so a larger integer
+        # would make every START_REVIEW on the chain a rejection.
+        ProtocolConfig(market_liquidity=2**1023)
+        with pytest.raises(LifecycleError, match="market liquidity is too large for a double"):
+            ProtocolConfig(market_liquidity=10**400)
+
     @pytest.mark.parametrize("field, value, reason", [
         ("min_review_deposit", 5.5, "min_review_deposit must be an integer"),
         ("reward_multiple", True, "reward_multiple must be an integer"),

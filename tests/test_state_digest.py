@@ -1,19 +1,31 @@
-"""The cached state digest against its oracle, the whole state encoded again.
+"""The kept state digest against its oracle, the whole state encoded again.
 
-`state_hash` re-encodes only the entities written since the last digest.
-Every test here first digests a state, so that each entity holds a cached
-fragment, then writes to existing entities and compares the digest with
-`full_state_hash`.  A write path that does not drop its entity's fragment
-leaves that fragment stale, and the two digests part.
+`state_hash` re-encodes only the keys written since the last digest.  Every
+test here first digests a state, so that each section keeps its fragments,
+then writes to entities, new or existing, and compares the digest with
+`full_state_hash`.  A write path that does not record its key leaves that
+key's fragment stale or missing, and the two digests part.
 """
+
+import collections
 
 import pytest
 
 from scholarchain import netchain
-from scholarchain.lifecycle import ContentMetadata, ProtocolConfig, ProtocolState, content_hash
+from scholarchain.ledger import Account
+from scholarchain.lifecycle import (
+    Article,
+    ContentMetadata,
+    Dispute,
+    ProtocolConfig,
+    ProtocolState,
+    content_hash,
+)
+from scholarchain.market import Market
 from scholarchain.netchain import (
     APPLIED,
     PLATFORM,
+    REJECTED,
     Chain,
     PeerSet,
     Transaction,
@@ -110,8 +122,10 @@ def test_clones_digest_their_own_writes():
     warm = warm_chain().tip
     before = state_hash(warm)
     first, second = warm.clone(), warm.clone()
-    # A copy shares the cached fragments instead of encoding them again.
-    assert first.ledger.accounts["bo"]._json is warm.ledger.accounts["bo"]._json
+    # A copy shares the kept fragment strings instead of encoding them again.
+    for section, copied in zip(warm._sections, first._sections):
+        assert copied.fragments == section.fragments
+        assert all(a is b for a, b in zip(copied.fragments, section.fragments))
     for state, kinds in ((first, list(WRITES)), (second, reversed(WRITES))):
         for kind, payload, submitter in writes(kinds):
             netchain._execute(state, [Transaction(0, kind, payload, submitter)])
@@ -139,3 +153,92 @@ def test_tip_rebuilt_after_a_fault_digests_later_writes(monkeypatch):
     assert state_hash(chain.tip) == full_state_hash(chain.tip) == chain.blocks[0].state_hash
     commit_each(chain, writes(WRITES))
     assert verify_chain(chain.blocks, genesis(), PEERS).ok
+
+
+def early_title(before: str) -> str:
+    """A title whose article hash sorts before `before`."""
+    return next(title for title in (f"early {i}" for i in range(10_000))
+                if content_hash(ContentMetadata(title, "", (("A", "ada"),))) < before)
+
+
+def test_new_keys_sorting_first_are_inserted_in_order():
+    chain = warm_chain()
+    tip = chain.tip
+    title = early_title(min(tip.articles))
+    early = content_hash(ContentMetadata(title, "", (("A", "ada"),)))
+    commit_each(chain, [
+        (TxKind.CREDIT, {"user": "aaa", "amount": 20}, PLATFORM),
+        (TxKind.CLAIM_ARTICLE, {"article": "0-first"}, "aaa"),
+        (TxKind.RAISE_OBJECTION, {"article": "0-first", "stake": 2}, "bo"),
+        (TxKind.SUBMIT_ARTICLE, {"title": title, "authors": [["A", "ada"]]}, "ada"),
+        (TxKind.START_REVIEW, {"article": early, "deposit": 10, "panel": PANEL}, "ada"),
+    ])
+    assert min(tip.ledger.accounts) == "aaa"
+    assert min(tip.articles) == "0-first"
+    assert min(tip.disputes) == "0-first:d1"
+    assert min(tip.markets) == f"{early[:16]}:r1"
+
+
+def test_dispute_replaced_at_a_taken_id():
+    # Both claimed hashes share their first 16 characters, so both disputes
+    # get the id 'same-sixteen-chr:d1' and the second replaces the first.
+    chain = warm_chain()
+    commit_each(chain, [
+        (TxKind.CLAIM_ARTICLE, {"article": "same-sixteen-chrsA"}, "cy"),
+        (TxKind.CLAIM_ARTICLE, {"article": "same-sixteen-chrsB"}, "cy"),
+        (TxKind.RAISE_OBJECTION, {"article": "same-sixteen-chrsA", "stake": 5}, "bo"),
+        (TxKind.RAISE_OBJECTION, {"article": "same-sixteen-chrsB", "stake": 7}, "ada"),
+    ])
+    assert chain.tip.disputes["same-sixteen-chr:d1"].stake == 7
+
+
+def test_rejected_transactions_that_recorded_keys():
+    # Each looks up (and so records) an existing entity, then is refused.
+    chain = warm_chain()
+    block = commit(chain, [
+        (TxKind.START_REVIEW, {"article": ACTIVE, "deposit": 1, "panel": PANEL}, "ada"),
+        (TxKind.TRADE, {"article": REVIEWED, "outcome": "PUBLISH", "shares": 10**6}, "cy"),
+        (TxKind.CONCLUDE_REVIEW, {"article": REVIEWED, "votes": {"r1": "REVISE"}}, PLATFORM),
+        (TxKind.RESOLVE_DISPUTE, {"dispute": f"{DISPUTED[:16]}:d1",
+                                  "votes": {"p1": "uphold"}}, PLATFORM),
+        (TxKind.CLAIM_ARTICLE, {"article": CLAIMED}, "cy"),
+    ])
+    assert [r.status for r in block.txs] == [REJECTED] * 5
+    assert block.state_hash == full_state_hash(chain.tip)
+    commit_each(chain, writes(WRITES))
+
+
+def test_clone_writes_leave_the_original_digest():
+    chain = warm_chain()
+    warm = chain.tip
+    before = state_hash(warm)
+    copy = warm.clone()
+    new_keys = [
+        (TxKind.CREDIT, {"user": "aaa", "amount": 20}, PLATFORM),
+        (TxKind.CLAIM_ARTICLE, {"article": "0-first"}, "aaa"),
+        (TxKind.RAISE_OBJECTION, {"article": "0-first", "stake": 2}, "bo"),
+    ]
+    for kind, payload, submitter in new_keys + writes(WRITES):
+        netchain._execute(copy, [Transaction(0, kind, payload, submitter)])
+        assert state_hash(copy) == full_state_hash(copy)
+    assert state_hash(warm) == before == full_state_hash(warm)
+    commit_each(chain, writes(WRITES))
+
+
+@pytest.mark.parametrize("user", ["u01000", "u99999"], ids=["existing", "new"])
+def test_one_credit_encodes_one_account(monkeypatch, user):
+    # O(writes), not O(state): after a digest of 2000 accounts, a block with
+    # one CREDIT encodes that one account and no other entity.
+    chain = warm_chain()
+    commit(chain, [(TxKind.CREDIT, {"user": f"u{i:05d}", "amount": 1}, PLATFORM)
+                   for i in range(2000)])
+    calls = collections.Counter()
+    for cls in (Account, Article, Dispute, Market):
+        def counted(self, encode=cls.to_canonical, name=cls.__name__):
+            calls[name] += 1
+            return encode(self)
+        monkeypatch.setattr(cls, "to_canonical", counted)
+    block = commit(chain, [(TxKind.CREDIT, {"user": user, "amount": 1}, PLATFORM)])
+    assert calls == {"Account": 1}
+    monkeypatch.undo()
+    assert block.state_hash == full_state_hash(chain.tip)
