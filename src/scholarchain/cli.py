@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -82,9 +81,9 @@ def resolve_scenario_path(name: str) -> Path:
     path = Path(name)
     if path.exists():
         return path
-    bundled = resources.files("scholarchain") / "scenarios" / path.name
+    bundled = Path(__file__).parent / "scenarios" / path.name
     if bundled.is_file():
-        return Path(str(bundled))
+        return bundled
     raise ScenarioError(f"{name}: no such scenario file (and no bundled one)")
 
 

@@ -27,13 +27,12 @@ RESERVE = "reserve"
 FORFEIT = "forfeit"
 REFUND = "refund"
 #: Every amount is below 2**256, as token amounts are in the Ethereum Yellow
-#: Paper, so no sum of them on a chain comes near 4300 digits.
+#: Paper, so no sum of them on a chain comes near 640 digits.
 AMOUNT_BOUND = 2**256
 
 
 @dataclass
 class Account:
-    user_id: str
     balance: int = 0
     escrowed: int = 0
 
@@ -78,7 +77,7 @@ class TokenLedger:
         for user_id, amount in (balances or {}).items():
             if amount < 0:
                 raise LedgerError(f"negative opening balance for {user_id!r}")
-            self.accounts[user_id] = Account(user_id, balance=amount)
+            self.accounts[user_id] = Account(balance=amount)
         self.initial_supply = initial_reserve + sum(
             a.balance for a in self.accounts.values()
         )
@@ -123,7 +122,7 @@ class TokenLedger:
             raise LedgerError(
                 f"reserve {self.platform_reserve} cannot cover credit of {amount}"
             )
-        acct = self.accounts.setdefault(user_id, Account(user_id))
+        acct = self.accounts.setdefault(user_id, Account())
         self.written[user_id] = None
         if source == MINT:
             self.minted_total += amount

@@ -243,7 +243,6 @@ class ProtocolState:
         # sections are built by the first digest.
         self._written = {"articles": {}, "disputes": {}, "markets": {}}
         self._sections: Optional[tuple[_Section, ...]] = None
-        self._config_json = None
 
     # -- helpers --------------------------------------------------------------
 
@@ -525,7 +524,6 @@ class ProtocolState:
         led = self.ledger
         if self._sections is None:
             snapshot = self.to_canonical()
-            self._config_json = canonical_json(snapshot["config"])
             forms = {name: dict(zip(sorted(getattr(self, name)), snapshot[name]))
                      for name in ("articles", "disputes", "markets")}
             w = self._written
@@ -539,7 +537,8 @@ class ProtocolState:
         # Keys in the order `sort_keys` writes them.
         return (
             f'{{"articles":[{articles}],'
-            f'"clock":{canonical_json(self.clock)},"config":{self._config_json},'
+            f'"clock":{canonical_json(self.clock)},'
+            f'"config":{canonical_json(self.config.to_canonical())},'
             f'"disputes":[{disputes}],'
             f'"ledger":{{"accounts":{{{accounts}}},'
             f'"burned_total":{canonical_json(led.burned_total)},'
@@ -570,16 +569,6 @@ class _Section:
         self.fragments = [self._fragment(key, form) for key, form in forms.items()]
         self.joined = ",".join(self.fragments)
         written.clear()
-
-    def __deepcopy__(self, memo) -> "_Section":
-        # The default copy visits every key and fragment; a copy needs only
-        # lists of its own, and shares the immutable strings.
-        copied = _Section.__new__(_Section)
-        copied.__dict__.update(self.__dict__)
-        copied.entities = copy.deepcopy(self.entities, memo)
-        copied.written = copy.deepcopy(self.written, memo)
-        copied.keys, copied.fragments = self.keys[:], self.fragments[:]
-        return copied
 
     def _fragment(self, key, form) -> str:
         body = canonical_json(form)

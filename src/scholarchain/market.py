@@ -37,13 +37,6 @@ def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
     return b * (m + math.log(sum(math.exp(x - m) for x in scaled)))
 
 
-def lmsr_price(quantities: Mapping[str, float], b: float, outcome: str) -> float:
-    scaled = {o: q / b for o, q in quantities.items()}
-    m = max(scaled.values())
-    exp = {o: math.exp(x - m) for o, x in scaled.items()}
-    return exp[outcome] / sum(exp.values())
-
-
 @dataclass
 class Market:
     """One open-or-resolved review market."""
@@ -64,13 +57,14 @@ class Market:
     def to_canonical(self) -> dict:
         # The event log is an audit trail, not consensus state; the trade
         # counter is included because future event numbering depends on it.
+        # Left unsorted: every encoding of this form sorts its keys.
         return {
             "market_id": self.market_id,
             "b": self.b,
-            "outstanding": {o: self.outstanding[o] for o in OUTCOMES},
+            "outstanding": dict(self.outstanding),
             "holdings": {
                 f"{uid}:{outcome}": shares
-                for (uid, outcome), shares in sorted(self.holdings.items())
+                for (uid, outcome), shares in self.holdings.items()
             },
             "resolved": self.resolved,
             "trade_count": self.trade_count,
@@ -111,7 +105,10 @@ def price(market: Market, outcome: str) -> float:
     """Current probability quote for an outcome; quotes sum to one."""
     _require_open(market)
     _require_outcome(outcome)
-    return lmsr_price(market.outstanding, market.b, outcome)
+    scaled = {o: q / market.b for o, q in market.outstanding.items()}
+    m = max(scaled.values())
+    exp = {o: math.exp(x - m) for o, x in scaled.items()}
+    return exp[outcome] / sum(exp.values())
 
 
 def trade_cost(market: Market, outcome: str, share_delta: float) -> float:

@@ -69,15 +69,6 @@ class Transaction:
     submitter: str
     signature: str = ""  # placeholder; authorization is by submitter identity
 
-    def to_canonical(self) -> dict:
-        return {
-            "tx_id": self.tx_id,
-            "kind": self.kind.value,
-            "payload": self.payload,
-            "submitter": self.submitter,
-            "signature": self.signature,
-        }
-
 
 class TxRecord(NamedTuple):
     """A transaction as committed: applied, or rejected with the reason."""
@@ -87,10 +78,17 @@ class TxRecord(NamedTuple):
     error: str = ""
 
     def to_canonical(self) -> dict:
-        record = self.tx.to_canonical()
-        record["status"] = self.status
-        record["error"] = self.error
-        return record
+        # Keys in wire order, `_TX_WIRE_KEYS`, which import requires.
+        tx = self.tx
+        return {
+            "tx_id": tx.tx_id,
+            "kind": tx.kind.value,
+            "payload": tx.payload,
+            "submitter": tx.submitter,
+            "signature": tx.signature,
+            "status": self.status,
+            "error": self.error,
+        }
 
 
 @dataclass(frozen=True)
@@ -246,12 +244,12 @@ class TxPool:
 
 _MAX_DEPTH = 16  # containers in a payload, itself included; an author pair is 3 deep
 _PLAIN = frozenset((str, bool, type(None)))  # values with nothing to check
-_INT_BOUND = 10**4300  # at most 4300 digits, CPython's default int<->str limit
+_INT_BOUND = 10**640  # at most 640 digits, the lowest int<->str limit CPython allows
 
 
 def _check_shape(container, depth: int) -> None:
     """Raise ChainError unless the payload holds only JSON values with string
-    keys, integers of at most 4300 digits and finite floats, nested at most
+    keys, integers of at most 640 digits and finite floats, nested at most
     `_MAX_DEPTH` deep, so that every interpreter can write and read it back."""
     if depth > _MAX_DEPTH:
         raise ChainError(f"payload nests more than {_MAX_DEPTH} containers")
@@ -268,7 +266,7 @@ def _check_shape(container, depth: int) -> None:
         elif isinstance(item, float) and not math.isfinite(item):
             raise ChainError(f"payload is not encodable as JSON: {item} is not finite")
         elif isinstance(item, int) and not -_INT_BOUND < item < _INT_BOUND:
-            raise ChainError("payload is not encodable as JSON: integer over 4300 digits")
+            raise ChainError("payload is not encodable as JSON: integer over 640 digits")
         elif not isinstance(item, (str, int, float)):
             raise ChainError(f"payload is not encodable as JSON: type {type(item).__name__}")
 
@@ -286,7 +284,7 @@ def _check_tx_form(tx: Transaction) -> None:
     if not isinstance(tx.submitter, str) or not tx.submitter:
         raise ChainError("submitter must be a nonempty user id")
     if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
-        raise ChainError("tx id must be a non-negative integer of at most 4300 digits")
+        raise ChainError("tx id must be a non-negative integer of at most 640 digits")
     if not isinstance(tx.signature, str):
         raise ChainError("tx signature must be a string")
     _check_shape(tx.payload, 1)

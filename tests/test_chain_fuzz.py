@@ -2,14 +2,15 @@
 
 Each example commits a fixed opening block (funded users, an article under
 review, an active one, and a published one with an open dispute), then
-blocks of arbitrary transactions, then three fixed closing acts, through `submit_tx` -> `produce_block` ->
-`export_chain` -> `verify_export`.  Payload leaves include integers of
-around 4300 digits and values that are not JSON.  Submission refuses exactly
-the transactions with a non-string signature, a payload nested more than 16
-containers deep, or a payload that `canonical_json` cannot encode under
-CPython's default int<->str limit.  After every block nothing has raised,
-the block's cached state digest equals the whole state encoded again, the
-exported chain verifies (rejection reasons included), tokens are
+blocks of arbitrary transactions, then three fixed closing acts, through
+`submit_tx` -> `produce_block` -> `export_chain` -> `verify_export`, all
+under the lowest int<->str limit CPython allows, 640 digits.  Payload leaves
+include integers of around 640 digits and values that are not JSON.
+Submission refuses exactly the transactions with a non-string signature, a
+payload nested more than 16 containers deep, or a payload that
+`canonical_json` cannot encode under that limit.  After every block nothing
+has raised, the block's cached state digest equals the whole state encoded
+again, the exported chain verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
 one transaction at a time on a replayed copy, where each transaction
 replays to its recorded status and reason and each rejected one leaves the
@@ -86,8 +87,8 @@ CLOSING = [
 
 json_leaves = (st.none() | st.booleans() | st.integers()
                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
-# Integers of 4300 digits are the longest admitted; one more digit is refused.
-long_integers = st.builds(lambda sign, d: sign * (10**4300 + d),
+# Integers of 640 digits are the longest admitted; one more digit is refused.
+long_integers = st.builds(lambda sign, d: sign * (10**640 + d),
                           st.sampled_from((1, -1)), st.integers(-2, 1))
 not_json = st.sampled_from((b"x", {1}, 1j, float, object()))
 
@@ -108,7 +109,7 @@ any_values = values_of(json_leaves | long_integers | not_json)
 # Values that some state lets an operation accept, per payload field;
 # unusable ones come from the arbitrary values mixed in below.
 USABLE = {
-    "amount": st.sampled_from((1, 50, 2**256 - 1, 2**256, 10**4300 - 1)),
+    "amount": st.sampled_from((1, 50, 2**256 - 1, 2**256, 10**640 - 1)),
     "source": st.sampled_from(("mint", "reserve")),
     "title": st.sampled_from(("t2", "t3")),
     "abstract": st.just("y"),
@@ -182,8 +183,8 @@ def depth(value) -> int:
 
 
 def writable(payload) -> bool:
-    """The oracle: `canonical_json` encodes the payload under the default limit."""
-    with int_digit_limit(4300):
+    """The oracle: `canonical_json` encodes the payload under the lowest limit."""
+    with int_digit_limit(640):
         try:
             canonical_json(payload)
         except (TypeError, ValueError):
@@ -222,53 +223,55 @@ def genesis() -> ProtocolState:
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
-    chain = Chain(genesis())
-    replay = genesis()
-    tx_id = 0
-    admitted = []
-    for block in [OPENING] + fuzzed_blocks + CLOSING:
-        pool = TxPool()
-        for kind, payload, submitter, *signature in block:
-            tx_id += 1
-            tx = Transaction(tx_id, kind, payload, submitter, *signature)
-            inadmissible = (not isinstance(tx.signature, str) or depth(payload) > 16
-                            or not writable(payload))
-            try:
-                submit_tx(pool, tx, chain)
-            except ChainError:
-                assert inadmissible
+    with int_digit_limit(640):
+        chain = Chain(genesis())
+        replay = genesis()
+        tx_id = 0
+        admitted = []
+        for block in [OPENING] + fuzzed_blocks + CLOSING:
+            pool = TxPool()
+            for kind, payload, submitter, *signature in block:
+                tx_id += 1
+                tx = Transaction(tx_id, kind, payload, submitter, *signature)
+                inadmissible = (not isinstance(tx.signature, str) or depth(payload) > 16
+                                or not writable(payload))
+                try:
+                    submit_tx(pool, tx, chain)
+                except ChainError:
+                    assert inadmissible
+                    continue
+                assert not inadmissible
+                admitted.append(tx)
+            if not pool.pending:
                 continue
-            assert not inadmissible
-            admitted.append(tx)
-        if not pool.pending:
-            continue
-        result = produce_block(chain, pool, PEERS)
-        assert result.committed
-        assert result.block.state_hash == full_state_hash(chain.tip)
-        if block is OPENING:
-            assert all(r.status == APPLIED for r in result.block.txs)
+            result = produce_block(chain, pool, PEERS)
+            assert result.committed
+            assert result.block.state_hash == full_state_hash(chain.tip)
+            if block is OPENING:
+                assert all(r.status == APPLIED for r in result.block.txs)
 
-        for record in result.block.txs:
-            before = {h: a.state for h, a in replay.articles.items()}
-            digest = state_hash(replay) if record.status == REJECTED else None
-            try:
-                apply_tx(replay, record.tx)
-                status, error = APPLIED, ""
-            except ProtocolError as exc:
-                status, error = REJECTED, str(exc)
-            assert (status, error) == (record.status, record.error)
-            if status == REJECTED:
-                # Blocks execute in place on the tip: a rejection must change nothing.
-                assert state_hash(replay) == digest == full_state_hash(replay)
-            for h, article in replay.articles.items():
-                if h in before:
-                    assert (before[h], article.state) in LEGAL_TRANSITIONS
-                else:
-                    assert article.state in (ArticleState.ACTIVE, ArticleState.PUBLISHED)
-        assert chain.tip.ledger.conservation_gap() == 0
-        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
-    # Every admitted transaction is committed exactly once, in order.
-    assert [r.tx for b in chain.blocks for r in b.txs] == admitted
+            for record in result.block.txs:
+                before = {h: a.state for h, a in replay.articles.items()}
+                digest = state_hash(replay) if record.status == REJECTED else None
+                try:
+                    apply_tx(replay, record.tx)
+                    status, error = APPLIED, ""
+                except ProtocolError as exc:
+                    status, error = REJECTED, str(exc)
+                assert (status, error) == (record.status, record.error)
+                if status == REJECTED:
+                    # Blocks execute in place on the tip: a rejection must change nothing.
+                    assert state_hash(replay) == digest == full_state_hash(replay)
+                for h, article in replay.articles.items():
+                    if h in before:
+                        assert (before[h], article.state) in LEGAL_TRANSITIONS
+                    else:
+                        assert article.state in (ArticleState.ACTIVE,
+                                                 ArticleState.PUBLISHED)
+            assert chain.tip.ledger.conservation_gap() == 0
+            assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+        # Every admitted transaction is committed exactly once, in order.
+        assert [r.tx for b in chain.blocks for r in b.txs] == admitted
 
 
 def committed_export() -> list[str]:

@@ -1,10 +1,12 @@
 """Tests for token accounting, escrow and conservation."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scholarchain.errors import LedgerError
-from scholarchain.ledger import FORFEIT, MINT, REFUND, RESERVE, TokenLedger
+from scholarchain.ledger import FORFEIT, MINT, REFUND, RESERVE, Account, TokenLedger
 
 
 class TestCredit:
@@ -148,6 +150,10 @@ class TestApiSurface:
         keys = list(ledger.to_canonical()["accounts"])
         assert keys == ["alpha", "zeta"]
         assert ledger.to_json() == TokenLedger(balances={"alpha": 2, "zeta": 1}).to_json()
+
+    def test_account_holds_only_its_tokens(self):
+        # The user id is the account's key in `accounts`, not a field.
+        assert [f.name for f in fields(Account)] == ["balance", "escrowed"]
 
 
 ops = st.lists(

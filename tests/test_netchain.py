@@ -16,6 +16,7 @@ from scholarchain.netchain import (
     Transaction,
     TxKind,
     TxPool,
+    TxRecord,
     export_chain,
     import_chain,
     produce_block,
@@ -140,23 +141,47 @@ class TestSubmitTx:
             submit_tx(pool, tx)
         assert len(pool) == 0
 
-    @pytest.mark.parametrize("digits_limit", [4300, 0], ids=["default-limit", "no-limit"])
-    def test_integers_past_4300_digits_rejected(self, digits_limit):
-        # The bound is fixed, so admission does not depend on the interpreter's limit.
+    @pytest.mark.parametrize("digits_limit", [640, 4300, 0],
+                             ids=["lowest-limit", "default-limit", "no-limit"])
+    def test_integers_past_640_digits_rejected(self, digits_limit):
+        # The bound is fixed, so admission does not depend on the interpreter's
+        # limit, and what is admitted is written and read back under any limit.
         chain = Chain(genesis())
         pool = TxPool()
         with int_digit_limit(digits_limit):
             with pytest.raises(ChainError, match="tx id must be a non-negative integer"):
-                submit_tx(pool, credit_tx(10**4300, "ada"), chain)
-            for tx_id, note in enumerate((10**4300, -10**4300), start=1):
+                submit_tx(pool, credit_tx(10**640, "ada"), chain)
+            for tx_id, note in enumerate((10**640, -10**640), start=1):
                 payload = {"user": "ada", "amount": 5, "note": note}
-                with pytest.raises(ChainError, match="integer over 4300 digits"):
+                with pytest.raises(ChainError, match="integer over 640 digits"):
                     submit_tx(pool, Transaction(tx_id, TxKind.CREDIT, payload, "platform"))
             assert len(pool) == 0
-            longest = {"user": "ada", "amount": 5, "note": 1 - 10**4300}
-            submit_tx(pool, Transaction(10**4300 - 1, TxKind.CREDIT, longest, "platform"))
-        assert produce_block(chain, pool, PEERS).committed
-        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+            longest = {"user": "ada", "amount": 5, "note": 1 - 10**640}
+            submit_tx(pool, Transaction(10**640 - 1, TxKind.CREDIT, longest, "platform"))
+            assert produce_block(chain, pool, PEERS).committed
+            assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
+    def test_stake_admitted_is_sealed_under_the_lowest_limit(self):
+        # A 1000-digit stake was admitted, and under a 640-digit limit the seal
+        # raised on every try, so the pool was never cleared.
+        def objection(tx_id, stake):
+            payload = {"article": "elsewhere", "stake": stake}
+            return Transaction(tx_id, TxKind.RAISE_OBJECTION, payload, "bo")
+
+        chain = Chain(genesis())
+        claim = Transaction(1, TxKind.CLAIM_ARTICLE, {"article": "elsewhere"}, "ada")
+        produce_block(chain, pool_with(claim), PEERS)
+        pool = TxPool()
+        with int_digit_limit(640):
+            with pytest.raises(ChainError, match="integer over 640 digits"):
+                submit_tx(pool, objection(2, 10**999), chain)
+            submit_tx(pool, objection(3, 10**640 - 1), chain)
+            result = produce_block(chain, pool, PEERS)
+            assert result.committed and not pool.pending
+            [record] = result.block.txs
+            assert (record.tx.tx_id, record.status) == (3, REJECTED)
+            assert record.error.startswith("'bo' cannot cover the stake of 999")
+            assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_payload_nesting_is_bounded(self):
         # The payload object is the first of the containers counted.
@@ -499,17 +524,18 @@ class TestTxRules:
         assert chain.tip.ledger.balance("ada") == 2**256 - 1
         assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
-    def test_credits_summing_past_4300_digits_are_rejected(self):
-        # Both are admitted, and applied they would sum to a balance that
-        # neither the digest nor an export could write.
+    def test_credits_summing_past_640_digits_are_rejected(self):
+        # Both are admitted, and applied they would sum to a balance that,
+        # under the lowest limit, neither the digest nor an export could write.
         chain = Chain(genesis())
-        longest = 10**4300 - 1
-        pool = pool_with(credit_tx(1, "bo", longest), credit_tx(2, "bo", longest))
-        result = produce_block(chain, pool, PEERS)
-        assert result.committed
-        assert [(r.status, r.error) for r in result.block.txs] == [
-            (REJECTED, "amount must be below 2**256")] * 2
-        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+        longest = 10**640 - 1
+        with int_digit_limit(640):
+            pool = pool_with(credit_tx(1, "bo", longest), credit_tx(2, "bo", longest))
+            result = produce_block(chain, pool, PEERS)
+            assert result.committed
+            assert [(r.status, r.error) for r in result.block.txs] == [
+                (REJECTED, "amount must be below 2**256")] * 2
+            assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
 
 #: A value of each declared JSON type, to fill every field of a payload.
@@ -709,6 +735,11 @@ class TestWireFormat:
             "height", "prevHash", "txs", "stateHash", "approvals", "blockHash",
         ]
 
+    def test_tx_record_writes_the_wire_keys_in_order(self):
+        # Import requires exactly these keys in this order.
+        record = TxRecord(credit_tx(1, "ada"), APPLIED)
+        assert list(record.to_canonical()) == netchain._TX_WIRE_KEYS
+
     def test_malformed_line_raises(self):
         with pytest.raises(ChainError):
             import_chain('{"height": 0')
@@ -763,7 +794,8 @@ class TestWireFormat:
         # tens of levels deeper, sealing the block raised RecursionError.
         (1, payload_note(nested_list(900)), None, "nests more than 16 containers"),
         # Readable here only because the test lifts the interpreter's limit.
-        (1, payload_note(10**4300), None, "integer over 4300 digits"),
+        (1, payload_note(10**4300), None, "integer over 640 digits"),
+        (1, payload_note(10**640), None, "integer over 640 digits"),
         # Block 1's second record is the rejected CREDIT by "bo".
         (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
          "tx 4 reason diverges on replay"),
@@ -771,7 +803,7 @@ class TestWireFormat:
             "float-height", "bool-height", "object-error", "list-signature",
             "bool-tx-id", "duplicate-tx-id", "nan-payload", "infinity-payload",
             "1e400-payload", "-1e999-payload", "deep-payload", "4301-digit-payload",
-            "rewritten-reason"])
+            "641-digit-payload", "rewritten-reason"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         with int_digit_limit(0):
             result = verify_export(resealed_export(height, edit), genesis(), PEERS)
