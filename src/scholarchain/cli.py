@@ -444,11 +444,15 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    genesis_path = (
-        Path(args.genesis)
-        if args.genesis
-        else Path(str(chain_path).replace("_chain.jsonl", "_genesis.json"))
-    )
+    if args.genesis:
+        genesis_path = Path(args.genesis)
+    elif chain_path.name.endswith("_chain.jsonl"):
+        stem = chain_path.name.removesuffix("_chain.jsonl")
+        genesis_path = chain_path.with_name(f"{stem}_genesis.json")
+    else:
+        print(f"error: {chain_path} is not named *_chain.jsonl; "
+              "name its genesis descriptor with --genesis", file=sys.stderr)
+        return 2
     if not genesis_path.is_file():
         print(f"error: genesis descriptor {genesis_path} is missing", file=sys.stderr)
         return 2

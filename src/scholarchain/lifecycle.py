@@ -11,7 +11,10 @@ The legal transitions are exactly
 `ProtocolState` aggregates the article registry, the token ledger and the
 attached review markets, and exposes every protocol operation.  Operations
 validate completely before mutating anything, so a rejected call leaves the
-whole state unchanged.
+whole state unchanged.  An operation that applies ticks the clock once, at
+its end, and names there, by section, the keys it wrote; that is how the
+state digest learns what to encode again.  The ledger records the accounts
+it writes in its own mutators.
 """
 
 from __future__ import annotations
@@ -239,31 +242,29 @@ class ProtocolState:
         self.markets: dict[str, Market] = {}
         self.clock = 0  # logical time; ticks once per applied operation
         # Keys written since the last digest, per section, each a dict used
-        # as a set like `TokenLedger.written`, which keeps the accounts'.  The
-        # sections are built by the first digest.
+        # as a set like `TokenLedger.written`, which keeps the accounts'.  Only
+        # `_tick` adds to them.  The sections are built by the first digest.
         self._written = {"articles": {}, "disputes": {}, "markets": {}}
         self._sections: Optional[tuple[_Section, ...]] = None
 
     # -- helpers --------------------------------------------------------------
 
-    # Every write to an entity, and every new entity, records its key as
-    # written first: here, at each creation, in `resolve_dispute`,
-    # `claim_published_article` and the ledger's writes.
-
     def article(self, article_hash: str) -> Article:
         art = self.articles.get(article_hash)
         if art is None:
             raise LifecycleError(f"no article with hash {article_hash!r}")
-        self._written["articles"][article_hash] = None
         return art
 
     def market_of(self, article: Article) -> Market:
         if article.market_id is None or article.market_id not in self.markets:
             raise LifecycleError(f"article {article.article_hash!r} has no market")
-        self._written["markets"][article.market_id] = None
         return self.markets[article.market_id]
 
-    def _tick(self) -> int:
+    def _tick(self, **written: str) -> int:
+        """Advance the clock for an applied operation, recording the key it
+        wrote in each named section."""
+        for section, key in written.items():
+            self._written[section][key] = None
         self.clock += 1
         return self.clock
 
@@ -278,8 +279,7 @@ class ProtocolState:
             article_hash=digest, state=ArticleState.ACTIVE, owners=[submitter]
         )
         self.articles[digest] = article
-        self._written["articles"][digest] = None
-        self._tick()
+        self._tick(articles=digest)
         return article
 
     def comment(self, article_hash: str, user_id: str, text_hash: str) -> Article:
@@ -288,7 +288,7 @@ class ProtocolState:
         if article.state is ArticleState.UNDER_REVIEW:
             # Commenting during review means trading on the outcome market.
             raise CommentRedirectsToMarket(article.market_id or "")
-        article.comments.append((user_id, self._tick(), text_hash))
+        article.comments.append((user_id, self._tick(articles=article_hash), text_hash))
         return article
 
     def start_review(
@@ -331,13 +331,12 @@ class ProtocolState:
         self.markets[market_id] = market_mod.open_market(
             self.config.market_liquidity, market_id
         )
-        self._written["markets"][market_id] = None
         article.state = ArticleState.UNDER_REVIEW
         article.author_deposit = deposit
         article.depositor = author
         article.review_panel = panel
         article.market_id = market_id
-        self._tick()
+        self._tick(articles=article_hash, markets=market_id)
         return article
 
     def trade_review_shares(
@@ -352,7 +351,7 @@ class ProtocolState:
         executed = market_mod.trade(
             self.market_of(article), self.ledger, user_id, outcome, share_delta
         )
-        self._tick()
+        self._tick(markets=article.market_id)
         return executed
 
     def conclude_review(
@@ -400,7 +399,7 @@ class ProtocolState:
         article.author_deposit = 0
         article.depositor = None
         article.review_panel = ()
-        self._tick()
+        self._tick(articles=article_hash, markets=article.market_id)
         return article
 
     def raise_objection(
@@ -428,8 +427,7 @@ class ProtocolState:
             stake=stake,
         )
         self.disputes[dispute.dispute_id] = dispute
-        self._written["disputes"][dispute.dispute_id] = None
-        self._tick()
+        self._tick(articles=article_hash, disputes=dispute.dispute_id)
         return dispute
 
     def resolve_dispute(
@@ -443,7 +441,6 @@ class ProtocolState:
         dispute = self.disputes.get(dispute_id)
         if dispute is None:
             raise LifecycleError(f"no dispute {dispute_id!r}")
-        self._written["disputes"][dispute_id] = None
         if dispute.resolution is not None:
             raise LifecycleError(f"dispute {dispute_id!r} already resolved")
         if not self.config.peers:
@@ -463,7 +460,7 @@ class ProtocolState:
         else:
             self.ledger.resolve_escrow(dispute.challenger, dispute.stake, FORFEIT)
         dispute.resolution = outcome
-        self._tick()
+        self._tick(articles=dispute.article_hash, disputes=dispute_id)
         return article
 
     def claim_published_article(
@@ -481,14 +478,12 @@ class ProtocolState:
                 doi=doi,
             )
             self.articles[article_hash] = article
-            self._written["articles"][article_hash] = None
-            self._tick()
+            self._tick(articles=article_hash)
             return article
         if caller in existing.owners:
             raise LifecycleError("Owner has already claimed that article")
-        self._written["articles"][article_hash] = None
         existing.owners.append(caller)
-        self._tick()
+        self._tick(articles=article_hash)
         return existing
 
     # -- snapshots --------------------------------------------------------------

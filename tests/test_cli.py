@@ -239,12 +239,24 @@ class TestProtocolVerb:
         assert main(["verify", str(chain_file)]) == 1
         assert "FAILED at parse" in capsys.readouterr().err
 
-    def test_verify_names_a_missing_genesis(self, tmp_path, capsys):
+    @pytest.mark.parametrize("chain_name, error", [
+        ("protocol_publish_chain.jsonl",
+         "genesis descriptor {dir}/protocol_publish_genesis.json is missing"),
+        ("copy.jsonl", "{dir}/copy.jsonl is not named *_chain.jsonl; "
+                       "name its genesis descriptor with --genesis"),
+        ("dir_chain.jsonl.d/x_chain.jsonl",
+         "genesis descriptor {dir}/dir_chain.jsonl.d/x_genesis.json is missing"),
+    ], ids=["sibling", "other-name", "suffix-in-directory"])
+    def test_verify_names_a_missing_genesis(self, tmp_path, capsys, chain_name, error):
+        # The default descriptor is the chain file's sibling, named from the
+        # file name alone; a chain file of another name needs --genesis.
         run_scenario("protocol_publish.json", str(tmp_path))
-        genesis_file = tmp_path / "protocol_publish_genesis.json"
-        genesis_file.unlink()
-        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
-        assert f"genesis descriptor {genesis_file} is missing" in capsys.readouterr().err
+        (tmp_path / "protocol_publish_genesis.json").unlink()
+        chain_file = tmp_path / chain_name
+        chain_file.parent.mkdir(exist_ok=True)
+        (tmp_path / "protocol_publish_chain.jsonl").rename(chain_file)
+        assert main(["verify", str(chain_file)]) == 2
+        assert f"error: {error.format(dir=tmp_path)}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("descriptor", [
         "not json", '{"config": {"bogus": 1}}', "[1]",

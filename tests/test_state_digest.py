@@ -58,10 +58,9 @@ OPENING = [
 ]
 
 #: Per kind, one write to entities that already hold a fragment, applied.
-#: Together they pass every place that drops a fragment with nothing else
-#: dropping the same one: the ledger's credit, escrow (START_REVIEW) and
-#: escrow resolution (a revise decision, an upheld dispute), an article
-#: lookup (COMMENT), a market lookup (TRADE), a dispute lookup and a claim.
+#: Together they pass every key an operation records when it ticks, and the
+#: ledger's credit, escrow (START_REVIEW) and escrow resolution (a revise
+#: decision, an upheld dispute), each with nothing else recording the same.
 WRITES = {
     TxKind.CREDIT: ({"user": "bo", "amount": 5}, PLATFORM),
     TxKind.SUBMIT_ARTICLE: ({"title": "new", "authors": [["C", "cy"]]}, "cy"),
@@ -76,6 +75,11 @@ WRITES = {
          "votes": {"p1": "uphold", "p2": "uphold", "p3": "uphold"}}, PLATFORM),
     TxKind.CLAIM_ARTICLE: ({"article": DISPUTED}, "ada"),
 }
+
+#: The one write of an article by a dispute: a retraction.
+RETRACTION = (TxKind.RESOLVE_DISPUTE, {
+    "dispute": f"{DISPUTED[:16]}:d1",
+    "votes": {"p1": "retract", "p2": "retract", "p3": "retract"}}, PLATFORM)
 
 
 def genesis() -> ProtocolState:
@@ -113,9 +117,11 @@ def commit_each(chain: Chain, txs) -> None:
         assert block.state_hash == full_state_hash(chain.tip)
 
 
-@pytest.mark.parametrize("kind", list(netchain._RULES), ids=lambda kind: kind.value)
-def test_each_kind_writes_a_matching_digest(kind):
-    commit_each(warm_chain(), writes([kind]))
+@pytest.mark.parametrize(
+    "tx", [*writes(netchain._RULES), RETRACTION],
+    ids=[*(kind.value for kind in netchain._RULES), "RESOLVE_DISPUTE-retract"])
+def test_each_kind_writes_a_matching_digest(tx):
+    commit_each(warm_chain(), [tx])
 
 
 def test_clones_digest_their_own_writes():
@@ -192,9 +198,21 @@ def test_dispute_replaced_at_a_taken_id():
     assert chain.tip.disputes["same-sixteen-chr:d1"].stake == 7
 
 
-def test_rejected_transactions_that_recorded_keys():
-    # Each looks up (and so records) an existing entity, then is refused.
+def count_encodes(monkeypatch) -> collections.Counter:
+    """Count each entity's `to_canonical` calls, by class name, from now on."""
+    calls = collections.Counter()
+    for cls in (Account, Article, Dispute, Market):
+        def counted(self, encode=cls.to_canonical, name=cls.__name__):
+            calls[name] += 1
+            return encode(self)
+        monkeypatch.setattr(cls, "to_canonical", counted)
+    return calls
+
+
+def test_rejected_transactions_encode_no_entity(monkeypatch):
+    # Each looks up an existing entity, then is refused, so it wrote nothing.
     chain = warm_chain()
+    calls = count_encodes(monkeypatch)
     block = commit(chain, [
         (TxKind.START_REVIEW, {"article": ACTIVE, "deposit": 1, "panel": PANEL}, "ada"),
         (TxKind.TRADE, {"article": REVIEWED, "outcome": "PUBLISH", "shares": 10**6}, "cy"),
@@ -204,6 +222,8 @@ def test_rejected_transactions_that_recorded_keys():
         (TxKind.CLAIM_ARTICLE, {"article": CLAIMED}, "cy"),
     ])
     assert [r.status for r in block.txs] == [REJECTED] * 5
+    assert calls == {}
+    monkeypatch.undo()
     assert block.state_hash == full_state_hash(chain.tip)
     commit_each(chain, writes(WRITES))
 
@@ -225,20 +245,21 @@ def test_clone_writes_leave_the_original_digest():
     commit_each(chain, writes(WRITES))
 
 
-@pytest.mark.parametrize("user", ["u01000", "u99999"], ids=["existing", "new"])
-def test_one_credit_encodes_one_account(monkeypatch, user):
+@pytest.mark.parametrize("tx, encoded", [
+    ((TxKind.CREDIT, {"user": "u01000", "amount": 1}, PLATFORM), {"Account": 1}),
+    ((TxKind.CREDIT, {"user": "u99999", "amount": 1}, PLATFORM), {"Account": 1}),
+    (*writes([TxKind.TRADE]), {"Account": 1, "Market": 1}),
+], ids=["existing", "new", "trade"])
+def test_one_credit_encodes_one_account(monkeypatch, tx, encoded):
     # O(writes), not O(state): after a digest of 2000 accounts, a block with
-    # one CREDIT encodes that one account and no other entity.
+    # one transaction encodes only the entities it wrote: a CREDIT its one
+    # account, a TRADE its buyer and its market but not the article it names.
     chain = warm_chain()
     commit(chain, [(TxKind.CREDIT, {"user": f"u{i:05d}", "amount": 1}, PLATFORM)
                    for i in range(2000)])
-    calls = collections.Counter()
-    for cls in (Account, Article, Dispute, Market):
-        def counted(self, encode=cls.to_canonical, name=cls.__name__):
-            calls[name] += 1
-            return encode(self)
-        monkeypatch.setattr(cls, "to_canonical", counted)
-    block = commit(chain, [(TxKind.CREDIT, {"user": user, "amount": 1}, PLATFORM)])
-    assert calls == {"Account": 1}
+    calls = count_encodes(monkeypatch)
+    block = commit(chain, [tx])
+    assert block.txs[0].status == APPLIED
+    assert calls == encoded
     monkeypatch.undo()
     assert block.state_hash == full_state_hash(chain.tip)
