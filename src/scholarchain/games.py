@@ -316,16 +316,6 @@ def dominant_action(game: PayoffMatrix2x2, player: str) -> Optional[Action]:
     return None
 
 
-def weakly_dominant_action(game: PayoffMatrix2x2, player: str) -> Optional[Action]:
-    """Weakly dominant action: never worse, strictly better somewhere."""
-    better = _dominance_profile(game, player)
-    if all(cmp >= 0 for cmp in better) and any(cmp > 0 for cmp in better):
-        return Action.C
-    if all(cmp <= 0 for cmp in better) and any(cmp < 0 for cmp in better):
-        return Action.D
-    return None
-
-
 def _dominance_profile(game: PayoffMatrix2x2, player: str) -> list[Fraction]:
     """Per-opponent-action payoff gaps u(C, .) - u(D, .) for one player."""
     if player == "row":

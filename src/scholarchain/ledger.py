@@ -10,15 +10,14 @@ The conservation identity
     sum(balances) + sum(escrowed) + reserve == initial supply + minted - burned
 
 holds after every operation; operations validate first and mutate after,
-so a rejected call leaves the ledger untouched.  Reputation is the number
-of tokens a user holds, escrowed ones included.
+so a rejected call leaves the ledger untouched.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .errors import LedgerError
 
@@ -39,12 +38,9 @@ class Account:
     def to_canonical(self) -> dict:
         return {"balance": self.balance, "escrowed": self.escrowed}
 
-
-class Reputation(NamedTuple):
-    """Token-derived standing; `known` is False for users without an account."""
-
-    score: int
-    known: bool
+    def to_canonical_json(self) -> str:
+        """`canonical_json(self.to_canonical())`, written directly."""
+        return f'{{"balance":{self.balance!r},"escrowed":{self.escrowed!r}}}'
 
 
 def _positive_amount(amount) -> int:
@@ -66,10 +62,12 @@ class TokenLedger:
         if initial_reserve < 0:
             raise LedgerError("initial reserve cannot be negative")
         self.accounts: dict[str, Account] = {}
-        # Ids of the accounts written since the state's last digest; every
-        # write records its account here first (`ProtocolState.to_canonical_json`).
-        # A dict used as a set, because `copy.deepcopy` copies a set through
-        # its pickle protocol, several times slower, and each state copy copies it.
+        # Ids of the accounts written since the state's last digest, which
+        # encodes each again with `Account.to_canonical_json` into its sorted
+        # slot, so this record's order never reaches the bytes.  Each mutator
+        # records its account before it changes it.  A dict used as a set,
+        # because `copy.deepcopy` copies a set through its pickle protocol,
+        # several times slower, and `ProtocolState.clone` copies this.
         self.written: dict[str, None] = {}
         self.platform_reserve = initial_reserve
         self.minted_total = 0
@@ -91,12 +89,6 @@ class TokenLedger:
     def escrowed(self, user_id: str) -> int:
         acct = self.accounts.get(user_id)
         return acct.escrowed if acct else 0
-
-    def reputation(self, user_id: str) -> Reputation:
-        acct = self.accounts.get(user_id)
-        if acct is None:
-            return Reputation(0, False)
-        return Reputation(acct.balance + acct.escrowed, True)
 
     def conservation_gap(self) -> int:
         """Zero when the conservation identity holds."""

@@ -19,7 +19,6 @@ it writes in its own mutators.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import hashlib
 import json
@@ -31,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 from . import market as market_mod
 from .errors import CommentRedirectsToMarket, LifecycleError
 from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
-from .market import Market, Trade
+from .market import Market, Trade, quote, quote_or_null, splice
 
 PUBLISH = market_mod.PUBLISH
 REVISE = market_mod.REVISE
@@ -130,6 +129,22 @@ class Article:
             "dispute_seq": self.dispute_seq,
         }
 
+    def to_canonical_json(self) -> str:
+        """`canonical_json(self.to_canonical())`, written directly."""
+        comments = ",".join(f"[{quote(user)},{tick!r},{quote(text)}]"
+                            for user, tick, text in self.comments)
+        return (f'{{"article_hash":{quote(self.article_hash)},'
+                f'"author_deposit":{self.author_deposit!r},'
+                f'"comments":[{comments}],'
+                f'"depositor":{quote_or_null(self.depositor)},'
+                f'"dispute_seq":{self.dispute_seq!r},'
+                f'"doi":{quote_or_null(self.doi)},'
+                f'"market_id":{quote_or_null(self.market_id)},'
+                f'"owners":[{",".join(map(quote, self.owners))}],'
+                f'"review_panel":[{",".join(map(quote, self.review_panel))}],'
+                f'"review_round":{self.review_round!r},'
+                f'"state":{quote(self.state.value)}}}')
+
 
 @dataclass
 class Dispute:
@@ -149,6 +164,14 @@ class Dispute:
             "stake": self.stake,
             "resolution": self.resolution,
         }
+
+    def to_canonical_json(self) -> str:
+        """`canonical_json(self.to_canonical())`, written directly."""
+        return (f'{{"article_hash":{quote(self.article_hash)},'
+                f'"challenger":{quote(self.challenger)},'
+                f'"dispute_id":{quote(self.dispute_id)},'
+                f'"resolution":{quote_or_null(self.resolution)},'
+                f'"stake":{self.stake!r}}}')
 
 
 @dataclass(frozen=True)
@@ -272,6 +295,8 @@ class ProtocolState:
 
     def submit_article(self, meta: ContentMetadata, submitter: str) -> Article:
         """Announce intent to publish; the content hash secures authorship."""
+        if not isinstance(submitter, str):
+            raise LifecycleError("submitter must be a string")
         digest = content_hash(meta)
         if digest in self.articles:
             raise LifecycleError(f"article {digest!r} already registered")
@@ -284,6 +309,8 @@ class ProtocolState:
 
     def comment(self, article_hash: str, user_id: str, text_hash: str) -> Article:
         """Append a comment; free in every state except under review."""
+        if not _strings((user_id, text_hash)):
+            raise LifecycleError("commenter and text hash must be strings")
         article = self.article(article_hash)
         if article.state is ArticleState.UNDER_REVIEW:
             # Commenting during review means trading on the outcome market.
@@ -469,6 +496,8 @@ class ProtocolState:
         """Claim (co-)ownership of work already published elsewhere."""
         if not isinstance(article_hash, str) or not article_hash:
             raise LifecycleError("article hash must be a nonempty string")
+        if not _strings((doi, caller)):
+            raise LifecycleError("DOI and claimant must be strings")
         existing = self.articles.get(article_hash)
         if existing is None:
             article = Article(
@@ -512,9 +541,11 @@ class ProtocolState:
 
         The articles, disputes, accounts and markets each keep their keys in
         sorted order, each key's fragment and the fragments' joined text.  A
-        digest encodes again only the keys written since the last one, and
-        joins again only the sections that have some.  A state's first call
-        builds every section from one `to_canonical()`.
+        digest encodes again only the keys written since the last one, each
+        with its entity's own `to_canonical_json`, and joins again only the
+        sections that have some.  A market in turn encodes again only the
+        holdings traded since.  A state's first call builds every section
+        from one `to_canonical()`.
         """
         led = self.ledger
         if self._sections is None:
@@ -561,27 +592,21 @@ class _Section:
         """`forms` maps every key, in sorted order, to its canonical form."""
         self.entities, self.written, self.keyed = entities, written, keyed
         self.keys = list(forms)
-        self.fragments = [self._fragment(key, form) for key, form in forms.items()]
+        self.fragments = [self._fragment(key, canonical_json(form))
+                          for key, form in forms.items()]
         self.joined = ",".join(self.fragments)
         written.clear()
 
-    def _fragment(self, key, form) -> str:
-        body = canonical_json(form)
-        return f"{canonical_json(key)}:{body}" if self.keyed else body
+    def _fragment(self, key: str, body: str) -> str:
+        return f"{quote(key)}:{body}" if self.keyed else body
 
     def text(self) -> str:
-        """The joined text, after encoding each written key again into its
-        slot (a new key into a new slot)."""
+        """The joined text, after each written key's entity writes its
+        fragment again into the key's slot (a new key into a new slot)."""
         if self.written:
-            keys, fragments = self.keys, self.fragments
             for key in self.written:
-                fragment = self._fragment(key, self.entities[key].to_canonical())
-                i = bisect.bisect_left(keys, key)
-                if i < len(keys) and keys[i] == key:
-                    fragments[i] = fragment
-                else:
-                    keys.insert(i, key)
-                    fragments.insert(i, fragment)
+                splice(self.keys, self.fragments, key,
+                       self._fragment(key, self.entities[key].to_canonical_json()))
             self.written.clear()
-            self.joined = ",".join(fragments)
+            self.joined = ",".join(self.fragments)
         return self.joined

@@ -17,9 +17,11 @@ sanctioned user-to-platform flow); sales and payouts are reserve grants.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as quote
 from typing import Mapping, Optional
 
 from .errors import LedgerError, MarketError
@@ -28,6 +30,29 @@ from .ledger import AMOUNT_BOUND, FORFEIT, RESERVE, TokenLedger
 PUBLISH = "PUBLISH"
 REVISE = "REVISE"
 OUTCOMES = (PUBLISH, REVISE)
+
+
+def quote_or_null(text: Optional[str]) -> str:
+    """The canonical JSON of a string, or `null` for None."""
+    return "null" if text is None else quote(text)
+
+
+def splice(keys: list, fragments: list, key, fragment: Optional[str]) -> None:
+    """Put `fragment` in `key`'s slot of the sorted `keys` and the parallel
+    `fragments`, inserting a new key in order; None removes the key."""
+    i = bisect.bisect_left(keys, key)
+    if i < len(keys) and keys[i] == key:
+        if fragment is None:
+            del keys[i], fragments[i]
+        else:
+            fragments[i] = fragment
+    elif fragment is not None:
+        keys.insert(i, key)
+        fragments.insert(i, fragment)
+
+
+def _holding_fragment(key: str, shares: float) -> str:
+    return f"{quote(key)}:{shares!r}"
 
 
 def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
@@ -50,6 +75,16 @@ class Market:
     resolved: Optional[str] = None
     trade_count: int = 0
     events: list[dict] = field(default_factory=list)
+    # The holdings traded since the last `to_canonical_json`, a dict used as
+    # a set like `TokenLedger.written`, and, once that has run, every holding's
+    # fragment kept sorted by its "uid:outcome" string, which is not the
+    # order of the (uid, outcome) tuples.
+    written: dict[tuple[str, str], None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _holding_keys: Optional[list[str]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _holding_fragments: Optional[list[str]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def holding(self, user_id: str, outcome: str) -> float:
         return self.holdings.get((user_id, outcome), 0.0)
@@ -69,6 +104,30 @@ class Market:
             "resolved": self.resolved,
             "trade_count": self.trade_count,
         }
+
+    def to_canonical_json(self) -> str:
+        """`canonical_json(self.to_canonical())`, encoding again only the
+        holdings written since the last call."""
+        keys, fragments = self._holding_keys, self._holding_fragments
+        if keys is None:  # the first call encodes every holding
+            held = sorted((f"{uid}:{outcome}", shares)
+                          for (uid, outcome), shares in self.holdings.items())
+            self._holding_keys = keys = [key for key, _ in held]
+            self._holding_fragments = fragments = [
+                _holding_fragment(key, shares) for key, shares in held]
+        else:
+            for uid, outcome in self.written:
+                shares = self.holdings.get((uid, outcome))
+                key = f"{uid}:{outcome}"
+                splice(keys, fragments, key,
+                       None if shares is None else _holding_fragment(key, shares))
+        self.written.clear()
+        outstanding = ",".join(
+            f"{quote(o)}:{q!r}" for o, q in sorted(self.outstanding.items()))
+        return (f'{{"b":{self.b!r},"holdings":{{{",".join(fragments)}}},'
+                f'"market_id":{quote(self.market_id)},"outstanding":{{{outstanding}}},'
+                f'"resolved":{quote_or_null(self.resolved)},'
+                f'"trade_count":{self.trade_count!r}}}')
 
 
 @dataclass(frozen=True)
@@ -158,6 +217,7 @@ def trade(
     elif token_cost < 0:
         ledger.credit(user_id, -token_cost, RESERVE)
     market.outstanding[outcome] += share_delta
+    market.written[(user_id, outcome)] = None
     new_holding = held + share_delta
     if new_holding == 0.0:
         market.holdings.pop((user_id, outcome), None)

@@ -133,8 +133,9 @@ class PeerSet:
 
 
 def state_hash(state: ProtocolState) -> str:
-    """SHA-256 of the state's canonical JSON; only entities written since the
-    last digest are encoded again (`ProtocolState.to_canonical_json`)."""
+    """SHA-256 of the state's canonical JSON.  Only the entities written since
+    the last digest write their fragments again, and a market only its
+    holdings traded since (`ProtocolState.to_canonical_json`)."""
     return hashlib.sha256(state.to_canonical_json().encode("utf-8")).hexdigest()
 
 

@@ -21,7 +21,6 @@ from scholarchain.games import (
     mixed_equilibrium,
     pure_equilibria,
     two_player_commons_game,
-    weakly_dominant_action,
 )
 
 C, D = Action.C, Action.D
@@ -254,19 +253,6 @@ class TestDominance:
 
     def test_all_zeros_nothing_dominates(self):
         assert dominant_action(zeros(), "row") is None
-        assert weakly_dominant_action(zeros(), "row") is None
-
-    def test_weak_dominance_flagged_separately(self):
-        g = PayoffMatrix2x2.from_cells(
-            {
-                (C, C): (1, 0),
-                (C, D): (0, 0),
-                (D, C): (1, 0),
-                (D, D): (1, 0),
-            }
-        )
-        assert dominant_action(g, "row") is None
-        assert weakly_dominant_action(g, "row") is D
 
     def test_unknown_player_rejected(self):
         with pytest.raises(ValueError):

@@ -106,29 +106,6 @@ class TestResolveEscrow:
             self.ledger.resolve_escrow("u1", 4, "split")
 
 
-class TestReputation:
-    def test_identity_over_balance(self):
-        ledger = TokenLedger(balances={"u1": 15})
-        assert ledger.reputation("u1") == (15, True)
-
-    def test_escrowed_tokens_still_count(self):
-        ledger = TokenLedger(balances={"u1": 10})
-        ledger.escrow("u1", 4)
-        # 6 liquid + 4 escrowed: the user still holds all ten.
-        assert ledger.reputation("u1").score == 10
-
-    def test_unknown_user_scores_zero_with_flag(self):
-        rep = TokenLedger().reputation("ghost")
-        assert rep.score == 0
-        assert rep.known is False
-
-    def test_monotone_in_holdings(self):
-        ledger = TokenLedger(balances={"u1": 5})
-        before = ledger.reputation("u1").score
-        ledger.credit("u1", 3)
-        assert ledger.reputation("u1").score >= before
-
-
 class TestApiSurface:
     def test_no_peer_to_peer_transfer_exists(self):
         # The only flows are user<->platform; a transfer op would break that.
@@ -136,7 +113,6 @@ class TestApiSurface:
         assert public == {
             "balance",
             "escrowed",
-            "reputation",
             "conservation_gap",
             "credit",
             "escrow",

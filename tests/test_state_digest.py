@@ -4,24 +4,30 @@
 test here first digests a state, so that each section keeps its fragments,
 then writes to entities, new or existing, and compares the digest with
 `full_state_hash`.  A write path that does not record its key leaves that
-key's fragment stale or missing, and the two digests part.
+key's fragment stale or missing, and the two digests part.  Each entity
+writes its own fragment (`to_canonical_json`), checked here against
+`canonical_json(to_canonical())` on generated values.
 """
 
 import collections
 
 import pytest
+from hypothesis import given, strategies as st
 
-from scholarchain import netchain
+from scholarchain import market, netchain
+from scholarchain.errors import LifecycleError
 from scholarchain.ledger import Account
 from scholarchain.lifecycle import (
     Article,
+    ArticleState,
     ContentMetadata,
     Dispute,
     ProtocolConfig,
     ProtocolState,
+    canonical_json,
     content_hash,
 )
-from scholarchain.market import Market
+from scholarchain.market import OUTCOMES, Market
 from scholarchain.netchain import (
     APPLIED,
     PLATFORM,
@@ -199,13 +205,13 @@ def test_dispute_replaced_at_a_taken_id():
 
 
 def count_encodes(monkeypatch) -> collections.Counter:
-    """Count each entity's `to_canonical` calls, by class name, from now on."""
+    """Count each entity's `to_canonical_json` calls, by class name, from now on."""
     calls = collections.Counter()
     for cls in (Account, Article, Dispute, Market):
-        def counted(self, encode=cls.to_canonical, name=cls.__name__):
+        def counted(self, encode=cls.to_canonical_json, name=cls.__name__):
             calls[name] += 1
             return encode(self)
-        monkeypatch.setattr(cls, "to_canonical", counted)
+        monkeypatch.setattr(cls, "to_canonical_json", counted)
     return calls
 
 
@@ -263,3 +269,124 @@ def test_one_credit_encodes_one_account(monkeypatch, tx, encoded):
     assert calls == encoded
     monkeypatch.undo()
     assert block.state_hash == full_state_hash(chain.tip)
+
+
+def buy(user: str, shares: float, outcome: str = "PUBLISH"):
+    return (TxKind.TRADE, {"article": REVIEWED, "outcome": outcome, "shares": shares}, user)
+
+
+def credit(user: str):
+    return (TxKind.CREDIT, {"user": user, "amount": 50}, PLATFORM)
+
+
+@pytest.mark.parametrize("block, txs", [
+    # "ab0:PUBLISH" sorts before "ab:PUBLISH", though ("ab", ...) < ("ab0", ...):
+    # the market's first fragments hold both, then each is written again.
+    ([credit("ab"), credit("ab0"), buy("ab", 1), buy("ab0", 1)],
+     [buy("ab", 2, "REVISE"), buy("ab0", -1), buy("ab0", 1, "REVISE"), buy("ab", 1)]),
+    # bo holds 2 PUBLISH shares from the opening block.
+    ([buy("cy", 1)], [buy("bo", -2), buy("bo", 1)]),
+    ([buy("cy", 1)], [
+        (TxKind.CONCLUDE_REVIEW, {
+            "article": REVIEWED, "votes": {"r1": "REVISE", "r2": "REVISE"}}, PLATFORM),
+        (TxKind.START_REVIEW, {"article": REVIEWED, "deposit": 10, "panel": PANEL}, "ada"),
+        buy("bo", 1), buy("cy", 2), buy("bo", -1)]),
+], ids=["string-order", "sold-to-zero", "resolved"])
+def test_market_holdings_splice_matches_the_oracle(block, txs):
+    # The block is the market's first write since the chain's first digest,
+    # so the market encodes every holding; each later transaction splices.
+    chain = warm_chain()
+    assert commit(chain, block).state_hash == full_state_hash(chain.tip)
+    commit_each(chain, txs)
+
+
+@pytest.mark.parametrize("holders", [10, 2000])
+def test_one_trade_encodes_one_holding(monkeypatch, holders):
+    # O(writes), not O(holdings): once a market keeps its holdings'
+    # fragments, a TRADE encodes again only the one holding it wrote.
+    chain = warm_chain()
+    users = [f"t{i:04d}" for i in range(holders)]
+    commit(chain, [credit(user) for user in users])
+    block = commit(chain, [buy(user, 1) for user in users])
+    assert all(r.status == APPLIED for r in block.txs)
+    calls = collections.Counter()
+
+    def counted(key, shares, encode=market._holding_fragment):
+        calls[key] += 1
+        return encode(key, shares)
+
+    monkeypatch.setattr(market, "_holding_fragment", counted)
+    block = commit(chain, writes([TxKind.TRADE]))
+    assert block.txs[0].status == APPLIED
+    assert calls == {"cy:PUBLISH": 1}
+    monkeypatch.undo()
+    assert block.state_hash == full_state_hash(chain.tip)
+    assert len(chain.tip.markets[f"{REVIEWED[:16]}:r1"].holdings) == holders + 2
+
+
+@pytest.mark.parametrize("operation", [
+    lambda state: state.submit_article(ContentMetadata("new", "", (("C", "cy"),)), 7),
+    lambda state: state.comment(ACTIVE, 7, "h"),
+    lambda state: state.comment(ACTIVE, "bo", None),
+    lambda state: state.claim_published_article("claimed-anew", None, "cy"),
+    lambda state: state.claim_published_article(CLAIMED, "", ["ada"]),
+], ids=["submitter", "commenter", "text-hash", "doi", "claimant"])
+def test_operations_refuse_ids_the_writers_cannot_encode(operation):
+    # The writers encode ids, hashes and DOIs as JSON strings only; the
+    # chain's payload schema already refuses anything else, and so does the
+    # operation called directly, leaving the state and its digest unchanged.
+    state = warm_chain().tip
+    before = state_hash(state)
+    with pytest.raises(LifecycleError, match="must be a string|must be strings"):
+        operation(state)
+    assert state_hash(state) == before == full_state_hash(state)
+
+
+# Values that the writers must encode as `json` does: every code point
+# (surrogates too), quotes, backslashes and control characters in strings;
+# floats at the edges of `repr`; integers up to the ledger's bound.
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é\U0001f600\ud800'),
+                         st.characters(exclude_categories=())))
+OPTIONAL_TEXT = st.none() | TEXT
+FLOATS = st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+INTS = st.integers(0, 2**256 - 1)
+HOLDERS = TEXT | st.sampled_from(["ab", "ab0", "ab:", ""])
+
+ACCOUNTS = st.builds(Account, INTS, INTS)
+ARTICLES = st.builds(
+    Article, TEXT, st.sampled_from(ArticleState), st.lists(TEXT), OPTIONAL_TEXT, INTS,
+    OPTIONAL_TEXT, st.lists(TEXT).map(tuple), OPTIONAL_TEXT,
+    st.lists(st.tuples(TEXT, INTS, TEXT)), INTS, INTS)
+DISPUTES = st.builds(Dispute, TEXT, TEXT, TEXT, INTS, OPTIONAL_TEXT)
+MARKETS = st.builds(
+    Market, TEXT, FLOATS, st.fixed_dictionaries({o: FLOATS for o in OUTCOMES}),
+    st.dictionaries(st.tuples(HOLDERS, st.sampled_from(OUTCOMES)), FLOATS),
+    st.none() | st.sampled_from(OUTCOMES), INTS)
+
+
+@given(ACCOUNTS | ARTICLES | DISPUTES | MARKETS)
+def test_each_writer_matches_the_oracle(entity):
+    assert entity.to_canonical_json() == canonical_json(entity.to_canonical())
+
+
+@given(TEXT, ACCOUNTS)
+def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
+    state = ProtocolState()
+    state.ledger.credit("someone", 1)
+    state.to_canonical_json()  # the first digest builds the sections
+    state.ledger.accounts[uid] = account
+    state.ledger.written[uid] = None
+    assert state.to_canonical_json() == canonical_json(state.to_canonical())
+
+
+@given(MARKETS, st.lists(st.tuples(HOLDERS, st.sampled_from(OUTCOMES), st.just(0.0) | FLOATS)))
+def test_a_market_splices_its_written_holdings(mkt, updates):
+    mkt.to_canonical_json()  # keeps every holding's fragment
+    for uid, outcome, shares in updates:
+        if shares == 0.0:  # as `market.trade` does
+            mkt.holdings.pop((uid, outcome), None)
+        else:
+            mkt.holdings[(uid, outcome)] = shares
+        mkt.written[(uid, outcome)] = None
+    assert mkt.to_canonical_json() == canonical_json(mkt.to_canonical())
