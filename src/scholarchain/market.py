@@ -7,7 +7,11 @@ The automated market maker quotes prices from the cost function
 
 so a trade moving the book from q to q' costs C(q') - C(q) regardless of
 how the book got to q, and the maker's worst-case loss at resolution is
-bounded by b * ln 2.
+bounded by b * ln 2.  Because C depends on the book alone, a market keeps
+C(q) of its book, keyed by the position it was computed for: a trade
+evaluates only C(q') and keeps it.  The kept value is what `lmsr_cost`
+returned, never a closed form, so costs are bit-identical to evaluating
+both sides afresh on every interpreter.
 
 The ledger deals in integer tokens, so real-valued costs are rounded in the
 house's favor: buys round up, sale proceeds and resolution payouts round
@@ -22,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import LedgerError, MarketError
 from .ledger import AMOUNT_BOUND, FORFEIT, RESERVE, TokenLedger
@@ -85,6 +89,11 @@ class Market:
         default=None, init=False, repr=False, compare=False)
     _holding_fragments: Optional[list[str]] = field(
         default=None, init=False, repr=False, compare=False)
+    # `lmsr_cost` of the book with the position it was computed for, b and
+    # the outstanding values, so that a direct write to `outstanding` finds
+    # the kept cost stale instead of using it (`_book_cost`).
+    _cost: tuple[tuple, float] = field(
+        default=((), 0.0), init=False, repr=False, compare=False)
 
     def holding(self, user_id: str, outcome: str) -> float:
         return self.holdings.get((user_id, outcome), 0.0)
@@ -130,8 +139,7 @@ class Market:
                 f'"trade_count":{self.trade_count!r}}}')
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     """Executed trade: positive share_delta buys, negative sells.
 
     `token_cost` is signed the same way: positive means the user paid.
@@ -179,6 +187,20 @@ def trade_cost(market: Market, outcome: str, share_delta: float) -> float:
     return lmsr_cost(after, market.b) - lmsr_cost(before, market.b)
 
 
+def _position(market: Market) -> tuple:
+    return (market.b, *market.outstanding.values())
+
+
+def _book_cost(market: Market) -> float:
+    """`lmsr_cost` of the market's book, evaluated again only if the book moved
+    since it was kept."""
+    position, cost = market._cost
+    if position != _position(market):
+        cost = lmsr_cost(market.outstanding, market.b)
+        market._cost = _position(market), cost
+    return cost
+
+
 def trade(
     market: Market,
     ledger: TokenLedger,
@@ -190,7 +212,8 @@ def trade(
 
     Token cost is ceil(real cost): rounding up what buyers pay and, for the
     negative costs of sales, rounding the payout down.  A buy costs at least
-    one token.
+    one token.  The cost of the book before the trade is the kept one, and
+    the market keeps the cost after it.
     """
     _require_open(market)
     _require_outcome(outcome)
@@ -203,7 +226,10 @@ def trade(
         )
     if held + share_delta >= AMOUNT_BOUND:  # so that every payout is an amount
         raise MarketError("a holding must stay below 2**256 shares")
-    token_cost = math.ceil(trade_cost(market, outcome, share_delta))
+    after = dict(market.outstanding)
+    after[outcome] += share_delta
+    cost_after = lmsr_cost(after, market.b)
+    token_cost = math.ceil(cost_after - _book_cost(market))
     if share_delta > 0:
         token_cost = max(token_cost, 1)  # a cost below float precision is still a buy
     if token_cost > 0:
@@ -217,6 +243,7 @@ def trade(
     elif token_cost < 0:
         ledger.credit(user_id, -token_cost, RESERVE)
     market.outstanding[outcome] += share_delta
+    market._cost = _position(market), cost_after
     market.written[(user_id, outcome)] = None
     new_holding = held + share_delta
     if new_holding == 0.0:

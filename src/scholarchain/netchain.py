@@ -32,6 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
 from .lifecycle import ContentMetadata, ProtocolState, canonical_json
+from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
 
@@ -61,8 +62,9 @@ class TxKind(str, Enum):
     CLAIM_ARTICLE = "CLAIM_ARTICLE"
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
+    """One submitted operation, as the pool and the block records hold it."""
+
     tx_id: int
     kind: TxKind
     payload: dict
@@ -134,16 +136,31 @@ class PeerSet:
 
 def state_hash(state: ProtocolState) -> str:
     """SHA-256 of the state's canonical JSON.  Only the entities written since
-    the last digest write their fragments again, and a market only its
-    holdings traded since (`ProtocolState.to_canonical_json`)."""
+    the last digest write their fragments again, a market only its holdings
+    traded since and an article only its comments added since
+    (`ProtocolState.to_canonical_json`)."""
     return hashlib.sha256(state.to_canonical_json().encode("utf-8")).hexdigest()
 
 
 def _seal(block: Block) -> str:
-    """SHA-256 of the block's canonical form without its own hash."""
-    content = block.to_canonical()
-    del content["blockHash"]
-    return hashlib.sha256(canonical_json(content).encode("utf-8")).hexdigest()
+    """SHA-256 of the block's canonical form without its own hash.
+
+    That form, `canonical_json` of `to_canonical()` less "blockHash", is
+    written directly: keys in the order `sort_keys` writes them, strings
+    through `quote` (a kind is a `str`), integers through `repr` and each
+    payload through `canonical_json`.  The gate and import admit only those
+    types, and the tests keep the encoded form as the oracle.
+    """
+    records = ",".join(
+        f'{{"error":{quote(error)},"kind":{quote(tx.kind)},'
+        f'"payload":{canonical_json(tx.payload)},"signature":{quote(tx.signature)},'
+        f'"status":{quote(status)},"submitter":{quote(tx.submitter)},'
+        f'"tx_id":{tx.tx_id!r}}}'
+        for tx, status, error in block.txs)
+    content = (f'{{"approvals":[{",".join(map(quote, block.approvals))}],'
+               f'"height":{block.height!r},"prevHash":{quote(block.prev_hash)},'
+               f'"stateHash":{quote(block.state_hash)},"txs":[{records}]}}')
+    return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +461,7 @@ def export_chain(blocks: Sequence[Block]) -> str:
     )
 
 
+_KINDS = {kind.value: kind for kind in TxKind}
 _TX_WIRE_KEYS = ["tx_id", "kind", "payload", "submitter", "signature",
                  "status", "error"]
 _BLOCK_WIRE_KEYS = ["height", "prevHash", "txs", "stateHash", "approvals",
@@ -457,13 +475,12 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         raise ChainError(f"unknown tx status {obj['status']!r}")
     if not isinstance(obj["error"], str):
         raise ChainError("tx error must be a string")
-    tx = Transaction(
-        tx_id=obj["tx_id"],
-        kind=TxKind(obj["kind"]),
-        payload=obj["payload"],
-        submitter=obj["submitter"],
-        signature=obj["signature"],
-    )
+    kind = obj["kind"]
+    try:
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
+        raise ValueError(f"{kind!r} is not a valid TxKind") from None
+    tx = Transaction(obj["tx_id"], kind, obj["payload"], obj["submitter"], obj["signature"])
     _check_tx_form(tx)
     return TxRecord(tx, obj["status"], obj["error"])
 

@@ -8,6 +8,9 @@ article state transition, and checks after each step that
 * the ledger conservation identity still holds exactly, and
 * the cached state digest equals `full_state_hash`, the whole state
   encoded again.
+
+It also holds the string and float strategies that the encoder
+properties share.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from hypothesis import strategies as st
 
 from scholarchain.errors import ProtocolError
 from scholarchain.ledger import FORFEIT, MINT, REFUND, RESERVE
@@ -28,6 +33,15 @@ from scholarchain.lifecycle import (
     canonical_json,
 )
 from scholarchain.netchain import state_hash
+
+# Values that the hand-written encoders (each entity's `to_canonical_json`,
+# the block seal) must write as `json` does: every code point (surrogates
+# too), quotes, backslashes and control characters in strings, and floats
+# at the edges of `repr`.
+TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é\U0001f600\ud800'),
+                         st.characters(exclude_categories=())))
+FLOATS = st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2]) | st.floats(
+    allow_nan=False, allow_infinity=False)
 
 USERS = ["ada", "bo", "cy", "dee"]
 PEERS = ["p1", "p2", "p3"]

@@ -5,7 +5,9 @@ import random
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scholarchain import market as market_mod
 from scholarchain.errors import LedgerError, MarketError
 from scholarchain.ledger import TokenLedger
 from scholarchain.market import (
@@ -267,3 +269,74 @@ class TestExports:
     def test_payout_csv_sorted(self):
         csv = payout_table_csv({"zed": 3, "amy": 5})
         assert csv == "user,tokens\namy,5\nzed,3\n"
+
+
+class TestKeptCost:
+    """A market keeps C(q) of its book; every trade must cost what evaluating
+    both sides afresh costs, bit for bit."""
+
+    @staticmethod
+    def reference(book, b, outcome, delta):
+        """The book after a trade and its token cost, both sides from scratch."""
+        after = dict(book)
+        after[outcome] += delta
+        cost = math.ceil(market_mod.lmsr_cost(after, b) - market_mod.lmsr_cost(book, b))
+        return after, max(cost, 1) if delta > 0 else cost
+
+    STEPS = st.lists(st.one_of(
+        st.tuples(st.just("buy"), st.sampled_from(("u1", "u2")), st.sampled_from(OUTCOMES),
+                  st.sampled_from((1e-300, 0.5, 1e4)) | st.floats(1e-6, 1e4)),
+        st.tuples(st.just("sell"), st.sampled_from(("u1", "u2")), st.sampled_from(OUTCOMES),
+                  st.sampled_from((1.0, 0.5)) | st.floats(0, 1)),  # 1.0: all held, to 0.0
+        st.tuples(st.just("write"), st.sampled_from(OUTCOMES), st.floats(-1e4, 1e4)),
+        st.tuples(st.just("resolve"), st.sampled_from(OUTCOMES)),
+    ), max_size=30)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((0.5, 20.0, 100.0, 1e6)), STEPS)
+    def test_trades_cost_what_a_fresh_evaluation_costs(self, b, steps):
+        ledger = TokenLedger(initial_reserve=10**30, balances={"u1": 10**30, "u2": 10**30})
+        m, book = open_market(b), {PUBLISH: 0.0, REVISE: 0.0}
+        for step in steps:
+            if step[0] == "write":  # a direct write the kept cost must notice
+                m.outstanding[step[1]] = book[step[1]] = step[2]
+                continue
+            if step[0] == "resolve":
+                resolve(m, ledger, step[1])
+                with pytest.raises(MarketError):
+                    trade(m, ledger, "u1", step[1], 1.0)
+                m, book = open_market(b, "successor"), {PUBLISH: 0.0, REVISE: 0.0}
+                continue
+            kind, uid, outcome, amount = step
+            held = m.holding(uid, outcome)
+            delta = amount if kind == "buy" else -held * amount
+            if delta == 0:
+                continue
+            book, cost = self.reference(book, b, outcome, delta)
+            executed = trade(m, ledger, uid, outcome, delta)
+            assert executed.token_cost == cost
+            assert m.outstanding == book
+            if kind == "sell" and amount == 1.0:
+                assert m.holding(uid, outcome) == 0.0
+                assert (uid, outcome) not in m.holdings
+
+    @pytest.mark.parametrize("before, evaluations", [
+        (lambda m: None, 2),
+        (lambda m: trade(m, funded_ledger(u2=100), "u2", REVISE, 3), 1),
+        (lambda m: (trade(m, funded_ledger(u2=100), "u2", REVISE, 3),
+                    m.outstanding.update({REVISE: 2.0})), 2),
+    ], ids=["fresh", "warm", "written-directly"])
+    def test_a_warm_trade_evaluates_the_cost_function_once(
+            self, monkeypatch, before, evaluations):
+        m, ledger = open_market(100), funded_ledger()
+        before(m)
+        calls = []
+
+        def counted(quantities, b, evaluate=market_mod.lmsr_cost):
+            calls.append(dict(quantities))
+            return evaluate(quantities, b)
+
+        monkeypatch.setattr(market_mod, "lmsr_cost", counted)
+        trade(m, ledger, "u1", PUBLISH, 10)
+        assert len(calls) == evaluations
+        assert calls[0] == m.outstanding  # the book after the trade

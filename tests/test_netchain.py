@@ -4,13 +4,15 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scholarchain import netchain
 from scholarchain.errors import ChainError, ProtocolError
-from scholarchain.lifecycle import ProtocolConfig, ProtocolState
+from scholarchain.lifecycle import ProtocolConfig, ProtocolState, canonical_json
 from scholarchain.netchain import (
     APPLIED,
     REJECTED,
+    Block,
     Chain,
     PeerSet,
     Transaction,
@@ -25,7 +27,7 @@ from scholarchain.netchain import (
     verify_chain,
     verify_export,
 )
-from protocol_fuzz import int_digit_limit
+from protocol_fuzz import FLOATS, TEXT, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 
@@ -810,3 +812,61 @@ class TestWireFormat:
         assert not result.ok
         assert result.first_bad_height == bad_height
         assert reason in result.reason
+
+    @pytest.mark.parametrize("kind, shown", [
+        ("ESCROW", "'ESCROW'"), (1, "1"), (None, "None"), ([1], "[1]"),
+        ({"kind": "CREDIT"}, "{'kind': 'CREDIT'}"),
+    ], ids=["unknown-string", "number", "null", "list", "object"])
+    def test_import_names_a_kind_that_is_not_one(self, kind, shown):
+        # A list or an object cannot be looked up in a table of kinds; import
+        # still reports it as the enum's own constructor did.
+        text = resealed_export(1, lambda obj: obj["txs"][1].update(kind=kind))
+        result = verify_export(text, genesis(), PEERS)
+        assert result == (False, None, f"line 2: malformed block: {shown} is not a valid TxKind")
+
+
+def sealed_by_the_oracle(block: Block) -> str:
+    """The seal as first defined: `canonical_json` of the block's canonical
+    form without its own hash."""
+    content = block.to_canonical()
+    del content["blockHash"]
+    return hashlib.sha256(canonical_json(content).encode("utf-8")).hexdigest()
+
+
+# Integers up to the gate's 640 digits; strings and floats as `protocol_fuzz`.
+INTS = st.sampled_from([10**640 - 1, -(10**640) + 1]) | st.integers(-(10**640) + 1, 10**640 - 1)
+
+
+def json_values(depth: int):
+    """JSON values of at most `depth` nested containers."""
+    leaves = st.none() | st.booleans() | INTS | FLOATS | TEXT
+    if depth == 0:
+        return leaves
+    inner = json_values(depth - 1)
+    return leaves | st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3)
+
+
+def nested(value, depth: int) -> dict:
+    """A payload of exactly `depth` containers, lists and objects by turns."""
+    for level in range(depth - 1):
+        value = [value] if level % 2 else {"": value}
+    return {"nested": value}
+
+
+PAYLOADS = (st.dictionaries(TEXT, json_values(3), max_size=4)
+            | st.builds(nested, json_values(0), st.integers(1, netchain._MAX_DEPTH)))
+RECORDS = st.builds(
+    TxRecord,
+    st.builds(Transaction, st.integers(0, 10**640 - 1), st.sampled_from(TxKind), PAYLOADS,
+              TEXT.filter(bool), TEXT),
+    st.sampled_from([APPLIED, REJECTED]), TEXT)
+BLOCKS = st.builds(
+    Block, st.integers(0, 10**6), TEXT, st.lists(RECORDS, max_size=4).map(tuple), TEXT,
+    st.lists(TEXT, max_size=4).map(tuple), st.just(""))
+
+
+@given(BLOCKS)
+def test_the_seal_is_written_as_canonical_json_encodes_it(block):
+    for record in block.txs:
+        netchain._check_tx_form(record.tx)  # the gate admits what was generated
+    assert netchain._seal(block) == sealed_by_the_oracle(block)

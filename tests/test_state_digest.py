@@ -14,7 +14,7 @@ import collections
 import pytest
 from hypothesis import given, strategies as st
 
-from scholarchain import market, netchain
+from scholarchain import lifecycle, market, netchain
 from scholarchain.errors import LifecycleError
 from scholarchain.ledger import Account
 from scholarchain.lifecycle import (
@@ -42,7 +42,7 @@ from scholarchain.netchain import (
     submit_tx,
     verify_chain,
 )
-from protocol_fuzz import full_state_hash
+from protocol_fuzz import FLOATS, TEXT, full_state_hash
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 PANEL = ["r1", "r2", "r3"]
@@ -324,6 +324,29 @@ def test_one_trade_encodes_one_holding(monkeypatch, holders):
     assert len(chain.tip.markets[f"{REVIEWED[:16]}:r1"].holdings) == holders + 2
 
 
+@pytest.mark.parametrize("comments", [10, 1000])
+def test_one_comment_encodes_one_comment(monkeypatch, comments):
+    # O(writes), not O(comments): once an article keeps its comments' text,
+    # a COMMENT encodes only the comment it appended.
+    chain = warm_chain()
+    comment = (TxKind.COMMENT, {"article": ACTIVE, "text_hash": "h"}, "bo")
+    commit(chain, [comment] * comments)
+    encoded = []
+
+    def counted(entry, encode=lifecycle._comment_json):
+        encoded.append(entry)
+        return encode(entry)
+
+    monkeypatch.setattr(lifecycle, "_comment_json", counted)
+    block = commit(chain, [comment])
+    assert block.txs[0].status == APPLIED
+    article = chain.tip.articles[ACTIVE]
+    assert len(article.comments) == comments + 1
+    assert encoded == article.comments[-1:]
+    monkeypatch.undo()
+    assert block.state_hash == full_state_hash(chain.tip)
+
+
 @pytest.mark.parametrize("operation", [
     lambda state: state.submit_article(ContentMetadata("new", "", (("C", "cy"),)), 7),
     lambda state: state.comment(ACTIVE, 7, "h"),
@@ -342,14 +365,8 @@ def test_operations_refuse_ids_the_writers_cannot_encode(operation):
     assert state_hash(state) == before == full_state_hash(state)
 
 
-# Values that the writers must encode as `json` does: every code point
-# (surrogates too), quotes, backslashes and control characters in strings;
-# floats at the edges of `repr`; integers up to the ledger's bound.
-TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é\U0001f600\ud800'),
-                         st.characters(exclude_categories=())))
+# Integers up to the ledger's bound; strings and floats as `protocol_fuzz`.
 OPTIONAL_TEXT = st.none() | TEXT
-FLOATS = st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2]) | st.floats(
-    allow_nan=False, allow_infinity=False)
 INTS = st.integers(0, 2**256 - 1)
 HOLDERS = TEXT | st.sampled_from(["ab", "ab0", "ab:", ""])
 
@@ -378,6 +395,14 @@ def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
     state.ledger.accounts[uid] = account
     state.ledger.written[uid] = None
     assert state.to_canonical_json() == canonical_json(state.to_canonical())
+
+
+@given(ARTICLES, st.lists(st.lists(st.tuples(TEXT, INTS, TEXT), max_size=3), max_size=4))
+def test_an_article_appends_its_new_comments(article, appended):
+    article.to_canonical_json()  # keeps the comments' text
+    for comments in appended:  # a digest after each batch, the first maybe empty
+        article.comments.extend(comments)
+        assert article.to_canonical_json() == canonical_json(article.to_canonical())
 
 
 @given(MARKETS, st.lists(st.tuples(HOLDERS, st.sampled_from(OUTCOMES), st.just(0.0) | FLOATS)))
