@@ -113,11 +113,6 @@ class Article:
     comments: list[tuple[str, int, str]] = field(default_factory=list)
     review_round: int = 0
     dispute_seq: int = 0
-    # The comments' fragments comma-joined, and how many comments that text
-    # covers: comments are only ever appended, so a digest encodes only the
-    # comments added since the last one.
-    _comments_json: str = field(default="", init=False, repr=False, compare=False)
-    _comments_covered: int = field(default=0, init=False, repr=False, compare=False)
 
     def to_canonical(self) -> dict:
         return {
@@ -135,16 +130,12 @@ class Article:
         }
 
     def to_canonical_json(self) -> str:
-        """`canonical_json(self.to_canonical())`, written directly, with the
-        kept comments' text and the comments appended since."""
-        covered = self._comments_covered
-        if covered < len(self.comments):
-            added = ",".join(map(_comment_json, self.comments[covered:]))
-            self._comments_json = f"{self._comments_json},{added}" if covered else added
-            self._comments_covered = len(self.comments)
+        """`canonical_json(self.to_canonical())`, written directly."""
+        comments = ",".join(f"[{quote(user)},{tick!r},{quote(text)}]"
+                            for user, tick, text in self.comments)
         return (f'{{"article_hash":{quote(self.article_hash)},'
                 f'"author_deposit":{self.author_deposit!r},'
-                f'"comments":[{self._comments_json}],'
+                f'"comments":[{comments}],'
                 f'"depositor":{quote_or_null(self.depositor)},'
                 f'"dispute_seq":{self.dispute_seq!r},'
                 f'"doi":{quote_or_null(self.doi)},'
@@ -153,11 +144,6 @@ class Article:
                 f'"review_panel":[{",".join(map(quote, self.review_panel))}],'
                 f'"review_round":{self.review_round!r},'
                 f'"state":{quote(self.state.value)}}}')
-
-
-def _comment_json(comment: tuple[str, int, str]) -> str:
-    user, tick, text = comment
-    return f"[{quote(user)},{tick!r},{quote(text)}]"
 
 
 @dataclass
@@ -558,8 +544,7 @@ class ProtocolState:
         digest encodes again only the keys written since the last one, each
         with its entity's own `to_canonical_json`, and joins again only the
         sections that have some.  A market in turn encodes again only the
-        holdings traded since, and an article only the comments added
-        since.  A state's first call builds every section
+        holdings traded since.  A state's first call builds every section
         from one `to_canonical()`.
         """
         led = self.ledger

@@ -136,9 +136,8 @@ class PeerSet:
 
 def state_hash(state: ProtocolState) -> str:
     """SHA-256 of the state's canonical JSON.  Only the entities written since
-    the last digest write their fragments again, a market only its holdings
-    traded since and an article only its comments added since
-    (`ProtocolState.to_canonical_json`)."""
+    the last digest write their fragments again, and a market only its
+    holdings traded since (`ProtocolState.to_canonical_json`)."""
     return hashlib.sha256(state.to_canonical_json().encode("utf-8")).hexdigest()
 
 
@@ -461,7 +460,6 @@ def export_chain(blocks: Sequence[Block]) -> str:
     )
 
 
-_KINDS = {kind.value: kind for kind in TxKind}
 _TX_WIRE_KEYS = ["tx_id", "kind", "payload", "submitter", "signature",
                  "status", "error"]
 _BLOCK_WIRE_KEYS = ["height", "prevHash", "txs", "stateHash", "approvals",
@@ -475,12 +473,13 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         raise ChainError(f"unknown tx status {obj['status']!r}")
     if not isinstance(obj["error"], str):
         raise ChainError("tx error must be a string")
-    kind = obj["kind"]
-    try:
-        kind = _KINDS[kind]
-    except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
-        raise ValueError(f"{kind!r} is not a valid TxKind") from None
-    tx = Transaction(obj["tx_id"], kind, obj["payload"], obj["submitter"], obj["signature"])
+    tx = Transaction(
+        tx_id=obj["tx_id"],
+        kind=TxKind(obj["kind"]),
+        payload=obj["payload"],
+        submitter=obj["submitter"],
+        signature=obj["signature"],
+    )
     _check_tx_form(tx)
     return TxRecord(tx, obj["status"], obj["error"])
 

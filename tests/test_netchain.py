@@ -813,17 +813,6 @@ class TestWireFormat:
         assert result.first_bad_height == bad_height
         assert reason in result.reason
 
-    @pytest.mark.parametrize("kind, shown", [
-        ("ESCROW", "'ESCROW'"), (1, "1"), (None, "None"), ([1], "[1]"),
-        ({"kind": "CREDIT"}, "{'kind': 'CREDIT'}"),
-    ], ids=["unknown-string", "number", "null", "list", "object"])
-    def test_import_names_a_kind_that_is_not_one(self, kind, shown):
-        # A list or an object cannot be looked up in a table of kinds; import
-        # still reports it as the enum's own constructor did.
-        text = resealed_export(1, lambda obj: obj["txs"][1].update(kind=kind))
-        result = verify_export(text, genesis(), PEERS)
-        assert result == (False, None, f"line 2: malformed block: {shown} is not a valid TxKind")
-
 
 def sealed_by_the_oracle(block: Block) -> str:
     """The seal as first defined: `canonical_json` of the block's canonical

@@ -14,7 +14,7 @@ import collections
 import pytest
 from hypothesis import given, strategies as st
 
-from scholarchain import lifecycle, market, netchain
+from scholarchain import market, netchain
 from scholarchain.errors import LifecycleError
 from scholarchain.ledger import Account
 from scholarchain.lifecycle import (
@@ -324,29 +324,6 @@ def test_one_trade_encodes_one_holding(monkeypatch, holders):
     assert len(chain.tip.markets[f"{REVIEWED[:16]}:r1"].holdings) == holders + 2
 
 
-@pytest.mark.parametrize("comments", [10, 1000])
-def test_one_comment_encodes_one_comment(monkeypatch, comments):
-    # O(writes), not O(comments): once an article keeps its comments' text,
-    # a COMMENT encodes only the comment it appended.
-    chain = warm_chain()
-    comment = (TxKind.COMMENT, {"article": ACTIVE, "text_hash": "h"}, "bo")
-    commit(chain, [comment] * comments)
-    encoded = []
-
-    def counted(entry, encode=lifecycle._comment_json):
-        encoded.append(entry)
-        return encode(entry)
-
-    monkeypatch.setattr(lifecycle, "_comment_json", counted)
-    block = commit(chain, [comment])
-    assert block.txs[0].status == APPLIED
-    article = chain.tip.articles[ACTIVE]
-    assert len(article.comments) == comments + 1
-    assert encoded == article.comments[-1:]
-    monkeypatch.undo()
-    assert block.state_hash == full_state_hash(chain.tip)
-
-
 @pytest.mark.parametrize("operation", [
     lambda state: state.submit_article(ContentMetadata("new", "", (("C", "cy"),)), 7),
     lambda state: state.comment(ACTIVE, 7, "h"),
@@ -395,14 +372,6 @@ def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
     state.ledger.accounts[uid] = account
     state.ledger.written[uid] = None
     assert state.to_canonical_json() == canonical_json(state.to_canonical())
-
-
-@given(ARTICLES, st.lists(st.lists(st.tuples(TEXT, INTS, TEXT), max_size=3), max_size=4))
-def test_an_article_appends_its_new_comments(article, appended):
-    article.to_canonical_json()  # keeps the comments' text
-    for comments in appended:  # a digest after each batch, the first maybe empty
-        article.comments.extend(comments)
-        assert article.to_canonical_json() == canonical_json(article.to_canonical())
 
 
 @given(MARKETS, st.lists(st.tuples(HOLDERS, st.sampled_from(OUTCOMES), st.just(0.0) | FLOATS)))
