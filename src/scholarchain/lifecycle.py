@@ -39,12 +39,27 @@ UPHOLD = "uphold"
 
 _FIELD_SEP = "\x1f"
 
+
+def compact_encoder(sort_keys: bool, allow_nan: bool):
+    """`json.dumps` with compact separators and these two settings, from one
+    C encoder built here; `json.dumps` and `JSONEncoder.encode` build a new
+    one, and a circular-reference dict, on every call.
+
+    The encoder keeps no such dict: one reused across calls would keep the
+    entries of an encode that raised, and report a later encode of the same
+    list as circular.  Nothing the program encodes can be cyclic: the gate
+    bounds a payload at 16 containers, and every state form is built fresh.
+    A value `json` cannot encode raises `json`'s own TypeError.
+    """
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, quote, None, ":", ",",
+        sort_keys, False, allow_nan)
+    return lambda value: "".join(encode(value, 0))
+
+
 # The one canonical byte form: sorted keys, no spaces, and no NaN or
-# infinity (RFC 8259).  One shared encoder, because `json.dumps` with these
-# arguments builds a new one on every call.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-).encode
+# infinity (RFC 8259).
+canonical_json = compact_encoder(sort_keys=True, allow_nan=False)
 
 
 class ArticleState(str, Enum):

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .lifecycle import ContentMetadata, ProtocolState, canonical_json
+from .lifecycle import ContentMetadata, ProtocolState, canonical_json, compact_encoder
 from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
@@ -79,19 +79,6 @@ class TxRecord(NamedTuple):
     status: str
     error: str = ""
 
-    def to_canonical(self) -> dict:
-        # Keys in wire order, `_TX_WIRE_KEYS`, which import requires.
-        tx = self.tx
-        return {
-            "tx_id": tx.tx_id,
-            "kind": tx.kind.value,
-            "payload": tx.payload,
-            "submitter": tx.submitter,
-            "signature": tx.signature,
-            "status": self.status,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class Block:
@@ -101,17 +88,6 @@ class Block:
     state_hash: str
     approvals: tuple[str, ...]
     block_hash: str
-
-    def to_canonical(self) -> dict:
-        # Field order is the wire format; block_hash seals all the rest.
-        return {
-            "height": self.height,
-            "prevHash": self.prev_hash,
-            "txs": [t.to_canonical() for t in self.txs],
-            "stateHash": self.state_hash,
-            "approvals": list(self.approvals),
-            "blockHash": self.block_hash,
-        }
 
 
 @dataclass(frozen=True)
@@ -142,13 +118,13 @@ def state_hash(state: ProtocolState) -> str:
 
 
 def _seal(block: Block) -> str:
-    """SHA-256 of the block's canonical form without its own hash.
+    """SHA-256 of the block's canonical JSON without its own hash.
 
-    That form, `canonical_json` of `to_canonical()` less "blockHash", is
-    written directly: keys in the order `sort_keys` writes them, strings
-    through `quote` (a kind is a `str`), integers through `repr` and each
-    payload through `canonical_json`.  The gate and import admit only those
-    types, and the tests keep the encoded form as the oracle.
+    That form is written directly: keys in the order `sort_keys` writes
+    them, strings through `quote` (a kind is a `str`), integers through
+    `repr` and each payload through the reused `canonical_json` encoder.
+    The gate and import admit only those types, and the tests keep
+    `json.dumps` of the block's fields as the oracle.
     """
     records = ",".join(
         f'{{"error":{quote(error)},"kind":{quote(tx.kind)},'
@@ -453,17 +429,38 @@ def verify_chain(
 # Wire format
 # ---------------------------------------------------------------------------
 
-def export_chain(blocks: Sequence[Block]) -> str:
-    """One block per line, fields in fixed order, compact separators."""
-    return "".join(
-        json.dumps(b.to_canonical(), separators=(",", ":")) + "\n" for b in blocks
-    )
-
-
 _TX_WIRE_KEYS = ["tx_id", "kind", "payload", "submitter", "signature",
                  "status", "error"]
 _BLOCK_WIRE_KEYS = ["height", "prevHash", "txs", "stateHash", "approvals",
                     "blockHash"]
+
+# A payload as `json.dumps(payload, separators=(",", ":"))` writes it: its own
+# key order, and `json.dumps`'s other defaults.
+_wire_json = compact_encoder(sort_keys=False, allow_nan=True)
+
+
+def export_chain(blocks: Sequence[Block]) -> str:
+    """One block per line: its fields in wire order (`_BLOCK_WIRE_KEYS`, and
+    `_TX_WIRE_KEYS` in each record) with compact separators.
+
+    Each line is what `json.dumps` writes for that object, written directly
+    as `_seal` writes the sealed form: strings through `quote`, integers
+    through `repr` and each payload through `_wire_json`.
+    """
+    lines = []
+    for b in blocks:
+        records = ",".join(
+            f'{{"tx_id":{tx.tx_id!r},"kind":{quote(tx.kind)},'
+            f'"payload":{_wire_json(tx.payload)},"submitter":{quote(tx.submitter)},'
+            f'"signature":{quote(tx.signature)},"status":{quote(status)},'
+            f'"error":{quote(error)}}}'
+            for tx, status, error in b.txs)
+        lines.append(
+            f'{{"height":{b.height!r},"prevHash":{quote(b.prev_hash)},"txs":[{records}],'
+            f'"stateHash":{quote(b.state_hash)},'
+            f'"approvals":[{",".join(map(quote, b.approvals))}],'
+            f'"blockHash":{quote(b.block_hash)}}}\n')
+    return "".join(lines)
 
 
 def _tx_record_from_obj(obj: dict) -> TxRecord:

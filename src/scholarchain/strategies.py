@@ -418,10 +418,14 @@ def run_population(
         coop_rates.append(n_coop / len(played))
 
     delta = config.delta
-    discounted = {
-        p: (1 - delta) * sum(float(u) * delta**k for k, u in per_round)
-        for p, per_round in stage_payoffs.items()
-    }
+    discounted = {}
+    for p, per_round in stage_payoffs.items():
+        # Added left to right: `sum` of floats compensates its rounding from
+        # Python 3.12 on, which changes the last digit of some payoffs.
+        total = 0.0
+        for k, u in per_round:
+            total += float(u) * delta**k
+        discounted[p] = (1 - delta) * total
     return PopulationReport(
         seed=config.rng_seed,
         delta=config.delta,

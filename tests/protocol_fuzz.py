@@ -16,6 +16,7 @@ properties share.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from contextlib import contextmanager
@@ -30,7 +31,6 @@ from scholarchain.lifecycle import (
     ContentMetadata,
     ProtocolConfig,
     ProtocolState,
-    canonical_json,
 )
 from scholarchain.netchain import state_hash
 
@@ -69,9 +69,15 @@ class WalkResult:
     ops_rejected: int = 0
 
 
+def canonical_dumps(value) -> str:
+    """The canonical byte form as `json.dumps` writes it: the oracle for
+    `canonical_json` and for every encoder written by hand."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def full_state_hash(state: ProtocolState) -> str:
     """The digest oracle: SHA-256 of the whole state encoded again, no cache."""
-    encoded = canonical_json(state.to_canonical()).encode("utf-8")
+    encoded = canonical_dumps(state.to_canonical()).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
 

@@ -8,7 +8,7 @@ under the lowest int<->str limit CPython allows, 640 digits.  Payload leaves
 include integers of around 640 digits and values that are not JSON.
 Submission refuses exactly the transactions with a non-string signature, a
 payload nested more than 16 containers deep, or a payload that
-`canonical_json` cannot encode under that limit.  After every block nothing
+`json.dumps` cannot encode canonically under that limit.  After every block nothing
 has raised, the block's cached state digest equals the whole state encoded
 again, the exported chain verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
@@ -32,7 +32,6 @@ from scholarchain.lifecycle import (
     ContentMetadata,
     ProtocolConfig,
     ProtocolState,
-    canonical_json,
     content_hash,
 )
 from scholarchain.netchain import (
@@ -52,7 +51,7 @@ from scholarchain.netchain import (
     submit_tx,
     verify_export,
 )
-from protocol_fuzz import LEGAL_TRANSITIONS, full_state_hash, int_digit_limit
+from protocol_fuzz import LEGAL_TRANSITIONS, canonical_dumps, full_state_hash, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 USERS = ("ada", "bo", "cy", PLATFORM)
@@ -183,10 +182,11 @@ def depth(value) -> int:
 
 
 def writable(payload) -> bool:
-    """The oracle: `canonical_json` encodes the payload under the lowest limit."""
+    """The oracle: `json.dumps`, with the canonical arguments, encodes the
+    payload under the lowest limit."""
     with int_digit_limit(640):
         try:
-            canonical_json(payload)
+            canonical_dumps(payload)
         except (TypeError, ValueError):
             return False
     return True

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +28,7 @@ from scholarchain.netchain import (
     verify_chain,
     verify_export,
 )
-from protocol_fuzz import FLOATS, TEXT, int_digit_limit
+from protocol_fuzz import FLOATS, TEXT, canonical_dumps, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 
@@ -739,8 +740,9 @@ class TestWireFormat:
 
     def test_tx_record_writes_the_wire_keys_in_order(self):
         # Import requires exactly these keys in this order.
-        record = TxRecord(credit_tx(1, "ada"), APPLIED)
-        assert list(record.to_canonical()) == netchain._TX_WIRE_KEYS
+        block = Block(0, "", (TxRecord(credit_tx(1, "ada"), APPLIED),), "", (), "")
+        [record] = json.loads(export_chain([block]))["txs"]
+        assert list(record) == netchain._TX_WIRE_KEYS
 
     def test_malformed_line_raises(self):
         with pytest.raises(ChainError):
@@ -814,12 +816,27 @@ class TestWireFormat:
         assert reason in result.reason
 
 
+def wire_dict(block: Block) -> dict:
+    """The block as one object, fields in wire order."""
+    return {
+        "height": block.height,
+        "prevHash": block.prev_hash,
+        "txs": [{"tx_id": tx.tx_id, "kind": tx.kind.value, "payload": tx.payload,
+                 "submitter": tx.submitter, "signature": tx.signature,
+                 "status": status, "error": error}
+                for tx, status, error in block.txs],
+        "stateHash": block.state_hash,
+        "approvals": list(block.approvals),
+        "blockHash": block.block_hash,
+    }
+
+
 def sealed_by_the_oracle(block: Block) -> str:
-    """The seal as first defined: `canonical_json` of the block's canonical
-    form without its own hash."""
-    content = block.to_canonical()
+    """The seal as first defined: SHA-256 of the block's canonical JSON
+    without its own hash."""
+    content = wire_dict(block)
     del content["blockHash"]
-    return hashlib.sha256(canonical_json(content).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_dumps(content).encode("utf-8")).hexdigest()
 
 
 # Integers up to the gate's 640 digits; strings and floats as `protocol_fuzz`.
@@ -859,3 +876,42 @@ def test_the_seal_is_written_as_canonical_json_encodes_it(block):
     for record in block.txs:
         netchain._check_tx_form(record.tx)  # the gate admits what was generated
     assert netchain._seal(block) == sealed_by_the_oracle(block)
+
+
+@given(BLOCKS)
+def test_a_block_is_exported_as_json_dumps_writes_it(block):
+    text = export_chain([block])
+    assert text == json.dumps(wire_dict(block), separators=(",", ":")) + "\n"
+    assert import_chain(text) == [block]
+
+
+ENCODABLE = (json_values(3)
+             | st.lists(json_values(2) | st.sampled_from(TxKind), max_size=3).map(tuple)
+             | st.sampled_from(TxKind) | st.sampled_from([-0.0, 5e-324, 1e16]))
+
+
+@given(ENCODABLE)
+def test_canonical_json_writes_what_json_dumps_writes(value):
+    assert canonical_json(value) == canonical_dumps(value)
+
+
+@pytest.mark.parametrize("value, error", [
+    (float("nan"), ValueError), (float("inf"), ValueError), (float("-inf"), ValueError),
+    ({1}, TypeError), (b"x", TypeError), ([0, {"k": b"x"}], TypeError), (10**640, ValueError),
+], ids=["nan", "inf", "-inf", "set", "bytes", "nested-bytes", "641-digit-int"])
+def test_canonical_json_raises_what_json_dumps_raises(value, error):
+    with int_digit_limit(640):
+        with pytest.raises(error) as expected:
+            canonical_dumps(value)
+        with pytest.raises(error, match=re.escape(str(expected.value))):
+            canonical_json(value)
+
+
+def test_a_failed_encode_leaves_nothing_behind():
+    # An encoder that kept a circular-reference dict across calls would still
+    # hold `value` from the encode that raised, and refuse it as circular.
+    value = [1, {2}]
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        canonical_json(value)
+    value.pop()
+    assert canonical_json(value) == "[1]"

@@ -6,7 +6,8 @@ then writes to entities, new or existing, and compares the digest with
 `full_state_hash`.  A write path that does not record its key leaves that
 key's fragment stale or missing, and the two digests part.  Each entity
 writes its own fragment (`to_canonical_json`), checked here against
-`canonical_json(to_canonical())` on generated values.
+`json.dumps` of `to_canonical()`, with the canonical arguments, on generated
+values.
 """
 
 import collections
@@ -24,7 +25,6 @@ from scholarchain.lifecycle import (
     Dispute,
     ProtocolConfig,
     ProtocolState,
-    canonical_json,
     content_hash,
 )
 from scholarchain.market import OUTCOMES, Market
@@ -42,7 +42,7 @@ from scholarchain.netchain import (
     submit_tx,
     verify_chain,
 )
-from protocol_fuzz import FLOATS, TEXT, full_state_hash
+from protocol_fuzz import FLOATS, TEXT, canonical_dumps, full_state_hash
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 PANEL = ["r1", "r2", "r3"]
@@ -361,7 +361,7 @@ MARKETS = st.builds(
 
 @given(ACCOUNTS | ARTICLES | DISPUTES | MARKETS)
 def test_each_writer_matches_the_oracle(entity):
-    assert entity.to_canonical_json() == canonical_json(entity.to_canonical())
+    assert entity.to_canonical_json() == canonical_dumps(entity.to_canonical())
 
 
 @given(TEXT, ACCOUNTS)
@@ -371,7 +371,7 @@ def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
     state.to_canonical_json()  # the first digest builds the sections
     state.ledger.accounts[uid] = account
     state.ledger.written[uid] = None
-    assert state.to_canonical_json() == canonical_json(state.to_canonical())
+    assert state.to_canonical_json() == canonical_dumps(state.to_canonical())
 
 
 @given(MARKETS, st.lists(st.tuples(HOLDERS, st.sampled_from(OUTCOMES), st.just(0.0) | FLOATS)))
@@ -383,4 +383,4 @@ def test_a_market_splices_its_written_holdings(mkt, updates):
         else:
             mkt.holdings[(uid, outcome)] = shares
         mkt.written[(uid, outcome)] = None
-    assert mkt.to_canonical_json() == canonical_json(mkt.to_canonical())
+    assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
