@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Optional
 # Only the renderers that use it import the game-theory layer.
 from . import market as market_mod
 from . import netchain
-from .errors import LifecycleError, ProtocolError
+from .errors import LedgerError, LifecycleError, ProtocolError
 from .ledger import TokenLedger
 from .lifecycle import ProtocolConfig, ProtocolState
 from .netchain import (
@@ -191,10 +191,9 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     """
     users = _require(scenario, "users", "protocol-run")
     peers = tuple(_require(scenario, "peers", "protocol-run"))
-    config_spec = dict(scenario.get("config", {}))
-    config_spec["peers"] = peers
     try:
-        config = ProtocolConfig(**config_spec)
+        config = ProtocolConfig.from_canonical(
+            {**scenario.get("config", {}), "peers": peers})
     except (TypeError, LifecycleError) as exc:
         raise ScenarioError(f"field 'config': {exc}") from exc
     article_spec = _require(scenario, "article", "protocol-run")
@@ -325,10 +324,11 @@ def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
     traders = _require(scenario, "traders", "market-demo")
     trades = _require(scenario, "trades", "market-demo")
     outcome = _require(scenario, "resolve", "market-demo")
-    ledger = TokenLedger(
-        initial_reserve=int(scenario.get("initial_reserve", 200)),
-        balances=dict(traders),
-    )
+    try:
+        ledger = TokenLedger(initial_reserve=scenario.get("initial_reserve", 200),
+                             balances=dict(traders))
+    except LedgerError as exc:
+        raise ScenarioError(f"field 'initial_reserve' or 'traders': {exc}") from exc
     market = market_mod.open_market(b, market_id=scenario.get("output", "market"))
     executed = []
     for t in trades:
@@ -458,7 +458,7 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
-        config = ProtocolConfig(**descriptor["config"])
+        config = ProtocolConfig.from_canonical(descriptor["config"])
         peer_set = PeerSet(config.peers) if config.peers else None
     except (OSError, ValueError, LookupError, TypeError, RecursionError,
             ProtocolError) as exc:

@@ -365,14 +365,3 @@ def game_from_json(obj: Mapping) -> PayoffMatrix2x2:
     if kind == "matrix":
         return PayoffMatrix2x2(tuple(obj["cells"][name] for name in _CELL_NAMES))
     raise ValueError(f"unknown game type {kind!r}")
-
-
-def game_to_json(game: PayoffMatrix2x2) -> dict:
-    """Serialize a game as an explicit-matrix scenario object."""
-    return {
-        "type": "matrix",
-        "cells": {
-            name: [str(r), str(c)]
-            for name, (r, c) in zip(_CELL_NAMES, game.cells)
-        },
-    }

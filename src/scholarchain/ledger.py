@@ -7,7 +7,7 @@ There is deliberately no peer-to-peer transfer.
 
 The conservation identity
 
-    sum(balances) + sum(escrowed) + reserve == initial supply + minted - burned
+    sum(balances) + sum(escrowed) + reserve == initial supply + minted
 
 holds after every operation; operations validate first and mutate after,
 so a rejected call leaves the ledger untouched.
@@ -43,6 +43,11 @@ class Account:
         return f'{{"balance":{self.balance!r},"escrowed":{self.escrowed!r}}}'
 
 
+def _check_opening_amount(amount, what: str) -> None:
+    if type(amount) is not int or not 0 <= amount < AMOUNT_BOUND:
+        raise LedgerError(f"{what} must be an integer in [0, 2**256), got {amount!r}")
+
+
 def _positive_amount(amount) -> int:
     if isinstance(amount, bool) or not isinstance(amount, int) or amount <= 0:
         raise LedgerError(f"amount must be a positive integer, got {amount!r}")
@@ -59,8 +64,7 @@ class TokenLedger:
         initial_reserve: int = 0,
         balances: Optional[Mapping[str, int]] = None,
     ):
-        if initial_reserve < 0:
-            raise LedgerError("initial reserve cannot be negative")
+        _check_opening_amount(initial_reserve, "initial reserve")
         self.accounts: dict[str, Account] = {}
         # Ids of the accounts written since the state's last digest, which
         # encodes each again with `Account.to_canonical_json` into its sorted
@@ -71,10 +75,8 @@ class TokenLedger:
         self.written: dict[str, None] = {}
         self.platform_reserve = initial_reserve
         self.minted_total = 0
-        self.burned_total = 0
         for user_id, amount in (balances or {}).items():
-            if amount < 0:
-                raise LedgerError(f"negative opening balance for {user_id!r}")
+            _check_opening_amount(amount, f"opening balance of {user_id!r}")
             self.accounts[user_id] = Account(balance=amount)
         self.initial_supply = initial_reserve + sum(
             a.balance for a in self.accounts.values()
@@ -93,13 +95,7 @@ class TokenLedger:
     def conservation_gap(self) -> int:
         """Zero when the conservation identity holds."""
         held = sum(a.balance + a.escrowed for a in self.accounts.values())
-        return (
-            held
-            + self.platform_reserve
-            - self.initial_supply
-            - self.minted_total
-            + self.burned_total
-        )
+        return held + self.platform_reserve - self.initial_supply - self.minted_total
 
     # -- mutations (validate first, then apply) ------------------------------
 
@@ -161,7 +157,7 @@ class TokenLedger:
             },
             "platform_reserve": self.platform_reserve,
             "minted_total": self.minted_total,
-            "burned_total": self.burned_total,
+            "burned_total": 0,  # no operation burns; the key keeps the form's bytes
             "initial_supply": self.initial_supply,
         }
 

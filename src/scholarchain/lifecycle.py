@@ -189,33 +189,31 @@ class Dispute:
                 f'"stake":{self.stake!r}}}')
 
 
+#: The paper's incentive rules, fixed on every chain: a review deposit must
+#: exceed 5 tokens, publication mints 2 times the deposit, a panel has 3 or
+#: more members, and authors never trade on their own review.
+FIXED_RULES = {"min_review_deposit": 5, "reward_multiple": 2, "min_panel": 3,
+               "authors_may_trade": False}
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Tunable platform constants.
+    """The settable platform constants of one chain.
 
-    A review deposit must strictly exceed `min_review_deposit`; publication
-    mints `reward_multiple` times the deposit; a successful challenger's
-    bounty equals the stake.  `peers` are the trusted members whose
-    majorities decide disputes (the same set approves blocks).
+    A successful challenger's bounty equals the stake.  `peers` are the
+    trusted members whose majorities decide disputes (the same set approves
+    blocks).
     """
 
-    min_review_deposit: int = 5
-    reward_multiple: int = 2
-    min_panel: int = 3
     market_liquidity: float = 100.0
-    authors_may_trade: bool = False
     initial_reserve: int = 0
     peers: tuple[str, ...] = ()
 
     def __post_init__(self):
-        amounts = ("min_review_deposit", "reward_multiple", "min_panel", "initial_reserve")
-        for name in amounts:
-            if type(getattr(self, name)) is not int:
-                raise LifecycleError(f"{name} must be an integer")
-            if getattr(self, name) >= AMOUNT_BOUND:
-                raise LifecycleError(f"{name} must be below 2**256")
-        if type(self.authors_may_trade) is not bool:
-            raise LifecycleError("authors_may_trade must be a bool")
+        if type(self.initial_reserve) is not int:
+            raise LifecycleError("initial_reserve must be an integer")
+        if not 0 <= self.initial_reserve < AMOUNT_BOUND:
+            raise LifecycleError("initial_reserve must be below 2**256 and not negative")
         if isinstance(self.market_liquidity, bool) or not isinstance(
             self.market_liquidity, (int, float)
         ):
@@ -223,10 +221,6 @@ class ProtocolConfig:
         if not _strings(self.peers):
             raise LifecycleError("peers must be a list of strings")
         object.__setattr__(self, "peers", tuple(self.peers))
-        if self.min_review_deposit < 0 or self.initial_reserve < 0:
-            raise LifecycleError("config amounts cannot be negative")
-        if self.reward_multiple < 1 or self.min_panel < 1:
-            raise LifecycleError("reward multiple and panel minimum must be >= 1")
         try:
             float(self.market_liquidity)
         except OverflowError:
@@ -238,13 +232,25 @@ class ProtocolConfig:
         if len(set(self.peers)) != len(self.peers):
             raise LifecycleError("peer list has duplicates")
 
+    @classmethod
+    def from_canonical(cls, form) -> "ProtocolConfig":
+        """Read a genesis `config`: a fixed rule's key may be left out, or hold
+        the rule's value and JSON type.  An unknown key raises TypeError."""
+        if not isinstance(form, dict):
+            raise LifecycleError("config must be an object")
+        for key, fixed in FIXED_RULES.items():
+            value = form.get(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise LifecycleError(f"{key} is fixed at {canonical_json(fixed)}")
+        return cls(**{k: v for k, v in form.items() if k not in FIXED_RULES})
+
     def to_canonical(self) -> dict:
         return {
-            "min_review_deposit": self.min_review_deposit,
-            "reward_multiple": self.reward_multiple,
-            "min_panel": self.min_panel,
+            "min_review_deposit": FIXED_RULES["min_review_deposit"],
+            "reward_multiple": FIXED_RULES["reward_multiple"],
+            "min_panel": FIXED_RULES["min_panel"],
             "market_liquidity": self.market_liquidity,
-            "authors_may_trade": self.authors_may_trade,
+            "authors_may_trade": FIXED_RULES["authors_may_trade"],
             "initial_reserve": self.initial_reserve,
             "peers": list(self.peers),
         }
@@ -348,24 +354,24 @@ class ProtocolState:
             )
         if author not in article.owners:
             raise LifecycleError(f"{author!r} does not own {article_hash!r}")
-        if not isinstance(deposit, int) or deposit <= self.config.min_review_deposit:
+        if not isinstance(deposit, int) or deposit <= FIXED_RULES["min_review_deposit"]:
             raise LifecycleError(
-                f"deposit must exceed {self.config.min_review_deposit} tokens"
+                f"deposit must exceed {FIXED_RULES['min_review_deposit']} tokens"
             )
         if not _strings(panel):
             raise LifecycleError("review panel must be a list of strings")
         panel = tuple(panel)
         if len(set(panel)) != len(panel):
             raise LifecycleError("review panel has duplicate members")
-        if len(panel) < self.config.min_panel:
+        if len(panel) < FIXED_RULES["min_panel"]:
             raise LifecycleError(
-                f"panel of {len(panel)} is below the minimum {self.config.min_panel}"
+                f"panel of {len(panel)} is below the minimum {FIXED_RULES['min_panel']}"
             )
         if self.ledger.balance(author) < deposit:
             raise LifecycleError(
                 f"{author!r} cannot cover the review deposit of {deposit}"
             )
-        if self.config.reward_multiple * deposit >= AMOUNT_BOUND:  # minted on publication
+        if FIXED_RULES["reward_multiple"] * deposit >= AMOUNT_BOUND:  # minted on publication
             raise LifecycleError("the deposit's reward must be below 2**256")
         self.ledger.escrow(author, deposit)
         article.review_round += 1
@@ -388,7 +394,7 @@ class ProtocolState:
         article = self.article(article_hash)
         if article.state is not ArticleState.UNDER_REVIEW:
             raise LifecycleError("review-outcome trading needs an open review")
-        if not self.config.authors_may_trade and user_id in article.owners:
+        if user_id in article.owners:
             raise LifecycleError("authors are barred from their own review market")
         executed = market_mod.trade(
             self.market_of(article), self.ledger, user_id, outcome, share_delta
@@ -427,7 +433,7 @@ class ProtocolState:
 
         if decision == PUBLISH:
             self.ledger.resolve_escrow(article.depositor, deposit, REFUND)
-            reward = self.config.reward_multiple * deposit
+            reward = FIXED_RULES["reward_multiple"] * deposit
             share, remainder = divmod(reward, len(article.owners))
             for i, owner in enumerate(article.owners):
                 amount = share + (remainder if i == 0 else 0)
@@ -582,7 +588,7 @@ class ProtocolState:
             f'"config":{canonical_json(self.config.to_canonical())},'
             f'"disputes":[{disputes}],'
             f'"ledger":{{"accounts":{{{accounts}}},'
-            f'"burned_total":{canonical_json(led.burned_total)},'
+            f'"burned_total":0,'
             f'"initial_supply":{canonical_json(led.initial_supply)},'
             f'"minted_total":{canonical_json(led.minted_total)},'
             f'"platform_reserve":{canonical_json(led.platform_reserve)}}},'

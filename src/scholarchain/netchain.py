@@ -69,7 +69,6 @@ class Transaction(NamedTuple):
     kind: TxKind
     payload: dict
     submitter: str
-    signature: str = ""  # placeholder; authorization is by submitter identity
 
 
 class TxRecord(NamedTuple):
@@ -128,7 +127,7 @@ def _seal(block: Block) -> str:
     """
     records = ",".join(
         f'{{"error":{quote(error)},"kind":{quote(tx.kind)},'
-        f'"payload":{canonical_json(tx.payload)},"signature":{quote(tx.signature)},'
+        f'"payload":{canonical_json(tx.payload)},"signature":"",'
         f'"status":{quote(status)},"submitter":{quote(tx.submitter)},'
         f'"tx_id":{tx.tx_id!r}}}'
         for tx, status, error in block.txs)
@@ -278,8 +277,6 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError("submitter must be a nonempty user id")
     if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
         raise ChainError("tx id must be a non-negative integer of at most 640 digits")
-    if not isinstance(tx.signature, str):
-        raise ChainError("tx signature must be a string")
     _check_shape(tx.payload, 1)
 
 
@@ -452,7 +449,7 @@ def export_chain(blocks: Sequence[Block]) -> str:
         records = ",".join(
             f'{{"tx_id":{tx.tx_id!r},"kind":{quote(tx.kind)},'
             f'"payload":{_wire_json(tx.payload)},"submitter":{quote(tx.submitter)},'
-            f'"signature":{quote(tx.signature)},"status":{quote(status)},'
+            f'"signature":"","status":{quote(status)},'
             f'"error":{quote(error)}}}'
             for tx, status, error in b.txs)
         lines.append(
@@ -470,12 +467,13 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         raise ChainError(f"unknown tx status {obj['status']!r}")
     if not isinstance(obj["error"], str):
         raise ChainError("tx error must be a string")
+    if obj["signature"] != "":  # authorization is by submitter identity
+        raise ChainError("tx signature must be empty")
     tx = Transaction(
         tx_id=obj["tx_id"],
         kind=TxKind(obj["kind"]),
         payload=obj["payload"],
         submitter=obj["submitter"],
-        signature=obj["signature"],
     )
     _check_tx_form(tx)
     return TxRecord(tx, obj["status"], obj["error"])

@@ -274,8 +274,8 @@ def test_criterion_8_chain_replay_and_tampering():
         assert summary1["final_state_hash"] == summary2["final_state_hash"]
         assert first["protocol_publish_chain.jsonl"] == second["protocol_publish_chain.jsonl"]
 
-        config = ProtocolConfig(
-            **json.loads(first["protocol_publish_genesis.json"])["config"]
+        config = ProtocolConfig.from_canonical(
+            json.loads(first["protocol_publish_genesis.json"])["config"]
         )
         peers = PeerSet(config.peers)
         chain_text = first["protocol_publish_chain.jsonl"]

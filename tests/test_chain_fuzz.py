@@ -6,11 +6,11 @@ blocks of arbitrary transactions, then three fixed closing acts, through
 `submit_tx` -> `produce_block` -> `export_chain` -> `verify_export`, all
 under the lowest int<->str limit CPython allows, 640 digits.  Payload leaves
 include integers of around 640 digits and values that are not JSON.
-Submission refuses exactly the transactions with a non-string signature, a
-payload nested more than 16 containers deep, or a payload that
-`json.dumps` cannot encode canonically under that limit.  After every block nothing
-has raised, the block's cached state digest equals the whole state encoded
-again, the exported chain verifies (rejection reasons included), tokens are
+Submission refuses exactly the transactions with a payload nested more than
+16 containers deep, or a payload that `json.dumps` cannot encode canonically
+under that limit.  After every block nothing has raised, the block's cached
+state digest equals the whole state encoded again, the exported chain
+verifies (rejection reasons included), tokens are
 conserved, and every article moved only along legal transitions, checked
 one transaction at a time on a replayed copy, where each transaction
 replays to its recorded status and reason and each rejected one leaves the
@@ -195,8 +195,6 @@ def writable(payload) -> bool:
 submitters = st.one_of(
     st.just(PLATFORM), st.sampled_from(USERS[:3]), st.text(min_size=1, max_size=4)
 )
-# Mostly the empty signature; a non-string one must be refused at submission.
-signatures = st.just("") | st.text(max_size=3) | json_values
 # Mostly unnested; past the bound of 16 containers it must be refused too.
 deep_notes = st.just(None) | st.builds(nested, json_values, st.integers(10, 18))
 
@@ -208,7 +206,7 @@ def with_note(payload: dict, note):
 transactions = st.tuples(st.sampled_from(list(TxKind)), submitters).flatmap(
     lambda ks: st.tuples(
         st.just(ks[0]), st.builds(with_note, payloads(*ks), deep_notes),
-        st.just(ks[1]), signatures)
+        st.just(ks[1]))
 )
 blocks = st.lists(st.lists(transactions, min_size=1, max_size=4), min_size=1, max_size=4)
 
@@ -230,11 +228,10 @@ def test_arbitrary_transactions_keep_the_chain_sound(fuzzed_blocks):
         admitted = []
         for block in [OPENING] + fuzzed_blocks + CLOSING:
             pool = TxPool()
-            for kind, payload, submitter, *signature in block:
+            for kind, payload, submitter in block:
                 tx_id += 1
-                tx = Transaction(tx_id, kind, payload, submitter, *signature)
-                inadmissible = (not isinstance(tx.signature, str) or depth(payload) > 16
-                                or not writable(payload))
+                tx = Transaction(tx_id, kind, payload, submitter)
+                inadmissible = depth(payload) > 16 or not writable(payload)
                 try:
                     submit_tx(pool, tx, chain)
                 except ChainError:

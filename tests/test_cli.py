@@ -17,6 +17,7 @@ from scholarchain.cli import (
     resolve_scenario_path,
     run_scenario,
 )
+from scholarchain.lifecycle import ProtocolConfig
 
 BUNDLED = (
     "table3.json",
@@ -109,6 +110,36 @@ class TestScenarioLoading:
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), "protocol", str(bad)]) == 2
         assert "market liquidity must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_fixed_rule_in_the_scenario_config_is_refused(self, tmp_path, capsys):
+        scenario = load_scenario(resolve_scenario_path("protocol_publish.json"))
+        scenario["config"]["reward_multiple"] = 3
+        bad = tmp_path / "triple_reward.json"
+        bad.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "protocol", str(bad)]) == 2
+        assert "field 'config': reward_multiple is fixed at 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, refused", [
+        ("traders", {"u1": 10.5, "u2": 100}, "opening balance of 'u1'"),
+        ("traders", {"u1": True, "u2": 100}, "opening balance of 'u1'"),
+        ("traders", {"u1": 2**256, "u2": 100}, "opening balance of 'u1'"),
+        ("initial_reserve", 200.9, "initial reserve"),
+        ("initial_reserve", "7e2", "initial reserve"),
+    ], ids=["fractional-balance", "bool-balance", "2**256-balance", "fractional-reserve",
+            "string-reserve"])
+    def test_market_opening_amounts_are_token_amounts(self, tmp_path, capsys,
+                                                       field, value, refused):
+        scenario = load_scenario(resolve_scenario_path("market_demo.json"))
+        scenario[field] = value
+        bad = tmp_path / "bad_market.json"
+        bad.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "market", str(bad)]) == 2
+        assert (f"error: field 'initial_reserve' or 'traders': {refused} must be "
+                "an integer in [0, 2**256)" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
@@ -269,6 +300,38 @@ class TestProtocolVerb:
         assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
         assert f"error: genesis descriptor {genesis_file}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_panel", 2), ("min_panel", 3.0), ("authors_may_trade", 0),
+    ])
+    def test_verify_refuses_a_descriptor_that_changes_a_fixed_rule(
+            self, tmp_path, capsys, field, value):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        genesis_file = tmp_path / "protocol_publish_genesis.json"
+        descriptor = read_json(genesis_file)
+        descriptor["config"][field] = value
+        genesis_file.write_text(json.dumps(descriptor), encoding="utf-8")
+        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
+        assert (f"error: genesis descriptor {genesis_file}: {field} is fixed at"
+                in capsys.readouterr().err)
+
+    def test_verify_fails_a_nonempty_signature_at_parse(self, tmp_path, capsys):
+        # The record is re-sealed and every later block re-linked, so only the
+        # signature itself can make the chain fail.
+        run_scenario("protocol_publish.json", str(tmp_path))
+        chain_file = tmp_path / "protocol_publish_chain.jsonl"
+        blocks = [json.loads(line) for line in chain_file.read_text().splitlines()]
+        blocks[0]["txs"][0]["signature"] = "x"
+        for i, block in enumerate(blocks):
+            if i:
+                block["prevHash"] = blocks[i - 1]["blockHash"]
+            content = {k: v for k, v in block.items() if k != "blockHash"}
+            block["blockHash"] = hashlib.sha256(json.dumps(
+                content, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        chain_file.write_text("".join(json.dumps(b, separators=(",", ":")) + "\n"
+                                      for b in blocks))
+        assert main(["verify", str(chain_file)]) == 1
+        assert "FAILED at parse: tx signature must be empty" in capsys.readouterr().err
+
 
 class TestMarketVerb:
     def test_bundled_demo_costs(self, tmp_path):
@@ -331,6 +394,16 @@ class TestBundledScenarios:
         assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in fresh]
         summary = str(tmp_path / "market_demo_summary.json")
         assert os.stat(summary).st_mtime_ns != old
+
+    def test_the_reader_reads_back_every_genesis_config(self, tmp_path):
+        for name in BUNDLED:
+            run_scenario(name, str(tmp_path))
+        files = sorted(tmp_path.glob("*_genesis.json"))
+        assert len(files) == 3
+        files.append(Path(__file__).parent / "data" / "rejections_genesis.json")
+        for path in files:
+            config = read_json(path)["config"]
+            assert ProtocolConfig.from_canonical(config).to_canonical() == config, path
 
     def test_verify_with_explicit_genesis(self, tmp_path):
         run_scenario("protocol_revise.json", str(tmp_path))

@@ -1,6 +1,11 @@
-"""Each demo runs to completion; the demos import from the package root."""
+"""Each demo runs to completion; the demos import from the package root.
+
+README's library example runs too, so that a change to the API it uses
+fails here rather than in a reader's hands.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +16,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True,
-        env=env, cwd=tmp_path, timeout=120,
-    )
+    result = run_python([str(demo)], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    result = run_python(["-c", example], tmp_path)
     assert result.returncode == 0, result.stderr

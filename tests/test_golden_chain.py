@@ -121,7 +121,8 @@ def genesis_text() -> str:
 
 def test_committed_chain_verifies_with_its_reasons():
     text = CHAIN.read_text(encoding="utf-8")
-    config = ProtocolConfig(**json.loads(GENESIS.read_text(encoding="utf-8"))["config"])
+    config = ProtocolConfig.from_canonical(
+        json.loads(GENESIS.read_text(encoding="utf-8"))["config"])
     assert verify_export(text, ProtocolState(config), PeerSet(config.peers)).ok
     records = [r for b in import_chain(text) for r in b.txs]
     rejected = {r.tx.tx_id: r.error for r in records if r.status == REJECTED}

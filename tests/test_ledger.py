@@ -40,13 +40,25 @@ class TestCredit:
                 ledger.credit("u1", bad)
 
     def test_amount_must_be_below_2_256(self):
-        ledger = TokenLedger(initial_reserve=2**256, balances={"u1": 2**256})
+        # An amount is bounded, a balance is not: here it reaches 2**257 - 2.
+        ledger = TokenLedger(balances={"u1": 2**256 - 1})
         ledger.credit("u1", 2**256 - 1)
         for operation in (ledger.credit, ledger.escrow):
             with pytest.raises(LedgerError, match=r"amount must be below 2\*\*256"):
                 operation("u1", 2**256)
-        assert ledger.balance("u1") == 2**257 - 1
+        assert ledger.balance("u1") == 2**257 - 2
         assert ledger.escrowed("u1") == 0
+
+    @pytest.mark.parametrize("reserve, balance", [
+        (-1, 0), (2**256, 0), (True, 0), (200.9, 0), ("7e2", 0),
+        (0, -1), (0, 2**256), (0, True), (0, 10.5),
+    ], ids=["negative-reserve", "2**256-reserve", "bool-reserve", "fractional-reserve",
+            "string-reserve", "negative-balance", "2**256-balance", "bool-balance",
+            "fractional-balance"])
+    def test_opening_amounts_are_token_amounts(self, reserve, balance):
+        with pytest.raises(LedgerError, match=r"must be an integer in \[0, 2\*\*256\)"):
+            TokenLedger(initial_reserve=reserve, balances={"u1": balance})
+        TokenLedger(initial_reserve=2**256 - 1, balances={"u1": 2**256 - 1})
 
     def test_user_id_must_be_a_string(self):
         ledger = TokenLedger()

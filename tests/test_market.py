@@ -142,12 +142,12 @@ class TestTrade:
     def test_holding_stays_below_2_256_shares(self):
         # A winning share pays one token, and a payout is a ledger amount.
         m = open_market(100)
-        ledger = TokenLedger(balances={"whale": 2**257})
+        ledger = TokenLedger(balances={"whale": 2**256 - 1})
         trade(m, ledger, "whale", PUBLISH, 2.0**255)
         with pytest.raises(MarketError, match=r"holding must stay below 2\*\*256 shares"):
             trade(m, ledger, "whale", PUBLISH, 2.0**255)
         assert m.holding("whale", PUBLISH) == 2.0**255
-        assert ledger.balance("whale") == 2**257 - 2**255
+        assert ledger.balance("whale") == 2**256 - 1 - 2**255
 
     def test_resolved_market_rejects_trades(self):
         m = open_market(100)

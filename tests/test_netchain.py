@@ -136,14 +136,6 @@ class TestSubmitTx:
             submit_tx(pool, Transaction(1, TxKind.CONCLUDE_REVIEW, payload, "platform"))
         assert len(pool) == 0
 
-    def test_non_string_signature_rejected(self):
-        pool = TxPool()
-        tx = Transaction(1, TxKind.CREDIT, {"user": "ada", "amount": 5}, "platform",
-                         signature=5)
-        with pytest.raises(ChainError, match="signature must be a string"):
-            submit_tx(pool, tx)
-        assert len(pool) == 0
-
     @pytest.mark.parametrize("digits_limit", [640, 4300, 0],
                              ids=["lowest-limit", "default-limit", "no-limit"])
     def test_integers_past_640_digits_rejected(self, digits_limit):
@@ -781,7 +773,9 @@ class TestWireFormat:
         (1, lambda obj: obj["txs"][0].update(error={"x": 1}), None,
          "tx error must be a string"),
         (1, lambda obj: obj["txs"][0].update(signature=[1]), None,
-         "tx signature must be a string"),
+         "tx signature must be empty"),
+        (1, lambda obj: obj["txs"][0].update(signature="x"), None,
+         "tx signature must be empty"),
         (1, lambda obj: obj["txs"][0].update(tx_id=True), None,
          "tx id must be a non-negative integer"),
         # Block 0 holds tx ids 1 and 2.
@@ -805,6 +799,7 @@ class TestWireFormat:
          "tx 4 reason diverges on replay"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
+            "string-signature",
             "bool-tx-id", "duplicate-tx-id", "nan-payload", "infinity-payload",
             "1e400-payload", "-1e999-payload", "deep-payload", "4301-digit-payload",
             "641-digit-payload", "rewritten-reason"])
@@ -822,7 +817,7 @@ def wire_dict(block: Block) -> dict:
         "height": block.height,
         "prevHash": block.prev_hash,
         "txs": [{"tx_id": tx.tx_id, "kind": tx.kind.value, "payload": tx.payload,
-                 "submitter": tx.submitter, "signature": tx.signature,
+                 "submitter": tx.submitter, "signature": "",
                  "status": status, "error": error}
                 for tx, status, error in block.txs],
         "stateHash": block.state_hash,
@@ -864,7 +859,7 @@ PAYLOADS = (st.dictionaries(TEXT, json_values(3), max_size=4)
 RECORDS = st.builds(
     TxRecord,
     st.builds(Transaction, st.integers(0, 10**640 - 1), st.sampled_from(TxKind), PAYLOADS,
-              TEXT.filter(bool), TEXT),
+              TEXT.filter(bool)),
     st.sampled_from([APPLIED, REJECTED]), TEXT)
 BLOCKS = st.builds(
     Block, st.integers(0, 10**6), TEXT, st.lists(RECORDS, max_size=4).map(tuple), TEXT,
