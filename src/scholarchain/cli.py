@@ -54,6 +54,36 @@ def _require(scenario: Mapping, field: str, kind=""):
     return scenario[field]
 
 
+_JSON_TYPES = {"a string": str, "a number": (int, float), "a list": list,
+               "an object": dict}
+
+
+def _typed(value, field: str, kind: str):
+    """`value`, which the field must hold as a JSON `kind` (see `_JSON_TYPES`)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ScenarioError(f"field {field!r}: must be {kind}")
+    return value
+
+
+def _record(record, field: str, **kinds: Optional[str]) -> dict:
+    """`record`, an object holding every key of `kinds` as the JSON kind it
+    names; a value whose kind is None is left for the chain to judge."""
+    _typed(record, field, "an object")
+    for key, kind in kinds.items():
+        if key not in record:
+            raise ScenarioError(f"field '{field}.{key}': required")
+        if kind is not None:
+            _typed(record[key], f"{field}.{key}", kind)
+    return record
+
+
+def _records(records, field: str, **kinds: Optional[str]) -> list[dict]:
+    """`records`, a list of objects that `_record` accepts."""
+    for i, record in enumerate(_typed(records, field, "a list")):
+        _record(record, f"{field}[{i}]", **kinds)
+    return records
+
+
 def load_scenario(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -189,18 +219,27 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     Protocol-level rejections are committed to the chain as rejected
     transactions and listed in the summary; the demo always runs to the end.
     """
-    users = _require(scenario, "users", "protocol-run")
+    users = _typed(_require(scenario, "users", "protocol-run"), "users", "an object")
     peers = tuple(_require(scenario, "peers", "protocol-run"))
     try:
         config = ProtocolConfig.from_canonical(
             {**scenario.get("config", {}), "peers": peers})
     except (TypeError, LifecycleError) as exc:
         raise ScenarioError(f"field 'config': {exc}") from exc
-    article_spec = _require(scenario, "article", "protocol-run")
-    author = _require(scenario, "author", "protocol-run")
+    article_spec = _typed(_require(scenario, "article", "protocol-run"), "article",
+                          "an object")
+    author = _typed(_require(scenario, "author", "protocol-run"), "author", "a string")
     deposit = _require(scenario, "deposit", "protocol-run")
     panel = _require(scenario, "panel", "protocol-run")
     votes = _require(scenario, "votes", "protocol-run")
+    comments = _records(scenario.get("comments", []), "comments",
+                        user="a string", text="a string")
+    trades = _records(scenario.get("trades", []), "trades",
+                      user="a string", outcome=None, shares=None)
+    objection = scenario.get("objection")
+    if objection:
+        _record(objection, "objection", challenger="a string", stake=None,
+                peer_votes=None)
 
     genesis = ProtocolState(config)
     chain = Chain(genesis)
@@ -225,7 +264,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     commit()
     article_hash = next(iter(chain.tip.articles), "")
 
-    for comment in scenario.get("comments", ()):
+    for comment in comments:
         push(
             TxKind.COMMENT,
             {"article": article_hash, "text_hash": _text_hash(comment["text"])},
@@ -236,7 +275,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         {"article": article_hash, "deposit": deposit, "panel": list(panel)},
         author,
     )
-    for trade in scenario.get("trades", ()):
+    for trade in trades:
         push(
             TxKind.TRADE,
             {
@@ -251,7 +290,6 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": votes}, PLATFORM)
     commit()
 
-    objection = scenario.get("objection")
     if objection:
         push(
             TxKind.RAISE_OBJECTION,
@@ -321,8 +359,9 @@ def _text_hash(text: str) -> str:
 def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from .games import as_rational
     b = float(as_rational(str(_require(scenario, "b", "market-demo"))))
-    traders = _require(scenario, "traders", "market-demo")
-    trades = _require(scenario, "trades", "market-demo")
+    traders = _typed(_require(scenario, "traders", "market-demo"), "traders", "an object")
+    trades = _records(_require(scenario, "trades", "market-demo"), "trades",
+                      user="a string", outcome="a string", shares="a number")
     outcome = _require(scenario, "resolve", "market-demo")
     try:
         ledger = TokenLedger(initial_reserve=scenario.get("initial_reserve", 200),

@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 from . import market as market_mod
 from .errors import CommentRedirectsToMarket, LifecycleError
 from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
-from .market import Market, Trade, quote, quote_or_null, splice
+from .market import Market, Section, Trade, quote, quote_or_null
 
 PUBLISH = market_mod.PUBLISH
 REVISE = market_mod.REVISE
@@ -289,7 +289,7 @@ class ProtocolState:
         # as a set like `TokenLedger.written`, which keeps the accounts'.  Only
         # `_tick` adds to them.  The sections are built by the first digest.
         self._written = {"articles": {}, "disputes": {}, "markets": {}}
-        self._sections: Optional[tuple[_Section, ...]] = None
+        self._sections: Optional[tuple[Section, ...]] = None
 
     # -- helpers --------------------------------------------------------------
 
@@ -571,15 +571,17 @@ class ProtocolState:
         led = self.ledger
         if self._sections is None:
             snapshot = self.to_canonical()
-            forms = {name: dict(zip(sorted(getattr(self, name)), snapshot[name]))
-                     for name in ("articles", "disputes", "markets")}
             w = self._written
-            self._sections = (
-                _Section(self.articles, w["articles"], forms["articles"]),
-                _Section(self.disputes, w["disputes"], forms["disputes"]),
-                _Section(led.accounts, led.written, snapshot["ledger"]["accounts"], True),
-                _Section(self.markets, w["markets"], forms["markets"]),
-            )
+            sections = []
+            for entities, written, forms, keyed in (
+                    (self.articles, w["articles"], snapshot["articles"], False),
+                    (self.disputes, w["disputes"], snapshot["disputes"], False),
+                    (led.accounts, led.written, snapshot["ledger"]["accounts"].values(), True),
+                    (self.markets, w["markets"], snapshot["markets"], False)):
+                bodies = dict(zip(sorted(entities), map(canonical_json, forms)))
+                sections.append(Section(entities, written, _encode, keyed, bodies))
+                written.clear()
+            self._sections = tuple(sections)
         articles, disputes, accounts, markets = (s.text() for s in self._sections)
         # Keys in the order `sort_keys` writes them.
         return (
@@ -601,33 +603,7 @@ class ProtocolState:
         return json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
 
-class _Section:
-    """One collection's part of the digest: its keys in sorted order, each
-    key's canonical JSON fragment, and the fragments comma-joined.
-
-    `written` holds the collection's keys written since the last digest.
-    A keyed fragment is an object member (`"key":{...}`), else an array item.
-    """
-
-    def __init__(self, entities: dict, written: dict, forms: dict, keyed: bool = False):
-        """`forms` maps every key, in sorted order, to its canonical form."""
-        self.entities, self.written, self.keyed = entities, written, keyed
-        self.keys = list(forms)
-        self.fragments = [self._fragment(key, canonical_json(form))
-                          for key, form in forms.items()]
-        self.joined = ",".join(self.fragments)
-        written.clear()
-
-    def _fragment(self, key: str, body: str) -> str:
-        return f"{quote(key)}:{body}" if self.keyed else body
-
-    def text(self) -> str:
-        """The joined text, after each written key's entity writes its
-        fragment again into the key's slot (a new key into a new slot)."""
-        if self.written:
-            for key in self.written:
-                splice(self.keys, self.fragments, key,
-                       self._fragment(key, self.entities[key].to_canonical_json()))
-            self.written.clear()
-            self.joined = ",".join(self.fragments)
-        return self.joined
+def _encode(entity) -> str:
+    """An entity's fragment in a state section; a function, so that a copy of
+    the state shares it."""
+    return entity.to_canonical_json()

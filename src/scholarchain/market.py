@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import LedgerError, MarketError
 from .ledger import AMOUNT_BOUND, FORFEIT, RESERVE, TokenLedger
@@ -41,22 +41,49 @@ def quote_or_null(text: Optional[str]) -> str:
     return "null" if text is None else quote(text)
 
 
-def splice(keys: list, fragments: list, key, fragment: Optional[str]) -> None:
-    """Put `fragment` in `key`'s slot of the sorted `keys` and the parallel
-    `fragments`, inserting a new key in order; None removes the key."""
-    i = bisect.bisect_left(keys, key)
-    if i < len(keys) and keys[i] == key:
-        if fragment is None:
-            del keys[i], fragments[i]
-        else:
-            fragments[i] = fragment
-    elif fragment is not None:
-        keys.insert(i, key)
-        fragments.insert(i, fragment)
+class Section:
+    """One collection's part of a canonical JSON text: its keys in sorted
+    order, each key's fragment, and the fragments comma-joined.
 
+    `written` holds the keys written since the last `text()`; each is encoded
+    again from its value in `entities` with `encode`.  A keyed fragment is an
+    object member (`"key":...`), else an array item.
+    """
 
-def _holding_fragment(key: str, shares: float) -> str:
-    return f"{quote(key)}:{shares!r}"
+    def __init__(self, entities: dict, written: dict, encode: Callable[..., str],
+                 keyed: bool = False, bodies: Optional[dict[str, str]] = None):
+        """`bodies` maps keys, in sorted order, to their values' encodings."""
+        self.entities, self.written, self.encode = entities, written, encode
+        self.keyed = keyed
+        bodies = bodies or {}
+        self.keys = list(bodies)
+        self.fragments = [self._fragment(key, body) for key, body in bodies.items()]
+        self.joined = ",".join(self.fragments)
+
+    def _fragment(self, key: str, body: str) -> str:
+        return f"{quote(key)}:{body}" if self.keyed else body
+
+    def text(self) -> str:
+        """The joined fragments, after each written key's fragment is encoded
+        again into its slot: a new key takes a new slot, and a key whose
+        value is gone loses its own."""
+        if self.written:
+            keys, fragments, entities = self.keys, self.fragments, self.entities
+            for key in self.written:
+                i = bisect.bisect_left(keys, key)
+                kept = i < len(keys) and keys[i] == key
+                if key in entities:
+                    fragment = self._fragment(key, self.encode(entities[key]))
+                    if kept:
+                        fragments[i] = fragment
+                    else:
+                        keys.insert(i, key)
+                        fragments.insert(i, fragment)
+                elif kept:
+                    del keys[i], fragments[i]
+            self.written.clear()
+            self.joined = ",".join(fragments)
+        return self.joined
 
 
 def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
@@ -75,28 +102,28 @@ class Market:
     outstanding: dict[str, float] = field(
         default_factory=lambda: {PUBLISH: 0.0, REVISE: 0.0}
     )
-    holdings: dict[tuple[str, str], float] = field(default_factory=dict)
+    # Shares held, keyed "uid:outcome" as the canonical form writes them.
+    holdings: dict[str, float] = field(default_factory=dict)
     resolved: Optional[str] = None
     trade_count: int = 0
     events: list[dict] = field(default_factory=list)
     # The holdings traded since the last `to_canonical_json`, a dict used as
-    # a set like `TokenLedger.written`, and, once that has run, every holding's
-    # fragment kept sorted by its "uid:outcome" string, which is not the
-    # order of the (uid, outcome) tuples.
-    written: dict[tuple[str, str], None] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _holding_keys: Optional[list[str]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _holding_fragments: Optional[list[str]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # a set like `TokenLedger.written`, and the holdings' kept fragments.
+    written: dict[str, None] = field(init=False, repr=False, compare=False)
+    _holdings: Section = field(init=False, repr=False, compare=False)
     # `lmsr_cost` of the book with the position it was computed for, b and
     # the outstanding values, so that a direct write to `outstanding` finds
     # the kept cost stale instead of using it (`_book_cost`).
     _cost: tuple[tuple, float] = field(
         default=((), 0.0), init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # The section starts empty, with the holdings built in as written.
+        self.written = dict.fromkeys(self.holdings)
+        self._holdings = Section(self.holdings, self.written, repr, keyed=True)
+
     def holding(self, user_id: str, outcome: str) -> float:
-        return self.holdings.get((user_id, outcome), 0.0)
+        return self.holdings.get(f"{user_id}:{outcome}", 0.0)
 
     def to_canonical(self) -> dict:
         # The event log is an audit trail, not consensus state; the trade
@@ -106,10 +133,7 @@ class Market:
             "market_id": self.market_id,
             "b": self.b,
             "outstanding": dict(self.outstanding),
-            "holdings": {
-                f"{uid}:{outcome}": shares
-                for (uid, outcome), shares in self.holdings.items()
-            },
+            "holdings": dict(self.holdings),
             "resolved": self.resolved,
             "trade_count": self.trade_count,
         }
@@ -117,23 +141,9 @@ class Market:
     def to_canonical_json(self) -> str:
         """`canonical_json(self.to_canonical())`, encoding again only the
         holdings written since the last call."""
-        keys, fragments = self._holding_keys, self._holding_fragments
-        if keys is None:  # the first call encodes every holding
-            held = sorted((f"{uid}:{outcome}", shares)
-                          for (uid, outcome), shares in self.holdings.items())
-            self._holding_keys = keys = [key for key, _ in held]
-            self._holding_fragments = fragments = [
-                _holding_fragment(key, shares) for key, shares in held]
-        else:
-            for uid, outcome in self.written:
-                shares = self.holdings.get((uid, outcome))
-                key = f"{uid}:{outcome}"
-                splice(keys, fragments, key,
-                       None if shares is None else _holding_fragment(key, shares))
-        self.written.clear()
         outstanding = ",".join(
             f"{quote(o)}:{q!r}" for o, q in sorted(self.outstanding.items()))
-        return (f'{{"b":{self.b!r},"holdings":{{{",".join(fragments)}}},'
+        return (f'{{"b":{self.b!r},"holdings":{{{self._holdings.text()}}},'
                 f'"market_id":{quote(self.market_id)},"outstanding":{{{outstanding}}},'
                 f'"resolved":{quote_or_null(self.resolved)},'
                 f'"trade_count":{self.trade_count!r}}}')
@@ -219,7 +229,8 @@ def trade(
     _require_outcome(outcome)
     if not math.isfinite(share_delta) or share_delta == 0:
         raise MarketError("share delta must be a nonzero finite number")
-    held = market.holding(user_id, outcome)
+    key = f"{user_id}:{outcome}"
+    held = market.holdings.get(key, 0.0)
     if share_delta < 0 and held < -share_delta:
         raise MarketError(
             f"{user_id!r} holds {held} {outcome} shares, cannot sell {-share_delta}"
@@ -244,12 +255,12 @@ def trade(
         ledger.credit(user_id, -token_cost, RESERVE)
     market.outstanding[outcome] += share_delta
     market._cost = _position(market), cost_after
-    market.written[(user_id, outcome)] = None
+    market.written[key] = None
     new_holding = held + share_delta
     if new_holding == 0.0:
-        market.holdings.pop((user_id, outcome), None)
+        market.holdings.pop(key, None)
     else:
-        market.holdings[(user_id, outcome)] = new_holding
+        market.holdings[key] = new_holding
     market.trade_count += 1
     executed = Trade(user_id, outcome, share_delta, token_cost)
     market.events.append(
@@ -287,12 +298,14 @@ def resolve(market: Market, ledger: TokenLedger, outcome: str) -> dict[str, int]
 
 
 def payouts(market: Market, outcome: str) -> dict[str, int]:
-    """One token per winning share, rounded down, to each holder owed any."""
-    return {
-        uid: math.floor(shares)
-        for (uid, held_outcome), shares in sorted(market.holdings.items())
-        if held_outcome == outcome and math.floor(shares) > 0
-    }
+    """One token per winning share, rounded down, to each holder owed any,
+    in user-id order.  A key's uid runs to its last colon: no outcome has one."""
+    owed = {}
+    for key, shares in market.holdings.items():
+        uid, held_outcome = key.rsplit(":", 1)
+        if held_outcome == outcome and math.floor(shares) > 0:
+            owed[uid] = math.floor(shares)
+    return dict(sorted(owed.items()))
 
 
 def event_log_lines(market: Market) -> str:

@@ -280,12 +280,11 @@ def _check_tx_form(tx: Transaction) -> None:
     _check_shape(tx.payload, 1)
 
 
-def submit_tx(pool: TxPool, tx: Transaction, chain: Optional["Chain"] = None) -> TxPool:
-    """Admit a transaction through the gate and append it to the pool."""
+def submit_tx(pool: TxPool, tx: Transaction, chain: "Chain") -> TxPool:
+    """Admit a transaction through the gate and append it to the pool; its id
+    must exceed every id pending in the pool or committed on `chain`."""
     _check_tx_form(tx)
-    last = pool.pending[-1].tx_id if pool.pending else -1
-    if chain is not None:
-        last = max(last, chain.last_tx_id)
+    last = max(pool.pending[-1].tx_id if pool.pending else -1, chain.last_tx_id)
     if tx.tx_id <= last:
         raise ChainError(f"tx id {tx.tx_id} is not strictly increasing (last {last})")
     pool.pending.append(tx)

@@ -251,7 +251,8 @@ def test_criterion_7_market_suite():
             assert abs(total_real - float(end - start)) < 1e-9
             winner = rng.choice(OUTCOMES)
             liability = sum(
-                shares for (_, o), shares in market.holdings.items() if o == winner
+                shares for key, shares in market.holdings.items()
+                if key.endswith(f":{winner}")
             )
             assert liability - income <= b * math.log(2) + 1e-9
 

@@ -142,6 +142,50 @@ class TestScenarioLoading:
                 "an integer in [0, 2**256)" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edit, refused", [
+        ("market_demo.json", lambda s: s["trades"][0].update(shares="10"),
+         "field 'trades[0].shares': must be a number"),
+        ("market_demo.json", lambda s: s["trades"][1].pop("outcome"),
+         "field 'trades[1].outcome': required"),
+        ("market_demo.json", lambda s: s["trades"][2].update(user=5),
+         "field 'trades[2].user': must be a string"),
+        ("market_demo.json", lambda s: s.update(trades="x"),
+         "field 'trades': must be a list"),
+        ("protocol_publish.json", lambda s: s["comments"][1].pop("text"),
+         "field 'comments[1].text': required"),
+        ("protocol_publish.json", lambda s: s["trades"][0].pop("user"),
+         "field 'trades[0].user': required"),
+        ("protocol_publish.json", lambda s: s.update(users=["ada"]),
+         "field 'users': must be an object"),
+    ], ids=["market-string-shares", "market-no-outcome", "market-int-user",
+            "market-string-trades", "protocol-no-comment-text", "protocol-no-trade-user",
+            "protocol-user-list"])
+    def test_a_malformed_scenario_field_is_named(self, tmp_path, capsys, name, edit,
+                                                 refused):
+        scenario = load_scenario(resolve_scenario_path(name))
+        edit(scenario)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        verb = "market" if name == "market_demo.json" else "protocol"
+        assert main(["--out-dir", str(out), verb, str(bad)]) == 2
+        assert f"error: {refused}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_value_the_chain_judges_is_still_a_rejection(self, tmp_path):
+        scenario = load_scenario(resolve_scenario_path("protocol_publish.json"))
+        scenario["trades"][0]["shares"] = "6"
+        scenario["users"]["cy"] = -5
+        bad = tmp_path / "judged.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["--out-dir", str(tmp_path), "protocol", str(bad)]) == 0
+        rejected = read_json(tmp_path / "protocol_publish_summary.json")["rejected_txs"]
+        assert [(r["kind"], r["error"]) for r in rejected] == [
+            ("CREDIT", "amount must be a positive integer, got -5"),
+            ("TRADE", "bad payload for TRADE: field 'shares' must be a number"),
+            ("TRADE", "'cy' balance 0 cannot cover trade cost 2"),
+        ]
+
     def test_no_partial_outputs_on_failure(self, tmp_path):
         bad = tmp_path / "half.json"
         bad.write_text(json.dumps({

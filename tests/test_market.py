@@ -185,7 +185,7 @@ class TestPathIndependence:
         # Holdings ledger stays in sync with the book: per-outcome sums match.
         for outcome in OUTCOMES:
             held = sum(
-                shares for (_, o), shares in m.holdings.items() if o == outcome
+                shares for key, shares in m.holdings.items() if key.endswith(f":{outcome}")
             )
             assert held == pytest.approx(m.outstanding[outcome], abs=1e-9)
 
@@ -251,7 +251,7 @@ class TestResolve:
             trade(m, ledger, uid, outcome, delta)
         winner = rng.choice(OUTCOMES)
         liability = sum(
-            shares for (uid, o), shares in m.holdings.items() if o == winner
+            shares for key, shares in m.holdings.items() if key.endswith(f":{winner}")
         )
         assert liability - real_income <= b * math.log(2) + 1e-9
 
@@ -318,7 +318,7 @@ class TestKeptCost:
             assert m.outstanding == book
             if kind == "sell" and amount == 1.0:
                 assert m.holding(uid, outcome) == 0.0
-                assert (uid, outcome) not in m.holdings
+                assert f"{uid}:{outcome}" not in m.holdings
 
     @pytest.mark.parametrize("before, evaluations", [
         (lambda m: None, 2),

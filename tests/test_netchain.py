@@ -48,10 +48,10 @@ def submit_article_tx(tx_id, user="ada", title="on reviewing"):
     return Transaction(tx_id, TxKind.SUBMIT_ARTICLE, payload, user)
 
 
-def pool_with(*txs):
+def pool_with(chain, *txs):
     pool = TxPool()
     for tx in txs:
-        submit_tx(pool, tx)
+        submit_tx(pool, tx, chain)
     return pool
 
 
@@ -83,25 +83,41 @@ class TestPeerSet:
 
 class TestSubmitTx:
     def test_fifo_order(self):
-        pool = pool_with(credit_tx(1, "ada"), credit_tx(2, "bo"), credit_tx(3, "cy"))
+        chain = Chain(genesis())
+        pool = pool_with(chain, credit_tx(1, "ada"), credit_tx(2, "bo"), credit_tx(3, "cy"))
         assert [t.tx_id for t in pool.pending] == [1, 2, 3]
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(ChainError):
-            submit_tx(TxPool(), Transaction(1, TxKind.CREDIT, "not-a-dict", "x"))
+            submit_tx(TxPool(), Transaction(1, TxKind.CREDIT, "not-a-dict", "x"),
+                      Chain(genesis()))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChainError):
-            submit_tx(TxPool(), Transaction(1, "MAGIC", {}, "x"))
+            submit_tx(TxPool(), Transaction(1, "MAGIC", {}, "x"), Chain(genesis()))
 
     def test_duplicate_tx_id_rejected(self):
-        pool = pool_with(credit_tx(1, "ada"))
+        chain = Chain(genesis())
+        pool = pool_with(chain, credit_tx(1, "ada"))
         with pytest.raises(ChainError):
+            submit_tx(pool, credit_tx(1, "bo"), chain)
+
+    def test_the_chain_is_required(self):
+        # Without its chain, a pool admitted a committed id, and every later
+        # block then refused the pool, even after id 2 was added.
+        chain = Chain(genesis())
+        produce_block(chain, pool_with(chain, credit_tx(1, "ada")), PEERS)
+        pool = TxPool()
+        with pytest.raises(TypeError):
             submit_tx(pool, credit_tx(1, "bo"))
+        assert len(pool) == 0
+        submit_tx(pool, credit_tx(2, "bo"), chain)
+        assert produce_block(chain, pool, PEERS).committed
+        assert chain.tip.ledger.balance("bo") == 50
 
     def test_ids_strictly_increase_across_blocks(self):
         chain = Chain(genesis())
-        pool = pool_with(credit_tx(1, "ada"))
+        pool = pool_with(chain, credit_tx(1, "ada"))
         produce_block(chain, pool, PEERS)
         with pytest.raises(ChainError):
             submit_tx(pool, credit_tx(1, "bo"), chain)
@@ -133,7 +149,8 @@ class TestSubmitTx:
         # replay would diverge from what was executed.
         pool = TxPool()
         with pytest.raises(ChainError, match="is not a string"):
-            submit_tx(pool, Transaction(1, TxKind.CONCLUDE_REVIEW, payload, "platform"))
+            submit_tx(pool, Transaction(1, TxKind.CONCLUDE_REVIEW, payload, "platform"),
+                      Chain(genesis()))
         assert len(pool) == 0
 
     @pytest.mark.parametrize("digits_limit", [640, 4300, 0],
@@ -149,10 +166,12 @@ class TestSubmitTx:
             for tx_id, note in enumerate((10**640, -10**640), start=1):
                 payload = {"user": "ada", "amount": 5, "note": note}
                 with pytest.raises(ChainError, match="integer over 640 digits"):
-                    submit_tx(pool, Transaction(tx_id, TxKind.CREDIT, payload, "platform"))
+                    submit_tx(pool, Transaction(tx_id, TxKind.CREDIT, payload, "platform"),
+                              chain)
             assert len(pool) == 0
             longest = {"user": "ada", "amount": 5, "note": 1 - 10**640}
-            submit_tx(pool, Transaction(10**640 - 1, TxKind.CREDIT, longest, "platform"))
+            submit_tx(pool, Transaction(10**640 - 1, TxKind.CREDIT, longest, "platform"),
+                      chain)
             assert produce_block(chain, pool, PEERS).committed
             assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
@@ -165,7 +184,7 @@ class TestSubmitTx:
 
         chain = Chain(genesis())
         claim = Transaction(1, TxKind.CLAIM_ARTICLE, {"article": "elsewhere"}, "ada")
-        produce_block(chain, pool_with(claim), PEERS)
+        produce_block(chain, pool_with(chain, claim), PEERS)
         pool = TxPool()
         with int_digit_limit(640):
             with pytest.raises(ChainError, match="integer over 640 digits"):
@@ -181,21 +200,20 @@ class TestSubmitTx:
     def test_payload_nesting_is_bounded(self):
         # The payload object is the first of the containers counted.
         deep, deepest = {"note": nested_list(16)}, {"note": nested_list(15)}
-        pool = TxPool()
+        chain, pool = Chain(genesis()), TxPool()
         with pytest.raises(ChainError, match="nests more than 16 containers"):
-            submit_tx(pool, Transaction(1, TxKind.CREDIT, deep, "platform"))
-        submit_tx(pool, Transaction(2, TxKind.CREDIT, deepest, "platform"))
-        chain = Chain(genesis())
+            submit_tx(pool, Transaction(1, TxKind.CREDIT, deep, "platform"), chain)
+        submit_tx(pool, Transaction(2, TxKind.CREDIT, deepest, "platform"), chain)
         assert produce_block(chain, pool, PEERS).committed
         assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_last_tx_id_tracks_committed_blocks_only(self):
         chain = Chain(genesis())
         assert chain.last_tx_id == -1
-        produce_block(chain, pool_with(credit_tx(1, "ada"), credit_tx(4, "bo")), PEERS)
+        produce_block(chain, pool_with(chain, credit_tx(1, "ada"), credit_tx(4, "bo")), PEERS)
         assert chain.last_tx_id == 4
         produce_block(
-            chain, pool_with(credit_tx(7, "cy")), PEERS, faulty_peers={"p1", "p2"}
+            chain, pool_with(chain, credit_tx(7, "cy")), PEERS, faulty_peers={"p1", "p2"}
         )
         assert chain.last_tx_id == 4
 
@@ -203,14 +221,14 @@ class TestSubmitTx:
 class TestProduceBlock:
     def test_honest_unanimity_commits(self):
         chain = Chain(genesis())
-        result = produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        result = produce_block(chain, pool_with(chain, credit_tx(1, "ada")), PEERS)
         assert result.committed
         assert len(result.block.approvals) == 4
         assert chain.tip.ledger.balance("ada") == 50
 
     def test_two_faulty_peers_block_commit(self):
         chain = Chain(genesis())
-        pool = pool_with(credit_tx(1, "ada"))
+        pool = pool_with(chain, credit_tx(1, "ada"))
         result = produce_block(chain, pool, PEERS, faulty_peers={"p1", "p2"})
         assert not result.committed
         assert chain.blocks == []
@@ -220,7 +238,7 @@ class TestProduceBlock:
     def test_one_faulty_peer_still_commits(self):
         chain = Chain(genesis())
         result = produce_block(
-            chain, pool_with(credit_tx(1, "ada")), PEERS, faulty_peers={"p4"}
+            chain, pool_with(chain, credit_tx(1, "ada")), PEERS, faulty_peers={"p4"}
         )
         assert result.committed
         assert result.block.approvals == ("p1", "p2", "p3")
@@ -230,7 +248,7 @@ class TestProduceBlock:
         bad = Transaction(
             2, TxKind.RAISE_OBJECTION, {"article": "x", "stake": 10}, "pauper"
         )
-        result = produce_block(chain, pool_with(credit_tx(1, "ada"), bad), PEERS)
+        result = produce_block(chain, pool_with(chain, credit_tx(1, "ada"), bad), PEERS)
         assert result.committed
         statuses = [r.status for r in result.block.txs]
         assert statuses == [APPLIED, REJECTED]
@@ -242,20 +260,21 @@ class TestProduceBlock:
         chain_a = Chain(genesis())
         produce_block(
             chain_a,
-            pool_with(credit_tx(1, "ada"),
+            pool_with(chain_a, credit_tx(1, "ada"),
                       Transaction(2, TxKind.CREDIT, {"user": "ada", "amount": 999},
                                   "ada")),
             PEERS,
         )
         chain_b = Chain(genesis())
-        produce_block(chain_b, pool_with(credit_tx(1, "ada")), PEERS)
+        produce_block(chain_b, pool_with(chain_b, credit_tx(1, "ada")), PEERS)
         assert chain_a.blocks[0].state_hash == chain_b.blocks[0].state_hash
 
     def test_reused_committed_id_refused_and_pool_kept(self):
-        # Submitted without the chain, the pool cannot see committed ids.
+        # Filled past the gate, the pool holds an id the chain committed.
         chain = Chain(genesis())
-        produce_block(chain, pool_with(credit_tx(0, "ada")), PEERS)
-        pool = pool_with(credit_tx(0, "bo"))
+        produce_block(chain, pool_with(chain, credit_tx(0, "ada")), PEERS)
+        pool = TxPool()
+        pool.pending.append(credit_tx(0, "bo"))
         with pytest.raises(ChainError, match="tx id 0 is not strictly increasing"):
             produce_block(chain, pool, PEERS)
         assert [t.tx_id for t in pool.pending] == [0]
@@ -282,7 +301,7 @@ class TestProduceBlock:
         )
         result = produce_block(
             chain,
-            pool_with(credit_tx(1, "ada"), impersonation, forged, self_mint),
+            pool_with(chain, credit_tx(1, "ada"), impersonation, forged, self_mint),
             PEERS,
         )
         assert result.block.txs[1].status == APPLIED  # platform op, unrestricted
@@ -307,7 +326,7 @@ class TestProduceBlock:
         )
         chain = Chain(genesis())
         result = produce_block(
-            chain, pool_with(credit_tx(1, "ada"), bad_trade, bad_votes, huge_trade),
+            chain, pool_with(chain, credit_tx(1, "ada"), bad_trade, bad_votes, huge_trade),
             PEERS,
         )
         assert result.committed
@@ -318,7 +337,7 @@ class TestProduceBlock:
             "bad payload for TRADE: field 'shares' must be a number",
         ]
         clean = Chain(genesis())
-        produce_block(clean, pool_with(credit_tx(1, "ada")), PEERS)
+        produce_block(clean, pool_with(clean, credit_tx(1, "ada")), PEERS)
         assert state_hash(chain.tip) == state_hash(clean.tip)
         assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
@@ -339,16 +358,16 @@ class TestProduceBlock:
     def test_wrong_shape_payload_recorded_as_rejected(self, kind, payload, reason):
         chain = Chain(genesis())
         produce_block(chain, pool_with(
-            credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
+            chain, credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
         article = next(iter(chain.tip.articles))
-        produce_block(chain, pool_with(Transaction(
+        produce_block(chain, pool_with(chain, Transaction(
             4, TxKind.START_REVIEW,
             {"article": article, "deposit": 10, "panel": ["r1", "r2", "r3"]}, "ada",
         )), PEERS)
         before = state_hash(chain.tip)
         submitter = "ada" if kind is TxKind.SUBMIT_ARTICLE else "bo"
         tx = Transaction(5, kind, {"article": article, **payload}, submitter)
-        result = produce_block(chain, pool_with(tx), PEERS)
+        result = produce_block(chain, pool_with(chain, tx), PEERS)
         assert [(r.status, r.error) for r in result.block.txs] == [(REJECTED, reason)]
         assert state_hash(chain.tip) == before
         assert verify_chain(chain.blocks, genesis(), PEERS).ok
@@ -356,7 +375,7 @@ class TestProduceBlock:
     def test_buy_below_float_precision_costs_one_token(self):
         chain = Chain(genesis())
         produce_block(chain, pool_with(
-            credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
+            chain, credit_tx(1, "ada"), credit_tx(2, "bo"), submit_article_tx(3)), PEERS)
         article = next(iter(chain.tip.articles))
         start = Transaction(
             4, TxKind.START_REVIEW,
@@ -367,7 +386,7 @@ class TestProduceBlock:
             {"article": article, "outcome": "PUBLISH", "shares": 1e-300}, "bo",
         )
         reserve = chain.tip.ledger.platform_reserve
-        result = produce_block(chain, pool_with(start, tiny), PEERS)
+        result = produce_block(chain, pool_with(chain, start, tiny), PEERS)
         assert [r.status for r in result.block.txs] == [APPLIED, APPLIED]
         assert chain.tip.ledger.balance("bo") == 49
         assert chain.tip.ledger.platform_reserve == reserve + 1
@@ -389,19 +408,20 @@ class TestProduceBlock:
 
         monkeypatch.setattr(ProtocolState, "clone", counting_clone)
         monkeypatch.setattr(netchain, "state_hash", counting_digest)
-        pool = pool_with(credit_tx(1, "ada"), submit_article_tx(2))
+        pool = pool_with(chain, credit_tx(1, "ada"), submit_article_tx(2))
         result = produce_block(chain, pool, PEERS, faulty_peers={"p1", "p2"})
         assert not result.committed
         assert calls == {"clone": 0, "digest": 0}
         result = produce_block(chain, pool, PEERS, faulty_peers={"p4"})
         assert result.committed
         assert calls == {"clone": 0, "digest": 1}
-        produce_block(chain, pool_with(credit_tx(3, "bo")), PEERS)
+        produce_block(chain, pool_with(chain, credit_tx(3, "bo")), PEERS)
         assert calls == {"clone": 0, "digest": 2}
 
     def test_program_fault_mid_block_rebuilds_tip(self, monkeypatch):
         chain = Chain(genesis())
-        produce_block(chain, pool_with(credit_tx(1, "ada"), submit_article_tx(2)), PEERS)
+        produce_block(
+            chain, pool_with(chain, credit_tx(1, "ada"), submit_article_tx(2)), PEERS)
         platform_only, fields, credit = netchain._RULES[TxKind.CREDIT]
 
         def faulty_credit(state, checked, submitter):
@@ -411,7 +431,7 @@ class TestProduceBlock:
 
         monkeypatch.setitem(
             netchain._RULES, TxKind.CREDIT, (platform_only, fields, faulty_credit))
-        pool = pool_with(credit_tx(3, "bo"), credit_tx(4, "cy"), credit_tx(5, "dee"))
+        pool = pool_with(chain, credit_tx(3, "bo"), credit_tx(4, "cy"), credit_tx(5, "dee"))
         with pytest.raises(ZeroDivisionError):
             produce_block(chain, pool, PEERS)
         assert state_hash(chain.tip) == chain.blocks[-1].state_hash
@@ -428,7 +448,7 @@ class TestProduceBlock:
     @pytest.mark.parametrize("name", ["state_hash", "_seal"])
     def test_program_fault_after_execution_rebuilds_tip(self, monkeypatch, name):
         chain = Chain(genesis())
-        produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        produce_block(chain, pool_with(chain, credit_tx(1, "ada")), PEERS)
         real = getattr(netchain, name)
         faults = [ZeroDivisionError("fault")]
 
@@ -438,7 +458,7 @@ class TestProduceBlock:
             return real(arg)
 
         monkeypatch.setattr(netchain, name, fails_once)
-        pool = pool_with(credit_tx(2, "bo"))
+        pool = pool_with(chain, credit_tx(2, "bo"))
         with pytest.raises(ZeroDivisionError):
             produce_block(chain, pool, PEERS)
         assert state_hash(chain.tip) == chain.blocks[-1].state_hash
@@ -455,19 +475,19 @@ class TestProduceBlock:
         chain = Chain(genesis())
         monkeypatch.setattr(netchain, "_seal", lambda block: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+            produce_block(chain, pool_with(chain, credit_tx(1, "ada")), PEERS)
         assert state_hash(chain.tip) == state_hash(genesis())
         assert chain.height == 0
 
     def test_unreplayable_chain_is_not_rebuilt(self, monkeypatch):
         chain = Chain(genesis())
-        produce_block(chain, pool_with(credit_tx(1, "ada")), PEERS)
+        produce_block(chain, pool_with(chain, credit_tx(1, "ada")), PEERS)
         # A committed payload changed by its caller no longer replays to the digest.
         chain.blocks[0].txs[0].tx.payload["amount"] = 70
         tip = chain.tip
         monkeypatch.setattr(netchain, "_seal", lambda block: 1 / 0)
         with pytest.raises(ChainError, match="cannot rebuild the tip") as caught:
-            produce_block(chain, pool_with(credit_tx(2, "bo")), PEERS)
+            produce_block(chain, pool_with(chain, credit_tx(2, "bo")), PEERS)
         assert isinstance(caught.value.__context__, ZeroDivisionError)
         assert chain.tip is tip
         assert chain.height == 1
@@ -492,7 +512,7 @@ class TestTxRules:
         txs = [
             Transaction(i, kind, {}, "mallory") for i, kind in enumerate(platform_only)
         ]
-        result = produce_block(chain, pool_with(*txs), PEERS)
+        result = produce_block(chain, pool_with(chain, *txs), PEERS)
         assert [r.error for r in result.block.txs] == [
             f"'mallory' cannot submit platform operation {kind.value}"
             for kind in platform_only
@@ -505,14 +525,14 @@ class TestTxRules:
             Transaction(i, kind, {"user": "victim"}, "mallory")
             for i, kind in enumerate(user_acts)
         ]
-        result = produce_block(chain, pool_with(*txs), PEERS)
+        result = produce_block(chain, pool_with(chain, *txs), PEERS)
         assert [r.error for r in result.block.txs] == [
             f"'mallory' cannot act for 'victim' in {kind.value}" for kind in user_acts
         ]
 
     def test_credit_amount_is_below_2_256(self):
         chain = Chain(genesis())
-        pool = pool_with(credit_tx(1, "ada", 2**256 - 1), credit_tx(2, "bo", 2**256))
+        pool = pool_with(chain, credit_tx(1, "ada", 2**256 - 1), credit_tx(2, "bo", 2**256))
         result = produce_block(chain, pool, PEERS)
         assert [(r.status, r.error) for r in result.block.txs] == [
             (APPLIED, ""), (REJECTED, "amount must be below 2**256")]
@@ -525,7 +545,7 @@ class TestTxRules:
         chain = Chain(genesis())
         longest = 10**640 - 1
         with int_digit_limit(640):
-            pool = pool_with(credit_tx(1, "bo", longest), credit_tx(2, "bo", longest))
+            pool = pool_with(chain, credit_tx(1, "bo", longest), credit_tx(2, "bo", longest))
             result = produce_block(chain, pool, PEERS)
             assert result.committed
             assert [(r.status, r.error) for r in result.block.txs] == [
@@ -556,11 +576,11 @@ def test_declared_field_missing_or_true_is_rejected(kind, field, missing):
     else:
         payload[field.name] = True
     chain = Chain(genesis())
-    produce_block(chain, pool_with(credit_tx(1, "bo")), PEERS)
+    produce_block(chain, pool_with(chain, credit_tx(1, "bo")), PEERS)
     before = state_hash(chain.tip)
     submitter = netchain.PLATFORM if platform_only else "bo"
     result = produce_block(
-        chain, pool_with(Transaction(2, kind, payload, submitter)), PEERS)
+        chain, pool_with(chain, Transaction(2, kind, payload, submitter)), PEERS)
     reason = f"bad payload for {kind.value}: field {field.name!r} must be {field.type}"
     assert [(r.status, r.error) for r in result.block.txs] == [(REJECTED, reason)]
     assert state_hash(chain.tip) == before
@@ -573,13 +593,13 @@ def demo_chain():
     chain = Chain(state)
     produce_block(
         chain,
-        pool_with(credit_tx(1, "ada", 100), credit_tx(2, "bo", 100)),
+        pool_with(chain, credit_tx(1, "ada", 100), credit_tx(2, "bo", 100)),
         PEERS,
     )
     produce_block(
         chain,
         pool_with(
-            submit_article_tx(3),
+            chain, submit_article_tx(3),
             # Rejected: only the platform may credit.
             Transaction(4, TxKind.CREDIT, {"user": "bo", "amount": 9999}, "bo"),
         ),
@@ -589,7 +609,7 @@ def demo_chain():
     produce_block(
         chain,
         pool_with(
-            Transaction(
+            chain, Transaction(
                 5, TxKind.START_REVIEW,
                 {"article": article_hash, "deposit": 10, "panel": ["r1", "r2", "r3"]},
                 "ada",

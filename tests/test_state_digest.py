@@ -7,7 +7,8 @@ then writes to entities, new or existing, and compares the digest with
 key's fragment stale or missing, and the two digests part.  Each entity
 writes its own fragment (`to_canonical_json`), checked here against
 `json.dumps` of `to_canonical()`, with the canonical arguments, on generated
-values.
+values.  The one `Section` class that keeps the state's sorted fragments and
+each market's holdings is checked the same way, alone and in a market.
 """
 
 import collections
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from scholarchain import market, netchain
 from scholarchain.errors import LifecycleError
-from scholarchain.ledger import Account
+from scholarchain.ledger import Account, TokenLedger
 from scholarchain.lifecycle import (
     Article,
     ArticleState,
@@ -27,7 +28,7 @@ from scholarchain.lifecycle import (
     ProtocolState,
     content_hash,
 )
-from scholarchain.market import OUTCOMES, Market
+from scholarchain.market import OUTCOMES, Market, Section
 from scholarchain.netchain import (
     APPLIED,
     PLATFORM,
@@ -280,8 +281,8 @@ def credit(user: str):
 
 
 @pytest.mark.parametrize("block, txs", [
-    # "ab0:PUBLISH" sorts before "ab:PUBLISH", though ("ab", ...) < ("ab0", ...):
-    # the market's first fragments hold both, then each is written again.
+    # "ab0:PUBLISH" sorts before "ab:PUBLISH": both are first written in one
+    # block, then each is written again.
     ([credit("ab"), credit("ab0"), buy("ab", 1), buy("ab0", 1)],
      [buy("ab", 2, "REVISE"), buy("ab0", -1), buy("ab0", 1, "REVISE"), buy("ab", 1)]),
     # bo holds 2 PUBLISH shares from the opening block.
@@ -294,7 +295,7 @@ def credit(user: str):
 ], ids=["string-order", "sold-to-zero", "resolved"])
 def test_market_holdings_splice_matches_the_oracle(block, txs):
     # The block is the market's first write since the chain's first digest,
-    # so the market encodes every holding; each later transaction splices.
+    # so the market encodes every holding it has; each later one splices.
     chain = warm_chain()
     assert commit(chain, block).state_hash == full_state_hash(chain.tip)
     commit_each(chain, txs)
@@ -311,14 +312,15 @@ def test_one_trade_encodes_one_holding(monkeypatch, holders):
     assert all(r.status == APPLIED for r in block.txs)
     calls = collections.Counter()
 
-    def counted(key, shares, encode=market._holding_fragment):
+    def counted(section, key, body, fragment=Section._fragment):
         calls[key] += 1
-        return encode(key, shares)
+        return fragment(section, key, body)
 
-    monkeypatch.setattr(market, "_holding_fragment", counted)
+    monkeypatch.setattr(Section, "_fragment", counted)
     block = commit(chain, writes([TxKind.TRADE]))
     assert block.txs[0].status == APPLIED
-    assert calls == {"cy:PUBLISH": 1}
+    # The buyer's account, the market, and one holding of the market's.
+    assert calls == {"cy": 1, f"{REVIEWED[:16]}:r1": 1, "cy:PUBLISH": 1}
     monkeypatch.undo()
     assert block.state_hash == full_state_hash(chain.tip)
     assert len(chain.tip.markets[f"{REVIEWED[:16]}:r1"].holdings) == holders + 2
@@ -353,10 +355,10 @@ ARTICLES = st.builds(
     OPTIONAL_TEXT, st.lists(TEXT).map(tuple), OPTIONAL_TEXT,
     st.lists(st.tuples(TEXT, INTS, TEXT)), INTS, INTS)
 DISPUTES = st.builds(Dispute, TEXT, TEXT, TEXT, INTS, OPTIONAL_TEXT)
+HOLDINGS = st.builds("{}:{}".format, HOLDERS, st.sampled_from(OUTCOMES))
 MARKETS = st.builds(
     Market, TEXT, FLOATS, st.fixed_dictionaries({o: FLOATS for o in OUTCOMES}),
-    st.dictionaries(st.tuples(HOLDERS, st.sampled_from(OUTCOMES)), FLOATS),
-    st.none() | st.sampled_from(OUTCOMES), INTS)
+    st.dictionaries(HOLDINGS, FLOATS), st.none() | st.sampled_from(OUTCOMES), INTS)
 
 
 @given(ACCOUNTS | ARTICLES | DISPUTES | MARKETS)
@@ -374,13 +376,80 @@ def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
     assert state.to_canonical_json() == canonical_dumps(state.to_canonical())
 
 
-@given(MARKETS, st.lists(st.tuples(HOLDERS, st.sampled_from(OUTCOMES), st.just(0.0) | FLOATS)))
+@given(MARKETS, st.lists(st.tuples(HOLDINGS, st.just(0.0) | FLOATS)))
 def test_a_market_splices_its_written_holdings(mkt, updates):
     mkt.to_canonical_json()  # keeps every holding's fragment
-    for uid, outcome, shares in updates:
+    for key, shares in updates:
         if shares == 0.0:  # as `market.trade` does
-            mkt.holdings.pop((uid, outcome), None)
+            mkt.holdings.pop(key, None)
         else:
-            mkt.holdings[(uid, outcome)] = shares
-        mkt.written[(uid, outcome)] = None
+            mkt.holdings[key] = shares
+        mkt.written[key] = None
     assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
+
+
+def section_json(section: Section) -> str:
+    text = section.text()
+    return f"{{{text}}}" if section.keyed else f"[{text}]"
+
+
+def section_oracle(entities: dict, keyed: bool) -> str:
+    """`json.dumps` of the collection: an object, or its values in key order."""
+    return canonical_dumps(entities if keyed else [entities[k] for k in sorted(entities)])
+
+
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "array"])
+@pytest.mark.parametrize("built", ["from-bodies", "from-written"])
+@pytest.mark.parametrize("key", ["a", "m", "z"], ids=["first", "middle", "last"])
+def test_a_section_inserts_and_removes_keys_in_order(keyed, built, key):
+    # A state's section is built from its entities' encodings, a market's
+    # empty with every entity recorded as written.
+    entities = {"c": 1.5, "k": 2.0, "x": 3.0}
+    if built == "from-bodies":
+        written, bodies = {}, {k: repr(entities[k]) for k in sorted(entities)}
+    else:
+        written, bodies = dict.fromkeys(entities), None
+    section = Section(entities, written, repr, keyed, bodies)
+    assert section_json(section) == section_oracle(entities, keyed)
+    entities[key], written[key] = 4.0, None
+    assert section_json(section) == section_oracle(entities, keyed)
+    assert section.keys == sorted(entities)
+    for gone in (key, "k", "never-held"):  # a written key whose value is gone
+        entities.pop(gone, None)
+        written[gone] = None
+        assert section_json(section) == section_oracle(entities, keyed)
+    assert section.keys == sorted(entities) == ["c", "x"]
+
+
+def test_a_holding_sold_to_zero_loses_its_slot_until_bought_again():
+    mkt, ledger = market.open_market(100.0), TokenLedger(10**6, {"bo": 1000, "cy": 1000})
+    for uid, shares in (("bo", 2.0), ("cy", 1.0), ("bo", -2.0), ("bo", 3.0)):
+        market.trade(mkt, ledger, uid, "PUBLISH", shares)
+        assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
+        if uid == "bo" and shares < 0:
+            assert "bo:PUBLISH" not in mkt.holdings
+    assert mkt.holdings == {"bo:PUBLISH": 3.0, "cy:PUBLISH": 1.0}
+
+
+def test_uids_that_share_a_prefix_keep_text_order_and_payouts():
+    # "ab0:..." sorts before "ab:...", which sorts before "ab::...".
+    uids = ["ab", "ab0", "ab:"]
+    mkt, ledger = market.open_market(100.0), TokenLedger(10**6, dict.fromkeys(uids, 1000))
+    for shares, outcome in ((2.0, "PUBLISH"), (1.0, "REVISE")):
+        for uid in uids:
+            market.trade(mkt, ledger, uid, outcome, shares)
+            assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
+    assert mkt._holdings.keys == sorted(mkt.holdings) == [
+        "ab0:PUBLISH", "ab0:REVISE", "ab::PUBLISH", "ab::REVISE", "ab:PUBLISH", "ab:REVISE"]
+    assert list(market.payouts(mkt, "PUBLISH").items()) == [("ab", 2), ("ab0", 2), ("ab:", 2)]
+
+
+def test_a_market_built_with_holdings_encodes_them():
+    mkt = Market("m", 100.0, {"PUBLISH": 3.0, "REVISE": 2.0},
+                 {"zed:PUBLISH": 3.0, "amy:REVISE": 2.0})
+    assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
+    ledger = TokenLedger(10**6, {"bo": 1000})
+    market.trade(mkt, ledger, "bo", "REVISE", 1.0)
+    market.trade(mkt, ledger, "zed", "PUBLISH", -3.0)
+    assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
+    assert list(mkt.holdings) == ["amy:REVISE", "bo:REVISE"]
