@@ -21,15 +21,16 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
 # Only the renderers that use it import the game-theory layer.
 from . import market as market_mod
 from . import netchain
-from .errors import LedgerError, LifecycleError, ProtocolError
+from .errors import ProtocolError
 from .ledger import TokenLedger
-from .lifecycle import ProtocolConfig, ProtocolState
+from .lifecycle import OPTIONAL, Field, FieldError, ProtocolConfig, ProtocolState, check_fields
 from .netchain import (
     PLATFORM,
     Chain,
@@ -47,44 +48,33 @@ class ScenarioError(Exception):
     """Scenario file failed to parse or validate; message names the field."""
 
 
-def _require(scenario: Mapping, field: str, kind=""):
-    if field not in scenario:
-        where = f" in {kind} scenario" if kind else ""
-        raise ScenarioError(f"field {field!r}: required{where}")
-    return scenario[field]
+def _checked(scenario: Mapping, fields: tuple[Field, ...], kind: str = "") -> dict:
+    """The declared fields of a scenario, as `check_fields` returns them."""
+    try:
+        return check_fields(scenario, fields)
+    except FieldError as exc:
+        if not exc.missing:
+            raise ScenarioError(f"field {exc.path!r}: must be {exc.expected}") from None
+        where = f" in {kind} scenario" if kind and "." not in exc.path else ""
+        raise ScenarioError(f"field {exc.path!r}: required{where}") from None
 
 
-_JSON_TYPES = {"a string": str, "a number": (int, float), "a list": list,
-               "an object": dict}
+@contextmanager
+def _judged(*names: str):
+    """A value refused inside the block exits as `field 'NAME': reason`,
+    naming every field the block reads."""
+    try:
+        yield
+    except (ProtocolError, ValueError, TypeError, LookupError, ArithmeticError) as exc:
+        raise ScenarioError(f"field {' or '.join(map(repr, names))}: {exc}") from exc
 
 
-def _typed(value, field: str, kind: str):
-    """`value`, which the field must hold as a JSON `kind` (see `_JSON_TYPES`)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise ScenarioError(f"field {field!r}: must be {kind}")
-    return value
-
-
-def _record(record, field: str, **kinds: Optional[str]) -> dict:
-    """`record`, an object holding every key of `kinds` as the JSON kind it
-    names; a value whose kind is None is left for the chain to judge."""
-    _typed(record, field, "an object")
-    for key, kind in kinds.items():
-        if key not in record:
-            raise ScenarioError(f"field '{field}.{key}': required")
-        if kind is not None:
-            _typed(record[key], f"{field}.{key}", kind)
-    return record
-
-
-def _records(records, field: str, **kinds: Optional[str]) -> list[dict]:
-    """`records`, a list of objects that `_record` accepts."""
-    for i, record in enumerate(_typed(records, field, "a list")):
-        _record(record, f"{field}[{i}]", **kinds)
-    return records
+_COMMON = (Field("kind", "a string"), Field("seed", "an integer"))
 
 
 def load_scenario(path: Path) -> dict:
+    """The scenario's fields as its kind declares them (`KINDS`), defaults
+    included; a renderer reads only what this returns."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -97,13 +87,11 @@ def load_scenario(path: Path) -> dict:
         ) from exc
     if not isinstance(scenario, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    kind = _require(scenario, "kind")
+    common = _checked(scenario, _COMMON)
+    kind = common["kind"]
     if kind not in KINDS:
         raise ScenarioError(f"field 'kind': unknown scenario kind {kind!r}")
-    seed = _require(scenario, "seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("field 'seed': must be an integer")
-    return scenario
+    return {**common, **_checked(scenario, KINDS[kind][1], kind)}
 
 
 def resolve_scenario_path(name: str) -> Path:
@@ -121,9 +109,15 @@ def resolve_scenario_path(name: str) -> Path:
 # game-analysis
 # ---------------------------------------------------------------------------
 
+def _game(scenario: dict):
+    from .games import game_from_json
+    with _judged("game"):
+        return game_from_json(scenario["game"])
+
+
 def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
-    from .games import ACTIONS, dominant_action, equilibrium_set, game_from_json
-    game = game_from_json(_require(scenario, "game", "game-analysis"))
+    from .games import ACTIONS, dominant_action, equilibrium_set
+    game = _game(scenario)
     es = equilibrium_set(game)
     lines = ["record,row_action,col_action,row_value,col_value"]
     for a in ACTIONS:
@@ -141,8 +135,7 @@ def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
         "dominant_action,"
         f"{row_dom.value if row_dom else ''},{col_dom.value if col_dom else ''},,"
     )
-    prefix = scenario.get("output", "analysis")
-    return {f"{prefix}_analysis.csv": "\n".join(lines) + "\n"}
+    return {f"{scenario['output']}_analysis.csv": "\n".join(lines) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +144,11 @@ def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
 
 def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from . import strategies
-    from .games import as_rational, game_from_json
-    game = game_from_json(_require(scenario, "game", "repeated-game-sweep"))
-    grid = _require(scenario, "delta_grid", "repeated-game-sweep")
-    start = as_rational(_require(grid, "start"))
-    stop = as_rational(_require(grid, "stop"))
-    step = as_rational(_require(grid, "step"))
+    from .games import as_rational
+    game = _game(scenario)
+    grid = scenario["delta_grid"]
+    with _judged("delta_grid"):
+        start, stop, step = (as_rational(grid[key]) for key in ("start", "stop", "step"))
     if step <= 0 or stop < start:
         raise ScenarioError("field 'delta_grid': needs step > 0 and stop >= start")
     grim = strategies.grim()
@@ -173,8 +165,7 @@ def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
             sustained = strategies.cooperation_sustained(game, d)
             lines.append(f"{d!r},{coop!r},{defect!r},{str(sustained).lower()}")
         delta += step
-    prefix = scenario.get("output", "sweep")
-    return {f"{prefix}_sweep.csv": "\n".join(lines) + "\n"}
+    return {f"{scenario['output']}_sweep.csv": "\n".join(lines) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +174,25 @@ def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
 
 def _population_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from . import strategies
-    from .games import game_from_json
-    game = game_from_json(_require(scenario, "game", "population-run"))
-    size = _require(scenario, "size", "population-run")
-    chosen = _require(scenario, "strategies", "population-run")
-    default = chosen.get("default", "grim")
-    assignment = {
-        p: strategies.automaton_by_name(default) for p in range(size)
-    }
-    for player, name in chosen.get("overrides", {}).items():
-        assignment[int(player)] = strategies.automaton_by_name(name)
-    config = strategies.PopulationConfig(
-        size=size,
-        strategies=assignment,
-        delta=float(_require(scenario, "delta", "population-run")),
-        reputation_visible=bool(scenario.get("reputation_visible", False)),
-        rng_seed=seed,
-        horizon=int(_require(scenario, "horizon", "population-run")),
-    )
+    game = _game(scenario)
+    size, chosen = scenario["size"], scenario["strategies"]
+    with _judged("strategies"):
+        assignment = {
+            p: strategies.automaton_by_name(chosen["default"]) for p in range(size)
+        }
+        for player, name in chosen["overrides"].items():
+            assignment[int(player)] = strategies.automaton_by_name(name)
+    with _judged("size", "delta", "horizon"):
+        config = strategies.PopulationConfig(
+            size=size,
+            strategies=assignment,
+            delta=float(scenario["delta"]),
+            reputation_visible=scenario["reputation_visible"],
+            rng_seed=seed,
+            horizon=scenario["horizon"],
+        )
     report = strategies.run_population(config, game)
-    prefix = scenario.get("output", "population")
+    prefix = scenario["output"]
     return {
         f"{prefix}_population.csv": report.to_csv(),
         f"{prefix}_summary.json": report.summary_json(),
@@ -216,34 +206,19 @@ def _population_outputs(scenario: dict, seed: int) -> dict[str, str]:
 def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     """Drive submit -> comments -> review -> trades -> decision -> dispute.
 
-    Protocol-level rejections are committed to the chain as rejected
-    transactions and listed in the summary; the demo always runs to the end.
+    `scenario` holds the fields `load_scenario` returns.  Protocol-level
+    rejections are committed to the chain as rejected transactions and listed
+    in the summary; the demo always runs to the end.
     """
-    users = _typed(_require(scenario, "users", "protocol-run"), "users", "an object")
-    peers = tuple(_require(scenario, "peers", "protocol-run"))
-    try:
-        config = ProtocolConfig.from_canonical(
-            {**scenario.get("config", {}), "peers": peers})
-    except (TypeError, LifecycleError) as exc:
-        raise ScenarioError(f"field 'config': {exc}") from exc
-    article_spec = _typed(_require(scenario, "article", "protocol-run"), "article",
-                          "an object")
-    author = _typed(_require(scenario, "author", "protocol-run"), "author", "a string")
-    deposit = _require(scenario, "deposit", "protocol-run")
-    panel = _require(scenario, "panel", "protocol-run")
-    votes = _require(scenario, "votes", "protocol-run")
-    comments = _records(scenario.get("comments", []), "comments",
-                        user="a string", text="a string")
-    trades = _records(scenario.get("trades", []), "trades",
-                      user="a string", outcome=None, shares=None)
+    users, peers, author = scenario["users"], tuple(scenario["peers"]), scenario["author"]
+    with _judged("config"):
+        config = ProtocolConfig.from_canonical({**scenario["config"], "peers": peers})
+    with _judged("peers"):
+        peer_set = PeerSet(peers)
     objection = scenario.get("objection")
-    if objection:
-        _record(objection, "objection", challenger="a string", stake=None,
-                peer_votes=None)
 
     genesis = ProtocolState(config)
     chain = Chain(genesis)
-    peer_set = PeerSet(peers)
     pool = TxPool()
     next_id = 1
 
@@ -260,11 +235,11 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         push(TxKind.CREDIT, {"user": user, "amount": balance}, PLATFORM)
     commit()
 
-    push(TxKind.SUBMIT_ARTICLE, dict(article_spec), author)
+    push(TxKind.SUBMIT_ARTICLE, dict(scenario["article"]), author)
     commit()
     article_hash = next(iter(chain.tip.articles), "")
 
-    for comment in comments:
+    for comment in scenario["comments"]:
         push(
             TxKind.COMMENT,
             {"article": article_hash, "text_hash": _text_hash(comment["text"])},
@@ -272,10 +247,11 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         )
     push(
         TxKind.START_REVIEW,
-        {"article": article_hash, "deposit": deposit, "panel": list(panel)},
+        {"article": article_hash, "deposit": scenario["deposit"],
+         "panel": list(scenario["panel"])},
         author,
     )
-    for trade in trades:
+    for trade in scenario["trades"]:
         push(
             TxKind.TRADE,
             {
@@ -287,7 +263,8 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         )
     commit()
 
-    push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": votes}, PLATFORM)
+    push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": scenario["votes"]},
+         PLATFORM)
     commit()
 
     if objection:
@@ -335,7 +312,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         "platform_reserve": final.ledger.platform_reserve,
         "seed": seed,
     }
-    prefix = scenario.get("output", "protocol")
+    prefix = scenario["output"]
     return {
         f"{prefix}_chain.jsonl": netchain.export_chain(chain.blocks),
         f"{prefix}_genesis.json": json.dumps(
@@ -358,23 +335,21 @@ def _text_hash(text: str) -> str:
 
 def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from .games import as_rational
-    b = float(as_rational(str(_require(scenario, "b", "market-demo"))))
-    traders = _typed(_require(scenario, "traders", "market-demo"), "traders", "an object")
-    trades = _records(_require(scenario, "trades", "market-demo"), "trades",
-                      user="a string", outcome="a string", shares="a number")
-    outcome = _require(scenario, "resolve", "market-demo")
-    try:
-        ledger = TokenLedger(initial_reserve=scenario.get("initial_reserve", 200),
+    traders, outcome, prefix = scenario["traders"], scenario["resolve"], scenario["output"]
+    with _judged("b"):
+        b = float(as_rational(str(scenario["b"])))
+        market = market_mod.open_market(b, market_id=prefix)
+    with _judged("initial_reserve", "traders"):
+        ledger = TokenLedger(initial_reserve=scenario["initial_reserve"],
                              balances=dict(traders))
-    except LedgerError as exc:
-        raise ScenarioError(f"field 'initial_reserve' or 'traders': {exc}") from exc
-    market = market_mod.open_market(b, market_id=scenario.get("output", "market"))
     executed = []
-    for t in trades:
-        trade = market_mod.trade(market, ledger, t["user"], t["outcome"], t["shares"])
-        executed.append(trade)
+    for i, t in enumerate(scenario["trades"]):
+        with _judged(f"trades[{i}]"):
+            executed.append(
+                market_mod.trade(market, ledger, t["user"], t["outcome"], t["shares"]))
     prices = {o: market_mod.price(market, o) for o in market_mod.OUTCOMES}
-    payouts = market_mod.resolve(market, ledger, outcome)
+    with _judged("resolve"):
+        payouts = market_mod.resolve(market, ledger, outcome)
     summary = {
         "b": b,
         "seed": seed,
@@ -388,7 +363,6 @@ def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
         "final_balances": {u: ledger.balance(u) for u in sorted(traders)},
         "platform_reserve": ledger.platform_reserve,
     }
-    prefix = scenario.get("output", "market")
     return {
         f"{prefix}_events.jsonl": market_mod.event_log_lines(market),
         f"{prefix}_payouts.csv": market_mod.payout_table_csv(payouts),
@@ -400,19 +374,46 @@ def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
 # dispatch and entry point
 # ---------------------------------------------------------------------------
 
-#: kind -> (verb that runs it, renderer).  A renderer takes (scenario, seed)
-#: and returns {file name: content}.
-KINDS: dict[str, tuple[str, Callable[[dict, int], dict[str, str]]]] = {
-    "game-analysis": ("analyze", _analysis_outputs),
-    "repeated-game-sweep": ("sweep", _sweep_outputs),
-    "population-run": ("sweep", _population_outputs),
-    "protocol-run": ("protocol", run_protocol_demo),
-    "market-demo": ("market", _market_outputs),
+_GAME, _USER = Field("game", "an object"), Field("user", "a string")
+
+#: kind -> (verb that runs it, its fields, renderer).  Besides `kind` and
+#: `seed`, a scenario holds the fields its kind declares; a value the chain
+#: judges (an amount, a share count, a vote) may be any value.  A renderer
+#: takes (fields as `load_scenario` returns them, seed) and returns
+#: {file name: content}.
+KINDS: dict[str, tuple[str, tuple[Field, ...], Callable[[dict, int], dict[str, str]]]] = {
+    "game-analysis": ("analyze", (_GAME, Field("output", "a string", "analysis")),
+                      _analysis_outputs),
+    "repeated-game-sweep": ("sweep", (
+        _GAME, Field("delta_grid", "an object", record=(
+            Field("start", None), Field("stop", None), Field("step", None))),
+        Field("output", "a string", "sweep")), _sweep_outputs),
+    "population-run": ("sweep", (
+        _GAME, Field("size", "an integer"), Field("strategies", "an object", record=(
+            Field("default", "a string", "grim"), Field("overrides", "an object", {}))),
+        Field("delta", "a number"), Field("reputation_visible", "a boolean", False),
+        Field("horizon", "an integer"), Field("output", "a string", "population")),
+        _population_outputs),
+    "protocol-run": ("protocol", (
+        Field("users", "an object"), Field("peers", "a list of strings"),
+        Field("config", "an object", {}), Field("article", "an object"),
+        Field("author", "a string"), Field("deposit", None),
+        Field("panel", "a list of strings"), Field("votes", None),
+        Field("comments", "a list", (), (_USER, Field("text", "a string"))),
+        Field("trades", "a list", (), (_USER, Field("outcome", None), Field("shares", None))),
+        Field("objection", "an object", OPTIONAL, (
+            Field("challenger", "a string"), Field("stake", None), Field("peer_votes", None))),
+        Field("output", "a string", "protocol")), run_protocol_demo),
+    "market-demo": ("market", (
+        Field("b", None), Field("traders", "an object"), Field("trades", "a list", record=(
+            _USER, Field("outcome", "a string"), Field("shares", "a number"))),
+        Field("resolve", "a string"), Field("initial_reserve", None, 200),
+        Field("output", "a string", "market")), _market_outputs),
 }
 
 VERB_KINDS = {
-    verb: tuple(k for k, (v, _) in KINDS.items() if v == verb)
-    for verb, _ in KINDS.values()
+    verb: tuple(k for k, (v, *_) in KINDS.items() if v == verb)
+    for verb, *_ in KINDS.values()
 }
 
 
@@ -428,7 +429,7 @@ def run_scenario(
     path = resolve_scenario_path(name)
     scenario = load_scenario(path)
     seed = seed_override if seed_override is not None else scenario["seed"]
-    _, render = KINDS[scenario["kind"]]
+    render = KINDS[scenario["kind"]][2]
     outputs = render(scenario, seed)
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)

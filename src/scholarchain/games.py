@@ -354,11 +354,8 @@ def game_from_json(obj: Mapping) -> PayoffMatrix2x2:
     """
     kind = obj.get("type")
     if kind == "publication":
-        params = PublicationParams(
-            reward=as_rational(obj["R"]),
-            effort=as_rational(obj["e"]),
-            publish_prob={k: as_rational(v) for k, v in obj["P"].items()},
-        )
+        # The parameters coerce their own rationals.
+        params = PublicationParams(reward=obj["R"], effort=obj["e"], publish_prob=obj["P"])
         return build_publication_game(params)
     if kind == "commons2":
         return two_player_commons_game(obj["B"], obj["e"])

@@ -23,6 +23,7 @@ import copy
 import hashlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -189,11 +190,76 @@ class Dispute:
                 f'"stake":{self.stake!r}}}')
 
 
+#: A declared field of a JSON object: its name, its type (a key of
+#: `_JSON_TYPES`; None for any value), its default if it is optional (None:
+#: required; `OPTIONAL`: left out when absent), and the fields of the record
+#: that an object, or each item of a list, must be.  A list of records is
+#: "a list" with a record.
+Field = namedtuple("Field", "name type default record", defaults=[None, ()])
+OPTIONAL = object()
+_ABSENT = object()
+_DOUBLE_BOUND = 2**1024 - 2**970  # `float()` of an integer this large overflows
+#: The one type table: a type -> the Python types that hold it, and a test a
+#: held value must also pass.  A bool is only ever "a boolean", a tuple counts
+#: as a list, and a number must fit a double.
+_JSON_TYPES = {
+    "a string": (str, None), "an integer": (int, lambda n: type(n) is not bool),
+    "a number": ((int, float), lambda n: type(n) is not bool and (
+        isinstance(n, float) or abs(n) < _DOUBLE_BOUND)),
+    "a boolean": (bool, None), "an object": (dict, None), "a list": ((list, tuple), None),
+    "a list of strings": ((list, tuple), _strings), None: (object, None)}
+
+
+class FieldError(Exception):
+    """A value its declared field refuses: `path` names it (`trades[0].shares`),
+    `expected` is the declared type, and `missing` is true if it is absent."""
+
+    def __init__(self, path: str, expected: Optional[str], missing: bool = False):
+        super().__init__(path, expected, missing)
+        self.path, self.expected, self.missing = path, expected, missing
+
+
+def check_fields(obj: Mapping, fields: Sequence[Field], path: str = "") -> dict:
+    """Each field's value in `obj`, or its default, after JSON Schema's `type`,
+    `required` and `items` keywords: nothing is converted, and a record's
+    fields are checked and returned in their turn.  Raises FieldError for the
+    first value refused; `path` prefixes the path it names."""
+    checked = {}
+    for name, kind, default, record in fields:
+        value = obj.get(name, _ABSENT)
+        if value is _ABSENT:
+            if default is None:
+                raise FieldError(path + name, kind, missing=True)
+            if default is not OPTIONAL:
+                checked[name] = default
+            continue
+        types, test = _JSON_TYPES[kind]
+        if not isinstance(value, types) or test is not None and not test(value):
+            raise FieldError(path + name, kind)
+        if record and kind == "a list":
+            value = [_check_record(item, record, f"{path}{name}[{i}]")
+                     for i, item in enumerate(value)]
+        elif record:
+            value = _check_record(value, record, path + name)
+        checked[name] = value
+    return checked
+
+
+def _check_record(item, record: Sequence[Field], path: str) -> dict:
+    if not isinstance(item, dict):
+        raise FieldError(path, "an object")
+    return check_fields(item, record, path + ".")
+
+
 #: The paper's incentive rules, fixed on every chain: a review deposit must
 #: exceed 5 tokens, publication mints 2 times the deposit, a panel has 3 or
 #: more members, and authors never trade on their own review.
 FIXED_RULES = {"min_review_deposit": 5, "reward_multiple": 2, "min_panel": 3,
                "authors_may_trade": False}
+
+
+_CONFIG_FIELDS = (Field("initial_reserve", "an integer"),
+                  Field("market_liquidity", "a number"), Field("peers", "a list of strings"))
 
 
 @dataclass(frozen=True)
@@ -210,21 +276,15 @@ class ProtocolConfig:
     peers: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if type(self.initial_reserve) is not int:
-            raise LifecycleError("initial_reserve must be an integer")
+        try:
+            check_fields(vars(self), _CONFIG_FIELDS)
+        except FieldError as exc:
+            if exc.expected == "a number" and type(self.market_liquidity) is int:
+                raise LifecycleError("market liquidity is too large for a double") from None
+            raise LifecycleError(f"{exc.path} must be {exc.expected}") from None
+        object.__setattr__(self, "peers", tuple(self.peers))
         if not 0 <= self.initial_reserve < AMOUNT_BOUND:
             raise LifecycleError("initial_reserve must be below 2**256 and not negative")
-        if isinstance(self.market_liquidity, bool) or not isinstance(
-            self.market_liquidity, (int, float)
-        ):
-            raise LifecycleError("market_liquidity must be a number")
-        if not _strings(self.peers):
-            raise LifecycleError("peers must be a list of strings")
-        object.__setattr__(self, "peers", tuple(self.peers))
-        try:
-            float(self.market_liquidity)
-        except OverflowError:
-            raise LifecycleError("market liquidity is too large for a double") from None
         if not 0 < self.market_liquidity < math.inf:
             raise LifecycleError(
                 f"market liquidity must be positive, got {self.market_liquidity}"

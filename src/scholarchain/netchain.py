@@ -24,14 +24,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .lifecycle import ContentMetadata, ProtocolState, canonical_json, compact_encoder
+from .lifecycle import (ContentMetadata, Field, FieldError, ProtocolState, canonical_json,
+                        check_fields, compact_encoder)
 from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
@@ -141,41 +141,38 @@ def _seal(block: Block) -> str:
 # Transaction application
 # ---------------------------------------------------------------------------
 
-_Field = namedtuple("_Field", "name type default", defaults=[None])  # None: required
-_JSON_TYPES = {"a string": str, "an integer": int, "a number": (int, float),
-               "a list": (list, tuple), "an object": dict}
-_ARTICLE, _VOTES = _Field("article", "a string"), _Field("votes", "an object")
+_ARTICLE, _VOTES = Field("article", "a string"), Field("votes", "an object")
 #: kind -> (platform_only, fields, handler).  Only `PLATFORM` may submit a
 #: platform operation; any other kind is a user's own act, and the actor it
 #: names (payload "user", default the submitter) must be the submitter.  Each
-#: field has a name, a JSON type (never a bool; a number becomes a float) and,
-#: if optional, a default.  Undeclared keys are ignored, like calldata past a
-#: contract call's arguments.  A handler takes (state, fields, submitter).
-_RULES: dict[TxKind, tuple[bool, tuple[_Field, ...], Callable]] = {
+#: payload field is declared (`lifecycle.Field`); a handler takes a number as a
+#: float.  Undeclared keys are ignored, like calldata past a contract call's
+#: arguments.  A handler takes (state, fields, submitter).
+_RULES: dict[TxKind, tuple[bool, tuple[Field, ...], Callable]] = {
     TxKind.CREDIT: (True, (
-        _Field("user", "a string"), _Field("amount", "an integer"),
-        _Field("source", "a string", MINT)),
+        Field("user", "a string"), Field("amount", "an integer"),
+        Field("source", "a string", MINT)),
         lambda s, f, who: s.ledger.credit(f["user"], f["amount"], f["source"])),
     TxKind.SUBMIT_ARTICLE: (False, (
-        _Field("title", "a string"), _Field("abstract", "a string", ""),
-        _Field("authors", "a list"), _Field("institutions", "a list", ())),
+        Field("title", "a string"), Field("abstract", "a string", ""),
+        Field("authors", "a list"), Field("institutions", "a list", ())),
         lambda s, f, who: s.submit_article(ContentMetadata(**f), who)),
-    TxKind.COMMENT: (False, (_ARTICLE, _Field("text_hash", "a string")),
+    TxKind.COMMENT: (False, (_ARTICLE, Field("text_hash", "a string")),
         lambda s, f, who: s.comment(f["article"], who, f["text_hash"])),
     TxKind.START_REVIEW: (False, (
-        _ARTICLE, _Field("deposit", "an integer"), _Field("panel", "a list")),
+        _ARTICLE, Field("deposit", "an integer"), Field("panel", "a list")),
         lambda s, f, who: s.start_review(f["article"], who, f["deposit"], f["panel"])),
     TxKind.TRADE: (False, (
-        _ARTICLE, _Field("outcome", "a string"), _Field("shares", "a number")),
+        _ARTICLE, Field("outcome", "a string"), Field("shares", "a number")),
         lambda s, f, who: s.trade_review_shares(
-            f["article"], who, f["outcome"], f["shares"])),
+            f["article"], who, f["outcome"], float(f["shares"]))),
     TxKind.CONCLUDE_REVIEW: (True, (_ARTICLE, _VOTES),
         lambda s, f, who: s.conclude_review(f["article"], f["votes"])),
-    TxKind.RAISE_OBJECTION: (False, (_ARTICLE, _Field("stake", "an integer")),
+    TxKind.RAISE_OBJECTION: (False, (_ARTICLE, Field("stake", "an integer")),
         lambda s, f, who: s.raise_objection(f["article"], who, f["stake"])),
-    TxKind.RESOLVE_DISPUTE: (True, (_Field("dispute", "a string"), _VOTES),
+    TxKind.RESOLVE_DISPUTE: (True, (Field("dispute", "a string"), _VOTES),
         lambda s, f, who: s.resolve_dispute(f["dispute"], f["votes"])),
-    TxKind.CLAIM_ARTICLE: (False, (_ARTICLE, _Field("doi", "a string", "")),
+    TxKind.CLAIM_ARTICLE: (False, (_ARTICLE, Field("doi", "a string", "")),
         lambda s, f, who: s.claim_published_article(f["article"], f["doi"], who)),
 }
 
@@ -191,19 +188,11 @@ def apply_tx(state: ProtocolState, tx: Transaction) -> None:
         raise ChainError(f"{who!r} cannot submit platform operation {tx.kind.value}")
     if not platform_only and p.get("user", who) != who:
         raise ChainError(f"{who!r} cannot act for {p['user']!r} in {tx.kind.value}")
-    checked = {}
     try:
-        for name, json_type, default in fields:
-            value = p.get(name, default)
-            ok = not isinstance(value, bool) and isinstance(value, _JSON_TYPES[json_type])
-            try:  # a number must also fit a double
-                checked[name] = float(value) if ok and json_type == "a number" else value
-            except OverflowError:
-                ok = False
-            if not ok:
-                raise ChainError(f"bad payload for {tx.kind.value}: "
-                                 f"field {name!r} must be {json_type}")
-        handler(state, checked, who)
+        handler(state, check_fields(p, fields), who)
+    except FieldError as exc:
+        raise ChainError(f"bad payload for {tx.kind.value}: "
+                         f"field {exc.path!r} must be {exc.expected}") from None
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ChainError(f"bad payload for {tx.kind.value}: {exc}") from exc
 
@@ -459,12 +448,24 @@ def export_chain(blocks: Sequence[Block]) -> str:
     return "".join(lines)
 
 
+#: The typed keys of a block line, in the order they are checked, and the
+#: reason each gives when it is refused.
+_BLOCK_FIELDS = (Field("approvals", "a list of strings"), Field("height", "an integer"),
+                 Field("prevHash", "a string"), Field("stateHash", "a string"),
+                 Field("blockHash", "a string"))
+_BLOCK_REASONS = {"approvals": "approvals must be a list of peer ids",
+                  "height": "block height must be an integer",
+                  "prevHash": "block hashes must be strings",
+                  "stateHash": "block hashes must be strings",
+                  "blockHash": "block hashes must be strings"}
+
+
 def _tx_record_from_obj(obj: dict) -> TxRecord:
     if not isinstance(obj, dict) or list(obj) != _TX_WIRE_KEYS:
         raise ChainError(f"tx record keys must be exactly {_TX_WIRE_KEYS}")
     if obj["status"] not in (APPLIED, REJECTED):
         raise ChainError(f"unknown tx status {obj['status']!r}")
-    if not isinstance(obj["error"], str):
+    if not isinstance(obj["error"], str):  # by hand: a declared check costs a call per record
         raise ChainError("tx error must be a string")
     if obj["signature"] != "":  # authorization is by submitter identity
         raise ChainError("tx signature must be empty")
@@ -492,22 +493,16 @@ def import_chain(text: str) -> list[Block]:
             obj = json.loads(line)
             if not isinstance(obj, dict) or list(obj) != _BLOCK_WIRE_KEYS:
                 raise ChainError(f"block keys must be exactly {_BLOCK_WIRE_KEYS}")
-            approvals = obj["approvals"]
-            if not isinstance(approvals, list) or not all(
-                isinstance(a, str) for a in approvals
-            ):
-                raise ChainError("approvals must be a list of peer ids")
-            if type(obj["height"]) is not int:
-                raise ChainError("block height must be an integer")
-            hashes = (obj["prevHash"], obj["stateHash"], obj["blockHash"])
-            if not all(isinstance(h, str) for h in hashes):
-                raise ChainError("block hashes must be strings")
+            try:
+                check_fields(obj, _BLOCK_FIELDS)
+            except FieldError as exc:
+                raise ChainError(_BLOCK_REASONS[exc.path]) from None
             block = Block(
                 height=obj["height"],
                 prev_hash=obj["prevHash"],
                 txs=tuple(_tx_record_from_obj(t) for t in obj["txs"]),
                 state_hash=obj["stateHash"],
-                approvals=tuple(approvals),
+                approvals=tuple(obj["approvals"]),
                 block_hash=obj["blockHash"],
             )
         except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from scholarchain.cli import (
+    KINDS,
     ScenarioError,
     load_scenario,
     main,
@@ -52,6 +53,12 @@ PINNED_OUTPUTS = {
     "market_demo.json":
         "1a51f0b8f7bb8effcf5c7582cb797f2929e8deec46c52034ce64b51beb0b3d0d",
 }
+
+
+#: The values `test_a_fuzzed_field_exits_0_or_names_it` gives each field, and
+#: the scenario fields holding the records whose keys it fuzzes too.
+FUZZ_VALUES = (True, 1.5, "x", [], {})
+FUZZED_RECORDS = ("trades", "comments", "objection", "delta_grid", "strategies")
 
 
 def outputs_digest(paths) -> str:
@@ -157,20 +164,90 @@ class TestScenarioLoading:
          "field 'trades[0].user': required"),
         ("protocol_publish.json", lambda s: s.update(users=["ada"]),
          "field 'users': must be an object"),
+        ("protocol_publish.json", lambda s: s.update(panel="r12"),
+         "field 'panel': must be a list of strings"),
+        ("protocol_publish.json", lambda s: s.update(peers="abcd"),
+         "field 'peers': must be a list of strings"),
+        ("market_demo.json", lambda s: s["trades"][0].update(outcome="MAYBE"),
+         "field 'trades[0]': unknown outcome 'MAYBE'"),
+        ("market_demo.json", lambda s: s["trades"][1].update(shares=10**400),
+         "field 'trades[1].shares': must be a number"),
+        ("market_demo.json", lambda s: s.update(resolve=[]),
+         "field 'resolve': must be a string"),
+        ("market_demo.json", lambda s: s.update(b=[1]),
+         "field 'b': Invalid literal for Fraction: '[1]'"),
+        ("population.json", lambda s: s.update(size="10"),
+         "field 'size': must be an integer"),
+        ("population.json", lambda s: s.update(strategies="grim"),
+         "field 'strategies': must be an object"),
+        ("population.json", lambda s: s.update(horizon="x"),
+         "field 'horizon': must be an integer"),
+        ("population.json", lambda s: s["strategies"].update(overrides={"x": "alld"}),
+         "field 'strategies': invalid literal for int() with base 10: 'x'"),
+        ("population.json", lambda s: s.update(delta=5),
+         "field 'size' or 'delta' or 'horizon': discount factor must lie in (0, 1), got 5.0"),
+        ("population.json", lambda s: s.update(horizon=-1),
+         "field 'size' or 'delta' or 'horizon': horizon must be >= 1"),
+        ("population.json", lambda s: s.update(reputation_visible="false"),
+         "field 'reputation_visible': must be a boolean"),
+        ("delta_sweep.json", lambda s: s.update(delta_grid="x"),
+         "field 'delta_grid': must be an object"),
+        ("table3.json", lambda s: s.update(game="x"), "field 'game': must be an object"),
+        ("table3.json", lambda s: s.update(game={"type": "publication"}), "field 'game': 'R'"),
+        ("table3.json", lambda s: s["game"].update(P=[]),
+         "field 'game': publish_prob missing keys ['00', '0e', 'e0', 'ee']"),
+        ("table3.json", lambda s: s.update(kind=[]), "field 'kind': must be a string"),
+        ("table3.json", lambda s: s.update(kind={}), "field 'kind': must be a string"),
+        ("table3.json", lambda s: s.update(output=5), "field 'output': must be a string"),
     ], ids=["market-string-shares", "market-no-outcome", "market-int-user",
             "market-string-trades", "protocol-no-comment-text", "protocol-no-trade-user",
-            "protocol-user-list"])
+            "protocol-user-list", "protocol-string-panel", "protocol-string-peers",
+            "market-unknown-outcome", "market-shares-beyond-a-double", "market-list-resolve",
+            "market-list-b", "population-string-size", "population-string-strategies",
+            "population-string-horizon", "population-string-override",
+            "population-delta-5", "population-negative-horizon",
+            "population-string-visibility", "sweep-string-grid", "analysis-string-game",
+            "analysis-game-without-R", "analysis-list-P", "list-kind", "object-kind", "int-output"])
     def test_a_malformed_scenario_field_is_named(self, tmp_path, capsys, name, edit,
                                                  refused):
         scenario = load_scenario(resolve_scenario_path(name))
+        verb = KINDS[scenario["kind"]][0]
         edit(scenario)
         bad = tmp_path / name
         bad.write_text(json.dumps(scenario))
         out = tmp_path / "out"
-        verb = "market" if name == "market_demo.json" else "protocol"
         assert main(["--out-dir", str(out), verb, str(bad)]) == 2
         assert f"error: {refused}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_fuzzed_field_exits_0_or_names_it(self, tmp_path, capsys, name):
+        """Each top-level field, and each key of the records `cli` reads, takes
+        each of a few JSON values: the run exits 0, or exits 2 naming a field
+        and writing nothing, never 1."""
+        original = json.loads(resolve_scenario_path(name).read_text())
+        verb = KINDS[original["kind"]][0]
+        records = [original]
+        for key in FUZZED_RECORDS:
+            if key in original:
+                value = original[key]
+                records.extend(value if isinstance(value, list) else [value])
+        bad, failures, case = tmp_path / "fuzzed.json", [], 0
+        for record in records:
+            for key in list(record):
+                kept = record[key]
+                for value in FUZZ_VALUES:
+                    record[key] = value
+                    bad.write_text(json.dumps(original))
+                    case += 1
+                    out = tmp_path / f"out{case}"
+                    code = main(["--out-dir", str(out), verb, str(bad)])
+                    err = capsys.readouterr().err
+                    named = code == 2 and err.startswith("error: field '") and not out.exists()
+                    if code != 0 and not named:
+                        failures.append((key, value, code, err))
+                record[key] = kept
+        assert not failures
 
     def test_a_value_the_chain_judges_is_still_a_rejection(self, tmp_path):
         scenario = load_scenario(resolve_scenario_path("protocol_publish.json"))
