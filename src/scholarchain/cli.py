@@ -180,8 +180,11 @@ def _population_outputs(scenario: dict, seed: int) -> dict[str, str]:
         assignment = {
             p: strategies.automaton_by_name(chosen["default"]) for p in range(size)
         }
-        for player, name in chosen["overrides"].items():
-            assignment[int(player)] = strategies.automaton_by_name(name)
+        for key, name in chosen["overrides"].items():
+            player = int(key)
+            if player not in assignment:
+                raise ValueError(f"no player {key} in a population of {size}")
+            assignment[player] = strategies.automaton_by_name(name)
     with _judged("size", "delta", "horizon"):
         config = strategies.PopulationConfig(
             size=size,
@@ -548,8 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built by the first `main` call, not at import, and reused by later calls:
+#: parsing keeps no state, and the subparsers' copies of the flags default to
+#: SUPPRESS, so no call's flags reach the next.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.verb == "verify":
             return _cmd_verify(args)

@@ -347,9 +347,11 @@ class ProtocolState:
         self.clock = 0  # logical time; ticks once per applied operation
         # Keys written since the last digest, per section, each a dict used
         # as a set like `TokenLedger.written`, which keeps the accounts'.  Only
-        # `_tick` adds to them.  The sections are built by the first digest.
+        # `_tick` adds to them.  The sections, and the fragment of the config,
+        # which never changes, are built by the first digest.
         self._written = {"articles": {}, "disputes": {}, "markets": {}}
         self._sections: Optional[tuple[Section, ...]] = None
+        self._config_json = ""
 
     # -- helpers --------------------------------------------------------------
 
@@ -625,8 +627,8 @@ class ProtocolState:
         digest encodes again only the keys written since the last one, each
         with its entity's own `to_canonical_json`, and joins again only the
         sections that have some.  A market in turn encodes again only the
-        holdings traded since.  A state's first call builds every section
-        from one `to_canonical()`.
+        holdings traded since.  A state's first call builds every section,
+        and the config's fragment, from one `to_canonical()`.
         """
         led = self.ledger
         if self._sections is None:
@@ -642,12 +644,13 @@ class ProtocolState:
                 sections.append(Section(entities, written, _encode, keyed, bodies))
                 written.clear()
             self._sections = tuple(sections)
+            self._config_json = canonical_json(snapshot["config"])
         articles, disputes, accounts, markets = (s.text() for s in self._sections)
         # Keys in the order `sort_keys` writes them.
         return (
             f'{{"articles":[{articles}],'
             f'"clock":{canonical_json(self.clock)},'
-            f'"config":{canonical_json(self.config.to_canonical())},'
+            f'"config":{self._config_json},'
             f'"disputes":[{disputes}],'
             f'"ledger":{{"accounts":{{{accounts}}},'
             f'"burned_total":0,'

@@ -99,8 +99,8 @@ class PeerSet:
         object.__setattr__(self, "peers", tuple(self.peers))
         if not self.peers:
             raise ChainError("peer set cannot be empty")
-        if not all(isinstance(p, str) and p for p in self.peers):
-            raise ChainError("peer ids must be non-empty strings")
+        if not all(isinstance(p, str) and p and _json_carries(p) for p in self.peers):
+            raise ChainError("peer ids must be non-empty strings that JSON reads back")
         if len(set(self.peers)) != len(self.peers):
             raise ChainError("duplicate peer ids")
 
@@ -224,39 +224,57 @@ class TxPool:
 
 
 _MAX_DEPTH = 16  # containers in a payload, itself included; an author pair is 3 deep
-_PLAIN = frozenset((str, bool, type(None)))  # values with nothing to check
+_PLAIN = frozenset((bool, type(None)))  # values with nothing to check
 _INT_BOUND = 10**640  # at most 640 digits, the lowest int<->str limit CPython allows
+
+
+def _json_carries(text: str) -> bool:
+    """Whether JSON reads `text` back as it is.  JSON writes a high surrogate
+    followed by a low one as two escapes, which read back, and seal, as the
+    one character that the pair encodes in UTF-16."""
+    return text.isascii() or text == text.encode(
+        "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
+_PAIRED = "payload is not encodable as JSON: a string holds a surrogate pair"
 
 
 def _check_shape(container, depth: int) -> None:
     """Raise ChainError unless the payload holds only JSON values with string
-    keys, integers of at most 640 digits and finite floats, nested at most
-    `_MAX_DEPTH` deep, so that every interpreter can write and read it back."""
+    keys, strings that JSON reads back, integers of at most 640 digits and
+    finite floats, nested at most `_MAX_DEPTH` deep, so that every
+    interpreter can write and read it back."""
     if depth > _MAX_DEPTH:
         raise ChainError(f"payload nests more than {_MAX_DEPTH} containers")
     if isinstance(container, dict):
         for key in container:
             if not isinstance(key, str):
                 raise ChainError("payload is not encodable as JSON: a key is not a string")
+            if not _json_carries(key):
+                raise ChainError(_PAIRED)
         container = container.values()
     for item in container:
         if type(item) in _PLAIN or type(item) is int and -_INT_BOUND < item < _INT_BOUND:
             continue
-        if isinstance(item, (dict, list, tuple)):
+        if isinstance(item, str):
+            if not _json_carries(item):
+                raise ChainError(_PAIRED)
+        elif isinstance(item, (dict, list, tuple)):
             _check_shape(item, depth + 1)
         elif isinstance(item, float) and not math.isfinite(item):
             raise ChainError(f"payload is not encodable as JSON: {item} is not finite")
         elif isinstance(item, int) and not -_INT_BOUND < item < _INT_BOUND:
             raise ChainError("payload is not encodable as JSON: integer over 640 digits")
-        elif not isinstance(item, (str, int, float)):
+        elif not isinstance(item, (int, float)):
             raise ChainError(f"payload is not encodable as JSON: type {type(item).__name__}")
 
 
 def _check_tx_form(tx: Transaction) -> None:
     """Raise ChainError unless a submitted or imported transaction is admissible.
 
-    JSON turns a non-string key into a string and has no non-finite number,
-    so either would make the export replay differently from what executed.
+    JSON turns a non-string key into a string, has no non-finite number and
+    reads a surrogate pair back as one character, so any of these would make
+    the export replay differently from what executed.
     """
     if not isinstance(tx.kind, TxKind):
         raise ChainError(f"unknown transaction kind {tx.kind!r}")
@@ -264,6 +282,8 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError("payload must be a mapping")
     if not isinstance(tx.submitter, str) or not tx.submitter:
         raise ChainError("submitter must be a nonempty user id")
+    if not _json_carries(tx.submitter):
+        raise ChainError("submitter is not encodable as JSON: it holds a surrogate pair")
     if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
         raise ChainError("tx id must be a non-negative integer of at most 640 digits")
     _check_shape(tx.payload, 1)

@@ -17,9 +17,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .games import Action, PayoffMatrix2x2
+from .games import ACTIONS, Action, PayoffMatrix2x2
 
 GOOD, BAD = "good", "bad"
 
@@ -320,8 +320,7 @@ class PopulationConfig:
             raise ValueError(f"players without a strategy: {missing}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     player: int
     action: Action
@@ -342,10 +341,15 @@ class PopulationReport:
 
     def to_csv(self) -> str:
         lines = ["round,player,action,stage_payoff,reputation"]
-        for r in self.rows:
-            lines.append(
-                f"{r.round},{r.player},{r.action.value},{r.stage_payoff},{r.reputation}"
-            )
+        # The rows of a run share its four cells' action and payoff objects,
+        # so each cell's text is written once, found by the objects' identity.
+        cells: dict[tuple[int, int], str] = {}
+        for k, p, action, payoff, reputation in self.rows:
+            key = (id(action), id(payoff))
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = f"{action.value},{payoff}"
+            lines.append(f"{k},{p},{cell},{reputation}")
         return "\n".join(lines) + "\n"
 
     def summary_json(self) -> str:
@@ -362,6 +366,18 @@ class PopulationReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _table(automaton: StrategyAutomaton) -> list[tuple[int, int, int]]:
+    """The automaton on indices, C and D as 0 and 1 and its initial state
+    as 0: per state, (action, next state after C, next state after D)."""
+    order = [automaton.initial, *(s for s in automaton.actions if s != automaton.initial)]
+    index = {s: i for i, s in enumerate(order)}
+    return [
+        (ACTIONS.index(automaton.actions[s]),
+         *(index[automaton.transitions[(s, a)]] for a in ACTIONS))
+        for s in order
+    ]
+
+
 def run_population(
     config: PopulationConfig, game: PayoffMatrix2x2
 ) -> PopulationReport:
@@ -371,66 +387,62 @@ def run_population(
     stage game must be symmetric.  Automata step on the observed opponent
     action; reputation flags are monotone good-to-bad and recorded per row
     as of the end of the round.
+
+    The rounds run on action indices, C as 0 and D as 1.  The game's four
+    cells (own action, opponent's action) with their payoffs and the
+    payoffs' floats, and each automaton's table of states, are made once per
+    run, so no `Action` or `Fraction` is hashed or converted per row.
     """
     if not game.is_symmetric():
         raise ValueError("population play needs a symmetric stage game")
     rng = random.Random(config.rng_seed)
-    automata = {p: config.strategies[p] for p in range(config.size)}
-    states = {p: automata[p].initial for p in automata}
-    good = {p: True for p in automata}
-    stage_payoffs: dict[int, list[tuple[int, Fraction]]] = {p: [] for p in automata}
+    size, delta = config.size, config.delta
+    # Cell 2 * own action + opponent's action: (own action, own payoff).
+    cells = [(a, game.row_payoff(a, b)) for a in ACTIONS for b in ACTIONS]
+    floats = [float(u) for _, u in cells]
+    players = [config.strategies[p] for p in range(size)]
+    tables = [_table(aut) for aut in players]
+    by_reputation = [config.reputation_visible and aut.reputation_rule for aut in players]
+    states = [0] * size
+    good = [True] * size
+    totals = [0.0] * size
+    cell = [0] * size
     rows: list[RoundRecord] = []
     coop_rates: list[float] = []
 
-    def choose(p: int, opponent: int) -> Action:
-        aut = automata[p]
-        if config.reputation_visible and aut.reputation_rule:
-            return Action.C if good[opponent] else Action.D
-        return aut.action(states[p])
-
     for k in range(config.horizon):
-        order = list(range(config.size))
+        order = list(range(size))
         rng.shuffle(order)
-        if config.size % 2:
-            order = order[:-1]  # the shuffled-out last player sits this round out
-        played: list[tuple[int, Action, Fraction]] = []
+        if size % 2:
+            order.pop()  # the shuffled-out last player sits this round out
         flag_drops: list[int] = []
-        for i in range(0, len(order), 2):
-            p, q = order[i], order[i + 1]
-            ap, aq = choose(p, q), choose(q, p)
-            up, uq = game.row_payoff(ap, aq), game.row_payoff(aq, ap)
-            played.append((p, ap, up))
-            played.append((q, aq, uq))
-            if ap is Action.D and good[q]:
+        for p, q in zip(order[::2], order[1::2]):
+            ap = (0 if good[q] else 1) if by_reputation[p] else tables[p][states[p]][0]
+            aq = (0 if good[p] else 1) if by_reputation[q] else tables[q][states[q]][0]
+            cell[p], cell[q] = 2 * ap + aq, 2 * aq + ap
+            if ap and good[q]:
                 flag_drops.append(p)
-            if aq is Action.D and good[p]:
+            if aq and good[p]:
                 flag_drops.append(q)
-            states[p] = automata[p].step(states[p], aq)
-            states[q] = automata[q].step(states[q], ap)
+            states[p] = tables[p][states[p]][1 + aq]
+            states[q] = tables[q][states[q]][1 + ap]
         for p in flag_drops:
             good[p] = False
-        for p, action, payoff in sorted(played):
-            stage_payoffs[p].append((k, payoff))
-            rows.append(
-                RoundRecord(k, p, action, payoff, GOOD if good[p] else BAD)
-            )
-        n_coop = sum(1 for _, action, _ in played if action is Action.C)
-        coop_rates.append(n_coop / len(played))
+        # Each player's discounted payoff is added left to right: `sum` of
+        # floats compensates its rounding from Python 3.12 on, which changes
+        # the last digit of some payoffs.
+        weight = delta**k
+        for p in sorted(order):
+            c = cell[p]
+            totals[p] += floats[c] * weight
+            rows.append(RoundRecord(k, p, *cells[c], GOOD if good[p] else BAD))
+        coop_rates.append(sum(cell[p] < 2 for p in order) / len(order))
 
-    delta = config.delta
-    discounted = {}
-    for p, per_round in stage_payoffs.items():
-        # Added left to right: `sum` of floats compensates its rounding from
-        # Python 3.12 on, which changes the last digit of some payoffs.
-        total = 0.0
-        for k, u in per_round:
-            total += float(u) * delta**k
-        discounted[p] = (1 - delta) * total
     return PopulationReport(
         seed=config.rng_seed,
         delta=config.delta,
         horizon=config.horizon,
         rows=tuple(rows),
-        discounted_payoffs=discounted,
+        discounted_payoffs={p: (1 - delta) * totals[p] for p in range(size)},
         cooperation_rates=tuple(coop_rates),
     )

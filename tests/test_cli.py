@@ -184,6 +184,10 @@ class TestScenarioLoading:
          "field 'horizon': must be an integer"),
         ("population.json", lambda s: s["strategies"].update(overrides={"x": "alld"}),
          "field 'strategies': invalid literal for int() with base 10: 'x'"),
+        ("population.json", lambda s: s["strategies"].update(overrides={"10": "alld"}),
+         "field 'strategies': no player 10 in a population of 10"),
+        ("population.json", lambda s: s["strategies"].update(overrides={"-3": "alld"}),
+         "field 'strategies': no player -3 in a population of 10"),
         ("population.json", lambda s: s.update(delta=5),
          "field 'size' or 'delta' or 'horizon': discount factor must lie in (0, 1), got 5.0"),
         ("population.json", lambda s: s.update(horizon=-1),
@@ -205,6 +209,7 @@ class TestScenarioLoading:
             "market-unknown-outcome", "market-shares-beyond-a-double", "market-list-resolve",
             "market-list-b", "population-string-size", "population-string-strategies",
             "population-string-horizon", "population-string-override",
+            "population-override-past-the-end", "population-negative-override",
             "population-delta-5", "population-negative-horizon",
             "population-string-visibility", "sweep-string-grid", "analysis-string-game",
             "analysis-game-without-R", "analysis-list-P", "list-kind", "object-kind", "int-output"])
@@ -501,6 +506,38 @@ class TestBundledScenarios:
     def test_outputs_match_pinned_digest(self, tmp_path, name):
         assert outputs_digest(run_scenario(name, str(tmp_path))) == PINNED_OUTPUTS[name]
 
+    def test_repeated_main_calls_keep_pinned_outputs(self, tmp_path, capsys, monkeypatch):
+        """One process: `main` builds its parser once, and no call's `--seed`,
+        `--out-dir` or refused argv reaches the next call."""
+        from scholarchain import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for round_ in range(2):
+            out = tmp_path / f"plain{round_}"
+            for i, name in enumerate(BUNDLED):
+                verb = KINDS[load_scenario(resolve_scenario_path(name))["kind"]][0]
+                seeded = ["--seed", "9", "--out-dir", str(tmp_path / f"seeded{round_}{i}")]
+                # The flags go before the verb, or after it to its subparser.
+                assert main(seeded + [verb, name] if i % 2 else [verb, name] + seeded) == 0
+                for path in capsys.readouterr().out.split():
+                    if path.endswith("_summary.json"):
+                        assert read_json(Path(path))["seed"] == 9
+                assert main([verb, name, "--out-dir", str(out)]) == 0
+                assert outputs_digest(capsys.readouterr().out.split()) == PINNED_OUTPUTS[name]
+                if i == 3:
+                    with pytest.raises(SystemExit) as refused:
+                        main(["--seed", "x", "--out-dir", str(tmp_path / "refused"),
+                              verb, name])
+                    assert refused.value.code == 2
+        for name in ("protocol_publish", "protocol_revise", "protocol_retract"):
+            assert main(["verify", str(out / f"{name}_chain.jsonl")]) == 0
+            assert capsys.readouterr().out.startswith("OK: ")
+        assert built == [1]
+        assert not (tmp_path / "refused").exists()
+
     def test_unchanged_outputs_are_left_untouched(self, tmp_path):
         paths = run_scenario("market_demo.json", str(tmp_path))
         old = 10**9  # an mtime no write of this run can give
@@ -535,6 +572,22 @@ class TestBundledScenarios:
 
 
 class TestEntryPoints:
+    def test_the_traced_functions_are_called_through_their_modules(self, tmp_path,
+                                                                    monkeypatch):
+        # The benchmark's tracer times these by replacing the module attribute.
+        from scholarchain import cli, strategies
+
+        called = []
+        for module, attr in ((cli, "run_scenario"), (strategies, "run_population"),
+                             (strategies, "closed_form_payoff")):
+            def wrapper(*args, _original=getattr(module, attr), _name=attr, **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapper)
+        assert main(["--out-dir", str(tmp_path), "sweep", "delta_sweep.json",
+                     "population.json"]) == 0
+        assert set(called) == {"run_scenario", "run_population", "closed_form_payoff"}
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "scholarchain", "--out-dir", str(tmp_path),

@@ -31,6 +31,8 @@ from scholarchain.netchain import (
 from protocol_fuzz import FLOATS, TEXT, canonical_dumps, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
+#: A high surrogate and a low one, which JSON reads back as one character.
+PAIR = chr(0xD800) + chr(0xDC00)
 
 
 def genesis() -> ProtocolState:
@@ -73,8 +75,9 @@ class TestPeerSet:
         with pytest.raises(ChainError):
             PeerSet(())
 
-    @pytest.mark.parametrize("peers", [(1, 2, 3, 4), ("p1", ""), ("p1", None)],
-                             ids=["int-ids", "empty-id", "none-id"])
+    @pytest.mark.parametrize("peers", [(1, 2, 3, 4), ("p1", ""), ("p1", None),
+                                       ("p1", "p" + PAIR)],
+                             ids=["int-ids", "empty-id", "none-id", "surrogate-pair"])
     def test_peer_ids_must_be_nonempty_strings(self, peers):
         # An export writes approvals as peer ids, and import reads back strings only.
         with pytest.raises(ChainError, match="peer ids must be non-empty strings"):
@@ -129,7 +132,10 @@ class TestSubmitTx:
         {"user": float},
         {"user": "a", "amount": float("nan")},
         {"user": "a", "amount": float("-inf")},
-    ], ids=["set-value", "mixed-key-types", "class-value", "nan-value", "infinite-value"])
+        {"user": "a" + PAIR, "amount": 5},
+        {"user": "a", "amount": 5, PAIR: 1},
+    ], ids=["set-value", "mixed-key-types", "class-value", "nan-value", "infinite-value",
+            "surrogate-pair-value", "surrogate-pair-key"])
     def test_payload_json_cannot_encode_rejected(self, payload):
         chain = Chain(genesis())
         pool = TxPool()
@@ -138,6 +144,24 @@ class TestSubmitTx:
         assert len(pool) == 0
         submit_tx(pool, credit_tx(2, "ada"), chain)
         assert produce_block(chain, pool, PEERS).committed
+
+    def test_text_json_reads_back_otherwise_is_refused(self):
+        # "a" + PAIR and "a" + chr(0x10000) are two ids that JSON writes alike.
+        # A chain that credited both replayed them as one account, so `verify`
+        # failed its honest export.
+        chain = Chain(genesis())
+        pool = TxPool()
+        for tx in (credit_tx(1, "a" + PAIR),
+                   Transaction(1, TxKind.CLAIM_ARTICLE, {"article": "x"}, "ada" + PAIR)):
+            with pytest.raises(ChainError, match="surrogate pair"):
+                submit_tx(pool, tx, chain)
+        # A lone surrogate and a character beyond the BMP read back as they are.
+        for i, text in enumerate(("a" + chr(0x10000), PAIR[0], PAIR[1] + PAIR[0]), start=1):
+            submit_tx(pool, credit_tx(2 * i, text), chain)
+            submit_tx(pool, Transaction(2 * i + 1, TxKind.CLAIM_ARTICLE, {"article": text},
+                                        text), chain)
+        assert produce_block(chain, pool, PEERS).committed
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     @pytest.mark.parametrize("payload", [
         {"article": "a", "votes": {1: "PUBLISH", 2: "PUBLISH"}},
@@ -858,13 +882,19 @@ def sealed_by_the_oracle(block: Block) -> str:
 INTS = st.sampled_from([10**640 - 1, -(10**640) + 1]) | st.integers(-(10**640) + 1, 10**640 - 1)
 
 
-def json_values(depth: int):
+#: The text a block can hold: JSON reads it back as it is.  The gate refuses
+#: a string holding a high surrogate followed by a low one, since JSON reads
+#: the pair back as one character.
+WIRE_TEXT = TEXT.filter(lambda text: json.loads(json.dumps(text)) == text)
+
+
+def json_values(depth: int, text=TEXT):
     """JSON values of at most `depth` nested containers."""
-    leaves = st.none() | st.booleans() | INTS | FLOATS | TEXT
+    leaves = st.none() | st.booleans() | INTS | FLOATS | text
     if depth == 0:
         return leaves
-    inner = json_values(depth - 1)
-    return leaves | st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3)
+    inner = json_values(depth - 1, text)
+    return leaves | st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3)
 
 
 def nested(value, depth: int) -> dict:
@@ -874,16 +904,16 @@ def nested(value, depth: int) -> dict:
     return {"nested": value}
 
 
-PAYLOADS = (st.dictionaries(TEXT, json_values(3), max_size=4)
-            | st.builds(nested, json_values(0), st.integers(1, netchain._MAX_DEPTH)))
+PAYLOADS = (st.dictionaries(WIRE_TEXT, json_values(3, WIRE_TEXT), max_size=4)
+            | st.builds(nested, json_values(0, WIRE_TEXT), st.integers(1, netchain._MAX_DEPTH)))
 RECORDS = st.builds(
     TxRecord,
     st.builds(Transaction, st.integers(0, 10**640 - 1), st.sampled_from(TxKind), PAYLOADS,
-              TEXT.filter(bool)),
-    st.sampled_from([APPLIED, REJECTED]), TEXT)
+              WIRE_TEXT.filter(bool)),
+    st.sampled_from([APPLIED, REJECTED]), WIRE_TEXT)
 BLOCKS = st.builds(
-    Block, st.integers(0, 10**6), TEXT, st.lists(RECORDS, max_size=4).map(tuple), TEXT,
-    st.lists(TEXT, max_size=4).map(tuple), st.just(""))
+    Block, st.integers(0, 10**6), WIRE_TEXT, st.lists(RECORDS, max_size=4).map(tuple),
+    WIRE_TEXT, st.lists(WIRE_TEXT, max_size=4).map(tuple), st.just(""))
 
 
 @given(BLOCKS)

@@ -12,6 +12,7 @@ each market's holdings is checked the same way, alone and in a market.
 """
 
 import collections
+import copy
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,25 @@ def test_rejected_transactions_encode_no_entity(monkeypatch):
     monkeypatch.undo()
     assert block.state_hash == full_state_hash(chain.tip)
     commit_each(chain, writes(WRITES))
+
+
+def test_a_state_encodes_its_config_at_its_first_digest_only(monkeypatch):
+    encodes = []
+    encode = ProtocolConfig.to_canonical
+    monkeypatch.setattr(ProtocolConfig, "to_canonical",
+                        lambda self: encodes.append(self) or encode(self))
+    chain = Chain(genesis())
+    blocks = [commit(chain, OPENING)]
+    assert len(encodes) == 1  # the first block's state, digested for the first time
+    blocks += [commit(chain, [tx]) for tx in writes(WRITES)]
+    copied = copy.deepcopy(chain.tip)
+    netchain._execute(copied, [Transaction(0, *credit("dee"))])
+    copied_hash = state_hash(copied)
+    assert len(encodes) == 1
+    monkeypatch.undo()
+    assert all(r.status == APPLIED for b in blocks for r in b.txs)
+    assert blocks[-1].state_hash == full_state_hash(chain.tip) == state_hash(chain.tip)
+    assert copied_hash == full_state_hash(copied) != blocks[-1].state_hash
 
 
 def test_clone_writes_leave_the_original_digest():

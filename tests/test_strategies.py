@@ -1,15 +1,22 @@
 """Tests for repeated-game analytics and population play."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from scholarchain.games import Action, two_player_commons_game
+from scholarchain.games import Action, PayoffMatrix2x2, two_player_commons_game
 from scholarchain.strategies import (
+    AUTOMATON_FACTORIES,
+    BAD,
+    GOOD,
     DiscountedPayoff,
     MatchTranscript,
     PopulationConfig,
+    PopulationReport,
+    RoundRecord,
     all_c,
     all_d,
     automaton_by_name,
@@ -273,3 +280,100 @@ class TestRunPopulation:
                 rng_seed=0,
                 horizon=5,
             )
+
+
+def reference_population(config, game):
+    """The population round on `Action`s and `Fraction`s, as it was played
+    before it ran on action indices: (rows, discounted payoffs, cooperation
+    rates, CSV text)."""
+    rng = random.Random(config.rng_seed)
+    automata = {p: config.strategies[p] for p in range(config.size)}
+    states = {p: automata[p].initial for p in automata}
+    good = {p: True for p in automata}
+    stage_payoffs = {p: [] for p in automata}
+    rows, coop_rates = [], []
+
+    def choose(p, opponent):
+        aut = automata[p]
+        if config.reputation_visible and aut.reputation_rule:
+            return C if good[opponent] else D
+        return aut.action(states[p])
+
+    for k in range(config.horizon):
+        order = list(range(config.size))
+        rng.shuffle(order)
+        if config.size % 2:
+            order = order[:-1]
+        played, flag_drops = [], []
+        for i in range(0, len(order), 2):
+            p, q = order[i], order[i + 1]
+            ap, aq = choose(p, q), choose(q, p)
+            up, uq = game.row_payoff(ap, aq), game.row_payoff(aq, ap)
+            played.append((p, ap, up))
+            played.append((q, aq, uq))
+            if ap is D and good[q]:
+                flag_drops.append(p)
+            if aq is D and good[p]:
+                flag_drops.append(q)
+            states[p] = automata[p].step(states[p], aq)
+            states[q] = automata[q].step(states[q], ap)
+        for p in flag_drops:
+            good[p] = False
+        for p, action, payoff in sorted(played):
+            stage_payoffs[p].append((k, payoff))
+            rows.append(RoundRecord(k, p, action, payoff, GOOD if good[p] else BAD))
+        coop_rates.append(sum(1 for _, a, _ in played if a is C) / len(played))
+
+    delta = config.delta
+    discounted = {}
+    for p, per_round in stage_payoffs.items():
+        total = 0.0
+        for k, u in per_round:
+            total += float(u) * delta**k
+        discounted[p] = (1 - delta) * total
+    csv = "\n".join(["round,player,action,stage_payoff,reputation"] + [
+        f"{r.round},{r.player},{r.action.value},{r.stage_payoff},{r.reputation}"
+        for r in rows]) + "\n"
+    return rows, discounted, tuple(coop_rates), csv
+
+
+#: The commons2 game and a second symmetric dilemma with payoffs that are
+#: not integers.
+POPULATION_GAMES = (
+    DILEMMA,
+    PayoffMatrix2x2.from_cells({
+        (C, C): (Fraction(3, 2), Fraction(3, 2)), (C, D): (Fraction(-1, 3), Fraction(7, 3)),
+        (D, C): (Fraction(7, 3), Fraction(-1, 3)), (D, D): (Fraction(1, 10), Fraction(1, 10)),
+    }),
+)
+
+
+@st.composite
+def population_runs(draw):
+    size = draw(st.integers(2, 12))
+    names = st.sampled_from(sorted(AUTOMATON_FACTORIES))
+    config = PopulationConfig(
+        size=size,
+        strategies={p: automaton_by_name(draw(names)) for p in range(size)},
+        delta=draw(st.floats(0.001, 0.999)),
+        reputation_visible=draw(st.booleans()),
+        rng_seed=draw(st.integers(0, 2**32)),
+        horizon=draw(st.integers(1, 40)),
+    )
+    return config, draw(st.sampled_from(POPULATION_GAMES))
+
+
+@given(population_runs())
+def test_population_matches_the_reference_round(run):
+    config, game = run
+    report = run_population(config, game)
+    rows, discounted, coop_rates, csv = reference_population(config, game)
+    assert list(report.rows) == rows
+    assert list(report.discounted_payoffs) == list(discounted)
+    assert [v.hex() for v in report.discounted_payoffs.values()] == [
+        v.hex() for v in discounted.values()]
+    assert report.cooperation_rates == coop_rates
+    assert report.to_csv() == csv
+    assert report.summary_json() == PopulationReport(
+        config.rng_seed, config.delta, config.horizon, tuple(rows), discounted,
+        coop_rates).summary_json()
