@@ -13,7 +13,7 @@ rejected at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -64,23 +64,22 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"exact rational required, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PayoffMatrix2x2:
+class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):
     """Bimatrix game over actions {C, D} with exact rational payoffs.
 
     Cells are stored in (C,C), (C,D), (D,C), (D,D) order; each cell is the
     (row-player, column-player) payoff pair.
     """
 
-    cells: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.cells) != 4:
+    def __new__(cls, cells: tuple[tuple[RationalLike, RationalLike], ...]):
+        if len(cells) != 4:
             raise ValueError("a 2x2 game has exactly four cells")
         coerced = tuple(
-            (as_rational(r), as_rational(c)) for r, c in self.cells
+            (as_rational(r), as_rational(c)) for r, c in cells
         )
-        object.__setattr__(self, "cells", coerced)
+        return super().__new__(cls, coerced)
 
     @classmethod
     def from_cells(
@@ -115,8 +114,7 @@ class PayoffMatrix2x2:
         return PayoffMatrix2x2(tuple((r + d, c + d) for r, c in self.cells))
 
 
-@dataclass(frozen=True)
-class CommonsParams:
+class CommonsParams(namedtuple("CommonsParams", "benefit effort threshold size")):
     """Review-commons game parameters.
 
     `benefit` is the value of drawing a review from the commons, `effort`
@@ -124,22 +122,19 @@ class CommonsParams:
     are needed for the commons to function, within a population of `size`.
     """
 
-    benefit: Fraction
-    effort: Fraction
-    threshold: int
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "benefit", as_rational(self.benefit))
-        object.__setattr__(self, "effort", as_rational(self.effort))
-        if not self.effort > 0:
+    def __new__(cls, benefit: RationalLike, effort: RationalLike, threshold: int, size: int):
+        benefit, effort = as_rational(benefit), as_rational(effort)
+        if not effort > 0:
             raise ValueError("effort must be positive")
-        if not self.benefit - self.effort > 0:
+        if not benefit - effort > 0:
             raise ValueError("benefit must exceed effort")
-        if self.threshold < 1:
+        if threshold < 1:
             raise ValueError("cooperator threshold must be >= 1")
-        if self.size < self.threshold:
+        if size < threshold:
             raise ValueError("population must be at least the threshold")
+        return super().__new__(cls, benefit, effort, threshold, size)
 
 
 def build_commons_payoff(
@@ -180,8 +175,7 @@ def two_player_commons_game(
     )
 
 
-@dataclass(frozen=True)
-class PublicationParams:
+class PublicationParams(namedtuple("PublicationParams", "reward effort publish_prob")):
     """Publication-race game parameters.
 
     Cooperating means reporting honestly (zero extra effort); defecting
@@ -192,18 +186,16 @@ class PublicationParams:
     review process can favor hype outright.
     """
 
-    reward: Fraction
-    effort: Fraction
-    publish_prob: Mapping[str, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "reward", as_rational(self.reward))
-        object.__setattr__(self, "effort", as_rational(self.effort))
-        if self.reward < 0:
+    def __new__(cls, reward: RationalLike, effort: RationalLike,
+                publish_prob: Mapping[str, RationalLike]):
+        reward, effort = as_rational(reward), as_rational(effort)
+        if reward < 0:
             raise ValueError("reward must be non-negative")
-        if self.effort <= 0:
+        if effort <= 0:
             raise ValueError("effort must be positive")
-        probs = {k: as_rational(v) for k, v in dict(self.publish_prob).items()}
+        probs = {k: as_rational(v) for k, v in dict(publish_prob).items()}
         missing = [k for k in PROB_KEYS if k not in probs]
         if missing:
             raise ValueError(f"publish_prob missing keys {missing}")
@@ -212,7 +204,7 @@ class PublicationParams:
                 raise ValueError(f"unknown publish_prob key {key!r}")
             if not 0 <= p <= 1:
                 raise ValueError(f"publish_prob[{key!r}]={p} outside [0,1]")
-        object.__setattr__(self, "publish_prob", probs)
+        return super().__new__(cls, reward, effort, probs)
 
 
 def _effort_char(action: Action) -> str:
@@ -241,21 +233,21 @@ def build_publication_game(params: PublicationParams) -> PayoffMatrix2x2:
     )
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(namedtuple("EquilibriumSet", "pure mixed")):
     """Pure equilibria plus the interior mixed equilibrium when one exists.
 
     Mixed probabilities are the chance each player plays D.
     """
 
-    pure: tuple[tuple[Action, Action], ...]
-    mixed: Optional[tuple[Fraction, Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mixed is not None:
-            p_row, p_col = self.mixed
+    def __new__(cls, pure: tuple[tuple[Action, Action], ...],
+                mixed: Optional[tuple[Fraction, Fraction]]):
+        if mixed is not None:
+            p_row, p_col = mixed
             if not (0 <= p_row <= 1 and 0 <= p_col <= 1):
                 raise ValueError("mixed probabilities must lie in [0,1]")
+        return super().__new__(cls, pure, mixed)
 
 
 def pure_equilibria(game: PayoffMatrix2x2) -> list[tuple[Action, Action]]:

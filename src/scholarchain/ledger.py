@@ -16,7 +16,6 @@ so a rejected call leaves the ledger untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import LedgerError
@@ -30,10 +29,10 @@ REFUND = "refund"
 AMOUNT_BOUND = 2**256
 
 
-@dataclass
 class Account:
-    balance: int = 0
-    escrowed: int = 0
+    def __init__(self, balance: int = 0, escrowed: int = 0):
+        self.balance = balance
+        self.escrowed = escrowed
 
     def to_canonical(self) -> dict:
         return {"balance": self.balance, "escrowed": self.escrowed}

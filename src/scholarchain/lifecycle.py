@@ -24,7 +24,6 @@ import hashlib
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -70,30 +69,28 @@ class ArticleState(str, Enum):
     RETRACTED = "RETRACTED"
 
 
-@dataclass(frozen=True)
-class ContentMetadata:
+class ContentMetadata(namedtuple("ContentMetadata", "title abstract authors institutions")):
     """The hashed subset of an article's content data."""
 
-    title: str
-    abstract: str
-    authors: tuple[tuple[str, str], ...]  # (display name, user id)
-    institutions: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.title, str) or not self.title:
+    def __new__(cls, title: str, abstract: str,
+                authors: Sequence[tuple[str, str]],  # (display name, user id)
+                institutions: Sequence[str] = ()):
+        if not isinstance(title, str) or not title:
             raise LifecycleError("article title must be a nonempty string")
-        if not isinstance(self.abstract, str):
+        if not isinstance(abstract, str):
             raise LifecycleError("article abstract must be a string")
-        if not isinstance(self.authors, (list, tuple)) or not all(
-            _strings(a) and len(a) == 2 for a in self.authors
+        if not isinstance(authors, (list, tuple)) or not all(
+            _strings(a) and len(a) == 2 for a in authors
         ):
             raise LifecycleError("authors must be (display name, user id) string pairs")
-        if not _strings(self.institutions):
+        if not _strings(institutions):
             raise LifecycleError("institutions must be a list of strings")
-        object.__setattr__(self, "authors", tuple(tuple(a) for a in self.authors))
-        object.__setattr__(self, "institutions", tuple(self.institutions))
-        if not self.authors:
+        if not authors:
             raise LifecycleError("article needs at least one author")
+        return super().__new__(cls, title, abstract, tuple(tuple(a) for a in authors),
+                               tuple(institutions))
 
 
 def _strings(value) -> bool:
@@ -114,21 +111,26 @@ def content_hash(meta: ContentMetadata) -> str:
     return hashlib.sha256(_FIELD_SEP.join(parts).encode("utf-8")).hexdigest()
 
 
-@dataclass
 class Article:
     """One paper-as-contract registry entry."""
 
-    article_hash: str
-    state: ArticleState
-    owners: list[str]
-    doi: Optional[str] = None
-    author_deposit: int = 0
-    depositor: Optional[str] = None
-    review_panel: tuple[str, ...] = ()
-    market_id: Optional[str] = None
-    comments: list[tuple[str, int, str]] = field(default_factory=list)
-    review_round: int = 0
-    dispute_seq: int = 0
+    def __init__(self, article_hash: str, state: ArticleState, owners: list[str],
+                 doi: Optional[str] = None, author_deposit: int = 0,
+                 depositor: Optional[str] = None, review_panel: tuple[str, ...] = (),
+                 market_id: Optional[str] = None,
+                 comments: Optional[list[tuple[str, int, str]]] = None,
+                 review_round: int = 0, dispute_seq: int = 0):
+        self.article_hash = article_hash
+        self.state = state
+        self.owners = owners
+        self.doi = doi
+        self.author_deposit = author_deposit
+        self.depositor = depositor
+        self.review_panel = review_panel
+        self.market_id = market_id
+        self.comments = [] if comments is None else comments
+        self.review_round = review_round
+        self.dispute_seq = dispute_seq
 
     def to_canonical(self) -> dict:
         return {
@@ -162,15 +164,16 @@ class Article:
                 f'"state":{quote(self.state.value)}}}')
 
 
-@dataclass
 class Dispute:
     """A staked retraction challenge against a published article."""
 
-    dispute_id: str
-    article_hash: str
-    challenger: str
-    stake: int
-    resolution: Optional[str] = None  # "retract" | "uphold" once decided
+    def __init__(self, dispute_id: str, article_hash: str, challenger: str, stake: int,
+                 resolution: Optional[str] = None):
+        self.dispute_id = dispute_id
+        self.article_hash = article_hash
+        self.challenger = challenger
+        self.stake = stake
+        self.resolution = resolution  # "retract" | "uphold" once decided
 
     def to_canonical(self) -> dict:
         return {
@@ -262,35 +265,47 @@ _CONFIG_FIELDS = (Field("initial_reserve", "an integer"),
                   Field("market_liquidity", "a number"), Field("peers", "a list of strings"))
 
 
-@dataclass(frozen=True)
 class ProtocolConfig:
     """The settable platform constants of one chain.
 
     A successful challenger's bounty equals the stake.  `peers` are the
     trusted members whose majorities decide disputes (the same set approves
-    blocks).
+    blocks).  A config never changes once made, because a state keeps its
+    config's canonical fragment from the first digest on.
     """
 
-    market_liquidity: float = 100.0
-    initial_reserve: int = 0
-    peers: tuple[str, ...] = ()
-
-    def __post_init__(self):
+    def __init__(self, market_liquidity: float = 100.0, initial_reserve: int = 0,
+                 peers: Sequence[str] = ()):
+        fields = {"market_liquidity": market_liquidity, "initial_reserve": initial_reserve,
+                  "peers": peers}
         try:
-            check_fields(vars(self), _CONFIG_FIELDS)
+            check_fields(fields, _CONFIG_FIELDS)
         except FieldError as exc:
-            if exc.expected == "a number" and type(self.market_liquidity) is int:
+            if exc.expected == "a number" and type(market_liquidity) is int:
                 raise LifecycleError("market liquidity is too large for a double") from None
             raise LifecycleError(f"{exc.path} must be {exc.expected}") from None
-        object.__setattr__(self, "peers", tuple(self.peers))
-        if not 0 <= self.initial_reserve < AMOUNT_BOUND:
+        fields["peers"] = peers = tuple(peers)
+        if not 0 <= initial_reserve < AMOUNT_BOUND:
             raise LifecycleError("initial_reserve must be below 2**256 and not negative")
-        if not 0 < self.market_liquidity < math.inf:
-            raise LifecycleError(
-                f"market liquidity must be positive, got {self.market_liquidity}"
-            )
-        if len(set(self.peers)) != len(self.peers):
+        if not 0 < market_liquidity < math.inf:
+            raise LifecycleError(f"market liquidity must be positive, got {market_liquidity}")
+        if len(set(peers)) != len(peers):
             raise LifecycleError("peer list has duplicates")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     @classmethod
     def from_canonical(cls, form) -> "ProtocolConfig":

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -93,34 +92,32 @@ def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
     return b * (m + math.log(sum(math.exp(x - m) for x in scaled)))
 
 
-@dataclass
 class Market:
     """One open-or-resolved review market."""
 
-    market_id: str
-    b: float
-    outstanding: dict[str, float] = field(
-        default_factory=lambda: {PUBLISH: 0.0, REVISE: 0.0}
-    )
-    # Shares held, keyed "uid:outcome" as the canonical form writes them.
-    holdings: dict[str, float] = field(default_factory=dict)
-    resolved: Optional[str] = None
-    trade_count: int = 0
-    events: list[dict] = field(default_factory=list)
-    # The holdings traded since the last `to_canonical_json`, a dict used as
-    # a set like `TokenLedger.written`, and the holdings' kept fragments.
-    written: dict[str, None] = field(init=False, repr=False, compare=False)
-    _holdings: Section = field(init=False, repr=False, compare=False)
-    # `lmsr_cost` of the book with the position it was computed for, b and
-    # the outstanding values, so that a direct write to `outstanding` finds
-    # the kept cost stale instead of using it (`_book_cost`).
-    _cost: tuple[tuple, float] = field(
-        default=((), 0.0), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The section starts empty, with the holdings built in as written.
+    def __init__(self, market_id: str, b: float,
+                 outstanding: Optional[dict[str, float]] = None,
+                 holdings: Optional[dict[str, float]] = None,
+                 resolved: Optional[str] = None, trade_count: int = 0,
+                 events: Optional[list[dict]] = None):
+        self.market_id = market_id
+        self.b = b
+        self.outstanding = {PUBLISH: 0.0, REVISE: 0.0} if outstanding is None else outstanding
+        # Shares held, keyed "uid:outcome" as the canonical form writes them.
+        self.holdings = {} if holdings is None else holdings
+        self.resolved = resolved
+        self.trade_count = trade_count
+        self.events = [] if events is None else events
+        # The holdings traded since the last `to_canonical_json`, a dict used
+        # as a set like `TokenLedger.written`, and the holdings' kept
+        # fragments: the section starts empty, with the holdings built in as
+        # written.
         self.written = dict.fromkeys(self.holdings)
         self._holdings = Section(self.holdings, self.written, repr, keyed=True)
+        # `lmsr_cost` of the book with the position it was computed for, b
+        # and the outstanding values, so that a direct write to `outstanding`
+        # finds the kept cost stale instead of using it (`_book_cost`).
+        self._cost = ((), 0.0)
 
     def holding(self, user_id: str, outcome: str) -> float:
         return self.holdings.get(f"{user_id}:{outcome}", 0.0)

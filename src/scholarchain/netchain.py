@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -79,8 +79,7 @@ class TxRecord(NamedTuple):
     error: str = ""
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     height: int
     prev_hash: str
     txs: tuple[TxRecord, ...]
@@ -89,20 +88,20 @@ class Block:
     block_hash: str
 
 
-@dataclass(frozen=True)
-class PeerSet:
+class PeerSet(namedtuple("PeerSet", "peers")):
     """Trusted peers; quorum is the BFT-style floor(2n/3) + 1."""
 
-    peers: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "peers", tuple(self.peers))
-        if not self.peers:
+    def __new__(cls, peers: Iterable[str]):
+        peers = tuple(peers)
+        if not peers:
             raise ChainError("peer set cannot be empty")
-        if not all(isinstance(p, str) and p and _json_carries(p) for p in self.peers):
+        if not all(isinstance(p, str) and p and _json_carries(p) for p in peers):
             raise ChainError("peer ids must be non-empty strings that JSON reads back")
-        if len(set(self.peers)) != len(self.peers):
+        if len(set(peers)) != len(peers):
             raise ChainError("duplicate peer ids")
+        return super().__new__(cls, peers)
 
     @property
     def quorum(self) -> int:
@@ -354,7 +353,7 @@ def produce_block(
         records = _execute(chain.tip, pool.pending)
         block = Block(chain.height, prev_hash, tuple(records), state_hash(chain.tip),
                       approvals, block_hash="")
-        block = replace(block, block_hash=_seal(block))
+        block = block._replace(block_hash=_seal(block))
         chain.blocks.append(block)
     except Exception:
         # The tip may hold part of the block: rebuild it from the committed blocks.

@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .games import ACTIONS, Action, PayoffMatrix2x2
 
 GOOD, BAD = "good", "bad"
 
 
-@dataclass(frozen=True)
-class StrategyAutomaton:
+class StrategyAutomaton(
+        namedtuple("StrategyAutomaton", "name initial actions transitions reputation_rule")):
     """Deterministic finite-state strategy for the repeated stage game.
 
     `actions` maps each state to the action played there; `transitions`
@@ -35,23 +35,21 @@ class StrategyAutomaton:
     opponents.
     """
 
-    name: str
-    initial: str
-    actions: Mapping[str, Action]
-    transitions: Mapping[tuple[str, Action], str]
-    reputation_rule: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        states = set(self.actions)
-        if self.initial not in states:
-            raise ValueError(f"initial state {self.initial!r} unknown")
+    def __new__(cls, name: str, initial: str, actions: Mapping[str, Action],
+                transitions: Mapping[tuple[str, Action], str], reputation_rule: bool = False):
+        states = set(actions)
+        if initial not in states:
+            raise ValueError(f"initial state {initial!r} unknown")
         for s in states:
             for a in (Action.C, Action.D):
-                nxt = self.transitions.get((s, a))
+                nxt = transitions.get((s, a))
                 if nxt is None:
                     raise ValueError(f"transition missing for ({s!r}, {a})")
                 if nxt not in states:
                     raise ValueError(f"transition target {nxt!r} unknown")
+        return super().__new__(cls, name, initial, actions, transitions, reputation_rule)
 
     def action(self, state: str) -> Action:
         return self.actions[state]
@@ -136,18 +134,21 @@ def _check_delta(delta: float) -> Fraction:
 # Transcripts and discounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchTranscript:
-    """Per-round record of a two-player match.
+class MatchTranscript(tuple):
+    """Per-round record of a two-player match: the tuple of its rounds.
 
     Each round is (action_a, action_b, payoff_a, payoff_b) with payoffs
     equal to the stage game evaluated at the recorded actions.
     """
 
-    rounds: tuple[tuple[Action, Action, Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.rounds)
+    def __new__(cls, rounds: Iterable[tuple[Action, Action, Fraction, Fraction]]):
+        return super().__new__(cls, rounds)
+
+    @property
+    def rounds(self) -> tuple[tuple[Action, Action, Fraction, Fraction], ...]:
+        return tuple(self)
 
 
 def play_match(
@@ -167,11 +168,10 @@ def play_match(
         log.append((aa, ab, ua, ub))
         sa = strategy_a.step(sa, ab)
         sb = strategy_b.step(sb, aa)
-    return MatchTranscript(tuple(log))
+    return MatchTranscript(log)
 
 
-@dataclass(frozen=True)
-class DiscountedPayoff:
+class DiscountedPayoff(NamedTuple):
     """Truncated discounted average plus its truncation error bound."""
 
     value: float
@@ -292,8 +292,8 @@ def cooperation_threshold_population(n: int, reputation_shared: bool) -> float:
 # Population play with random matching
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PopulationConfig:
+class PopulationConfig(namedtuple(
+        "PopulationConfig", "size strategies delta reputation_visible rng_seed horizon")):
     """Configuration of one seeded population run.
 
     `strategies` assigns an automaton to every player index 0..size-1.
@@ -302,22 +302,20 @@ class PopulationConfig:
     sits out each round, chosen by the RNG.
     """
 
-    size: int
-    strategies: Mapping[int, StrategyAutomaton]
-    delta: float
-    reputation_visible: bool
-    rng_seed: int
-    horizon: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 2:
+    def __new__(cls, size: int, strategies: Mapping[int, StrategyAutomaton], delta: float,
+                reputation_visible: bool, rng_seed: int, horizon: int):
+        if size < 2:
             raise ValueError("population needs at least two players")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        _check_delta(self.delta)
-        missing = [p for p in range(self.size) if p not in self.strategies]
+        _check_delta(delta)
+        missing = [p for p in range(size) if p not in strategies]
         if missing:
             raise ValueError(f"players without a strategy: {missing}")
+        return super().__new__(cls, size, strategies, delta, reputation_visible, rng_seed,
+                               horizon)
 
 
 class RoundRecord(NamedTuple):
@@ -328,8 +326,7 @@ class RoundRecord(NamedTuple):
     reputation: str
 
 
-@dataclass(frozen=True)
-class PopulationReport:
+class PopulationReport(NamedTuple):
     """Deterministic outcome of a population run."""
 
     seed: int

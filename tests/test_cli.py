@@ -646,3 +646,24 @@ class TestPackageRoot:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_no_verb_loads_dataclasses_or_inspect(self, tmp_path):
+        # `dataclasses` and the `inspect` it imports cost a fresh command about
+        # 8 ms of start-up, so no module of the package loads them.  A fresh
+        # interpreter, as above.
+        script = (
+            "import sys\n"
+            "from scholarchain import cli\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for argv in (['analyze', 'table3.json'], ['sweep', 'delta_sweep.json'],\n"
+            "             ['sweep', 'population.json'], ['protocol', 'protocol_publish.json'],\n"
+            "             ['market', 'market_demo.json'],\n"
+            "             ['verify', out + '/protocol_publish_chain.jsonl']):\n"
+            "    assert cli.main(['--out-dir', out, *argv]) == 0, argv\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"

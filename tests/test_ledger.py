@@ -1,7 +1,5 @@
 """Tests for token accounting, escrow and conservation."""
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,7 +139,7 @@ class TestApiSurface:
 
     def test_account_holds_only_its_tokens(self):
         # The user id is the account's key in `accounts`, not a field.
-        assert [f.name for f in fields(Account)] == ["balance", "escrowed"]
+        assert vars(Account()) == {"balance": 0, "escrowed": 0}
 
 
 ops = st.lists(

@@ -190,6 +190,12 @@ class TestStartReview:
         with pytest.raises(LifecycleError, match="config must be an object"):
             ProtocolConfig.from_canonical(form)
 
+    def test_an_unknown_config_key_is_named_by_the_constructor(self):
+        # The CLI prints this text for a scenario's or a descriptor's config.
+        with pytest.raises(TypeError, match=r"^ProtocolConfig\.__init__\(\) got an "
+                                            r"unexpected keyword argument 'fee'$"):
+            ProtocolConfig.from_canonical({"fee": 1})
+
     def test_reward_must_be_below_2_256(self):
         # Publication mints reward_multiple (here 2) times the deposit, so a
         # review that could not pay its reward does not start.
