@@ -381,11 +381,17 @@ class ProtocolState:
             raise LifecycleError(f"article {article.article_hash!r} has no market")
         return self.markets[article.market_id]
 
-    def _tick(self, **written: str) -> int:
+    def _tick(self, articles: Optional[str] = None, disputes: Optional[str] = None,
+              markets: Optional[str] = None) -> int:
         """Advance the clock for an applied operation, recording the key it
         wrote in each named section."""
-        for section, key in written.items():
-            self._written[section][key] = None
+        written = self._written
+        if articles is not None:
+            written["articles"][articles] = None
+        if disputes is not None:
+            written["disputes"][disputes] = None
+        if markets is not None:
+            written["markets"][markets] = None
         self.clock += 1
         return self.clock
 
@@ -634,12 +640,16 @@ class ProtocolState:
             "clock": self.clock,
         }
 
-    def to_canonical_json(self) -> str:
-        """`canonical_json(self.to_canonical())`, spliced from kept section text.
+    def canonical_pieces(self) -> tuple[str, ...]:
+        """`canonical_json(self.to_canonical())` in pieces that concatenate to
+        it: the fixed text, with the scalars and the config's fragment, between
+        the four sections' kept texts, keys in the order `sort_keys` writes
+        them.  `netchain.state_hash` feeds them to SHA-256 one by one, so the
+        state's text is never joined into one string.
 
         The articles, disputes, accounts and markets each keep their keys in
         sorted order, each key's fragment and the fragments' joined text.  A
-        digest encodes again only the keys written since the last one, each
+        call encodes again only the keys written since the last one, each
         with its entity's own `to_canonical_json`, and joins again only the
         sections that have some.  A market in turn encodes again only the
         holdings traded since.  A state's first call builds every section,
@@ -660,19 +670,16 @@ class ProtocolState:
                 written.clear()
             self._sections = tuple(sections)
             self._config_json = canonical_json(snapshot["config"])
-        articles, disputes, accounts, markets = (s.text() for s in self._sections)
-        # Keys in the order `sort_keys` writes them.
+        articles, disputes, accounts, markets = self._sections
         return (
-            f'{{"articles":[{articles}],'
-            f'"clock":{canonical_json(self.clock)},'
-            f'"config":{self._config_json},'
-            f'"disputes":[{disputes}],'
-            f'"ledger":{{"accounts":{{{accounts}}},'
-            f'"burned_total":0,'
-            f'"initial_supply":{canonical_json(led.initial_supply)},'
-            f'"minted_total":{canonical_json(led.minted_total)},'
-            f'"platform_reserve":{canonical_json(led.platform_reserve)}}},'
-            f'"markets":[{markets}]}}'
+            '{"articles":[', articles.text(),
+            f'],"clock":{self.clock!r},"config":{self._config_json},"disputes":[',
+            disputes.text(),
+            '],"ledger":{"accounts":{', accounts.text(),
+            f'}},"burned_total":0,"initial_supply":{led.initial_supply!r},'
+            f'"minted_total":{led.minted_total!r},'
+            f'"platform_reserve":{led.platform_reserve!r}}},"markets":[',
+            markets.text(), ']}',
         )
 
     def registry_export_json(self) -> str:

@@ -8,10 +8,10 @@ The automated market maker quotes prices from the cost function
 so a trade moving the book from q to q' costs C(q') - C(q) regardless of
 how the book got to q, and the maker's worst-case loss at resolution is
 bounded by b * ln 2.  Because C depends on the book alone, a market keeps
-C(q) of its book, keyed by the position it was computed for: a trade
-evaluates only C(q') and keeps it.  The kept value is what `lmsr_cost`
-returned, never a closed form, so costs are bit-identical to evaluating
-both sides afresh on every interpreter.
+C(q) of its book, with the b and a copy of the book it was computed for: a
+trade evaluates only C(q') and keeps it.  The kept value is what
+`lmsr_cost` returned, never a closed form, so costs are bit-identical to
+evaluating both sides afresh on every interpreter.
 
 The ledger deals in integer tokens, so real-valued costs are rounded in the
 house's favor: buys round up, sale proceeds and resolution payouts round
@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from math import exp, log
 from json.encoder import encode_basestring_ascii as quote
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -86,10 +87,17 @@ class Section:
 
 
 def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
-    """Cost-function value at a book position, max-shifted for stability."""
+    """Cost-function value at a book position, max-shifted for stability.
+
+    This is the one definition of C.  Its float operations and their order
+    fix every token cost, so they must not change: each share count divided
+    by b, the maximum m, then b * (m + ln of the left-to-right `sum` of
+    exp(x - m)).  The sum is over a list, not a generator, only because that
+    is faster; the additions are the same.
+    """
     scaled = [q / b for q in quantities.values()]
     m = max(scaled)
-    return b * (m + math.log(sum(math.exp(x - m) for x in scaled)))
+    return b * (m + log(sum([exp(x - m) for x in scaled])))
 
 
 class Market:
@@ -114,10 +122,10 @@ class Market:
         # written.
         self.written = dict.fromkeys(self.holdings)
         self._holdings = Section(self.holdings, self.written, repr, keyed=True)
-        # `lmsr_cost` of the book with the position it was computed for, b
-        # and the outstanding values, so that a direct write to `outstanding`
-        # finds the kept cost stale instead of using it (`_book_cost`).
-        self._cost = ((), 0.0)
+        # `lmsr_cost` of the book, kept with the b and a copy of the book it
+        # was computed for, so that a direct write to `b` or `outstanding`
+        # finds the kept cost stale instead of using it (`trade`).
+        self._cost = (self.b, {}, 0.0)
 
     def holding(self, user_id: str, outcome: str) -> float:
         return self.holdings.get(f"{user_id}:{outcome}", 0.0)
@@ -194,20 +202,6 @@ def trade_cost(market: Market, outcome: str, share_delta: float) -> float:
     return lmsr_cost(after, market.b) - lmsr_cost(before, market.b)
 
 
-def _position(market: Market) -> tuple:
-    return (market.b, *market.outstanding.values())
-
-
-def _book_cost(market: Market) -> float:
-    """`lmsr_cost` of the market's book, evaluated again only if the book moved
-    since it was kept."""
-    position, cost = market._cost
-    if position != _position(market):
-        cost = lmsr_cost(market.outstanding, market.b)
-        market._cost = _position(market), cost
-    return cost
-
-
 def trade(
     market: Market,
     ledger: TokenLedger,
@@ -219,11 +213,14 @@ def trade(
 
     Token cost is ceil(real cost): rounding up what buyers pay and, for the
     negative costs of sales, rounding the payout down.  A buy costs at least
-    one token.  The cost of the book before the trade is the kept one, and
-    the market keeps the cost after it.
+    one token.  The trade writes its shares into the book in place, prices
+    the new book with one `lmsr_cost` call and keeps that cost.  The cost
+    before it is the kept one, evaluated again only if `b` or the book was
+    written directly since.  A refused trade puts the book back as it was.
     """
-    _require_open(market)
-    _require_outcome(outcome)
+    if market.resolved is not None or outcome not in OUTCOMES:
+        _require_open(market)
+        _require_outcome(outcome)
     if not math.isfinite(share_delta) or share_delta == 0:
         raise MarketError("share delta must be a nonzero finite number")
     key = f"{user_id}:{outcome}"
@@ -232,34 +229,44 @@ def trade(
         raise MarketError(
             f"{user_id!r} holds {held} {outcome} shares, cannot sell {-share_delta}"
         )
-    if held + share_delta >= AMOUNT_BOUND:  # so that every payout is an amount
-        raise MarketError("a holding must stay below 2**256 shares")
-    after = dict(market.outstanding)
-    after[outcome] += share_delta
-    cost_after = lmsr_cost(after, market.b)
-    token_cost = math.ceil(cost_after - _book_cost(market))
-    if share_delta > 0:
-        token_cost = max(token_cost, 1)  # a cost below float precision is still a buy
-    if token_cost > 0:
-        if ledger.balance(user_id) < token_cost:
-            raise LedgerError(
-                f"{user_id!r} balance {ledger.balance(user_id)} cannot cover "
-                f"trade cost {token_cost}"
-            )
-        ledger.escrow(user_id, token_cost)
-        ledger.resolve_escrow(user_id, token_cost, FORFEIT)
-    elif token_cost < 0:
-        ledger.credit(user_id, -token_cost, RESERVE)
-    market.outstanding[outcome] += share_delta
-    market._cost = _position(market), cost_after
-    market.written[key] = None
     new_holding = held + share_delta
+    if new_holding >= AMOUNT_BOUND:  # so that every payout is an amount
+        raise MarketError("a holding must stay below 2**256 shares")
+    book, b = market.outstanding, market.b
+    costed_b, costed, cost_before = market._cost
+    kept = costed_b == b and costed == book
+    before = book[outcome]
+    book[outcome] = before + share_delta
+    try:
+        cost_after = lmsr_cost(book, b)
+        if not kept:
+            cost_before = lmsr_cost({**book, outcome: before}, b)
+        token_cost = math.ceil(cost_after - cost_before)
+        if token_cost < 1 and share_delta > 0:
+            token_cost = 1  # a cost below float precision is still a buy
+        if token_cost > 0:
+            balance = ledger.balance(user_id)
+            if balance < token_cost:
+                raise LedgerError(
+                    f"{user_id!r} balance {balance} cannot cover trade cost {token_cost}")
+            ledger.escrow(user_id, token_cost)
+            ledger.resolve_escrow(user_id, token_cost, FORFEIT)
+        elif token_cost < 0:
+            ledger.credit(user_id, -token_cost, RESERVE)
+    except BaseException:
+        book[outcome] = before
+        raise
+    if kept:
+        costed[outcome] = book[outcome]
+    else:
+        costed = dict(book)
+    market._cost = b, costed, cost_after
+    market.written[key] = None
     if new_holding == 0.0:
         market.holdings.pop(key, None)
     else:
         market.holdings[key] = new_holding
     market.trade_count += 1
-    executed = Trade(user_id, outcome, share_delta, token_cost)
     market.events.append(
         {
             "tx": market.trade_count,
@@ -269,7 +276,8 @@ def trade(
             "cost": token_cost,
         }
     )
-    return executed
+    # `tuple.__new__` skips the Python frame of the named tuple's own `__new__`.
+    return tuple.__new__(Trade, (user_id, outcome, share_delta, token_cost))
 
 
 def resolve(market: Market, ledger: TokenLedger, outcome: str) -> dict[str, int]:

@@ -35,6 +35,9 @@ from .lifecycle import (ContentMetadata, Field, FieldError, ProtocolState, canon
 from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
+#: `tuple.__new__(cls, values)` builds a named tuple without the Python frame
+#: of its generated `__new__`: the replay and import build theirs this way.
+_new_tuple = tuple.__new__
 
 APPLIED = "applied"
 REJECTED = "rejected"
@@ -109,10 +112,16 @@ class PeerSet(namedtuple("PeerSet", "peers")):
 
 
 def state_hash(state: ProtocolState) -> str:
-    """SHA-256 of the state's canonical JSON.  Only the entities written since
-    the last digest write their fragments again, and a market only its
-    holdings traded since (`ProtocolState.to_canonical_json`)."""
-    return hashlib.sha256(state.to_canonical_json().encode("utf-8")).hexdigest()
+    """SHA-256 of the state's canonical JSON, fed one piece at a time: the
+    fixed text, the scalars and each section's kept text, in the order
+    `sort_keys` writes them (`ProtocolState.canonical_pieces`).  Only the
+    entities written since the last digest write their fragments again, and
+    a market only its holdings traded since.  Every piece is ASCII, since
+    the writers escape all else."""
+    digest = hashlib.sha256()
+    for piece in state.canonical_pieces():
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def _seal(block: Block) -> str:
@@ -202,7 +211,7 @@ def _execute(state: ProtocolState, txs: Iterable[Transaction]) -> list[TxRecord]
     for tx in txs:
         try:
             apply_tx(state, tx)
-            records.append(TxRecord(tx, APPLIED))
+            records.append(_new_tuple(TxRecord, (tx, APPLIED, "")))
         except ProtocolError as exc:
             records.append(TxRecord(tx, REJECTED, str(exc)))
     return records
@@ -223,7 +232,6 @@ class TxPool:
 
 
 _MAX_DEPTH = 16  # containers in a payload, itself included; an author pair is 3 deep
-_PLAIN = frozenset((bool, type(None)))  # values with nothing to check
 _INT_BOUND = 10**640  # at most 640 digits, the lowest int<->str limit CPython allows
 
 
@@ -239,33 +247,39 @@ _PAIRED = "payload is not encodable as JSON: a string holds a surrogate pair"
 
 
 def _check_shape(container, depth: int) -> None:
-    """Raise ChainError unless the payload holds only JSON values with string
-    keys, strings that JSON reads back, integers of at most 640 digits and
-    finite floats, nested at most `_MAX_DEPTH` deep, so that every
-    interpreter can write and read it back."""
+    """Raise ChainError unless the payload holds only JSON values of exactly
+    JSON's types: dict and list containers with str keys, and str, int,
+    float, bool and None leaves, strings that JSON reads back, integers of at
+    most 640 digits and finite floats, nested at most `_MAX_DEPTH` deep, so
+    that every interpreter can write and read it back.  A tuple, or a
+    subclass such as an enum, is refused: the export reads it back as a list
+    or as its base type, whose `repr` a rejection reason may quote."""
     if depth > _MAX_DEPTH:
         raise ChainError(f"payload nests more than {_MAX_DEPTH} containers")
-    if isinstance(container, dict):
+    if type(container) is dict:
         for key in container:
-            if not isinstance(key, str):
-                raise ChainError("payload is not encodable as JSON: a key is not a string")
-            if not _json_carries(key):
+            if type(key) is not str:
+                raise ChainError("payload is not encodable as JSON: " + (
+                    f"a key of type {type(key).__name__}" if isinstance(key, str)
+                    else "a key is not a string"))
+            if not key.isascii() and not _json_carries(key):
                 raise ChainError(_PAIRED)
         container = container.values()
     for item in container:
-        if type(item) in _PLAIN or type(item) is int and -_INT_BOUND < item < _INT_BOUND:
-            continue
-        if isinstance(item, str):
-            if not _json_carries(item):
+        kind = type(item)
+        if kind is str:
+            if not item.isascii() and not _json_carries(item):
                 raise ChainError(_PAIRED)
-        elif isinstance(item, (dict, list, tuple)):
+        elif kind is int:
+            if not -_INT_BOUND < item < _INT_BOUND:
+                raise ChainError("payload is not encodable as JSON: integer over 640 digits")
+        elif kind is dict or kind is list:
             _check_shape(item, depth + 1)
-        elif isinstance(item, float) and not math.isfinite(item):
-            raise ChainError(f"payload is not encodable as JSON: {item} is not finite")
-        elif isinstance(item, int) and not -_INT_BOUND < item < _INT_BOUND:
-            raise ChainError("payload is not encodable as JSON: integer over 640 digits")
-        elif not isinstance(item, (int, float)):
-            raise ChainError(f"payload is not encodable as JSON: type {type(item).__name__}")
+        elif kind is float:
+            if not math.isfinite(item):
+                raise ChainError(f"payload is not encodable as JSON: {item} is not finite")
+        elif kind is not bool and item is not None:
+            raise ChainError(f"payload is not encodable as JSON: type {kind.__name__}")
 
 
 def _check_tx_form(tx: Transaction) -> None:
@@ -279,9 +293,11 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError(f"unknown transaction kind {tx.kind!r}")
     if not isinstance(tx.payload, dict):
         raise ChainError("payload must be a mapping")
+    if type(tx.payload) is not dict:
+        raise ChainError(f"payload is not encodable as JSON: type {type(tx.payload).__name__}")
     if not isinstance(tx.submitter, str) or not tx.submitter:
         raise ChainError("submitter must be a nonempty user id")
-    if not _json_carries(tx.submitter):
+    if not tx.submitter.isascii() and not _json_carries(tx.submitter):
         raise ChainError("submitter is not encodable as JSON: it holds a surrogate pair")
     if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
         raise ChainError("tx id must be a non-negative integer of at most 640 digits")
@@ -479,6 +495,11 @@ _BLOCK_REASONS = {"approvals": "approvals must be a list of peer ids",
                   "blockHash": "block hashes must be strings"}
 
 
+#: Each kind by its wire value.  A value it misses goes to `TxKind(value)`,
+#: whose ValueError gives the refusal its text.
+_KINDS = {kind.value: kind for kind in TxKind}
+
+
 def _tx_record_from_obj(obj: dict) -> TxRecord:
     if not isinstance(obj, dict) or list(obj) != _TX_WIRE_KEYS:
         raise ChainError(f"tx record keys must be exactly {_TX_WIRE_KEYS}")
@@ -488,14 +509,13 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         raise ChainError("tx error must be a string")
     if obj["signature"] != "":  # authorization is by submitter identity
         raise ChainError("tx signature must be empty")
-    tx = Transaction(
-        tx_id=obj["tx_id"],
-        kind=TxKind(obj["kind"]),
-        payload=obj["payload"],
-        submitter=obj["submitter"],
-    )
+    try:
+        kind = _KINDS[obj["kind"]]
+    except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
+        kind = TxKind(obj["kind"])
+    tx = _new_tuple(Transaction, (obj["tx_id"], kind, obj["payload"], obj["submitter"]))
     _check_tx_form(tx)
-    return TxRecord(tx, obj["status"], obj["error"])
+    return _new_tuple(TxRecord, (tx, obj["status"], obj["error"]))
 
 
 def import_chain(text: str) -> list[Block]:
@@ -519,7 +539,7 @@ def import_chain(text: str) -> list[Block]:
             block = Block(
                 height=obj["height"],
                 prev_hash=obj["prevHash"],
-                txs=tuple(_tx_record_from_obj(t) for t in obj["txs"]),
+                txs=tuple(map(_tx_record_from_obj, obj["txs"])),
                 state_hash=obj["stateHash"],
                 approvals=tuple(obj["approvals"]),
                 block_hash=obj["blockHash"],

@@ -340,3 +340,24 @@ class TestKeptCost:
         trade(m, ledger, "u1", PUBLISH, 10)
         assert len(calls) == evaluations
         assert calls[0] == m.outstanding  # the book after the trade
+
+    @pytest.mark.parametrize("balance, refusal", [
+        (10, "balance 10 cannot cover trade cost"),
+        # At b = 3, the largest double below 2**256 shares costs exactly 2**256
+        # tokens, which the ledger refuses only after the market has priced it.
+        (2 * (2**256 - 1), "amount must be below 2\\*\\*256"),
+    ], ids=["unaffordable", "cost-past-2**256"])
+    def test_a_refused_trade_leaves_the_book(self, balance, refusal):
+        # The book is priced in place; a refusal after that must put it back.
+        ledger = TokenLedger(10**6, {"u1": min(balance, 2**256 - 1), "u2": 1000})
+        if balance > 2**256 - 1:
+            ledger.credit("u1", balance - (2**256 - 1))
+        m, b = open_market(3.0), 3.0
+        trade(m, ledger, "u2", REVISE, 2.0)
+        book = dict(m.outstanding)
+        with pytest.raises(LedgerError, match=refusal):
+            trade(m, ledger, "u1", PUBLISH, math.nextafter(2.0**256, 0))
+        assert m.outstanding == book
+        assert ledger.balance("u1") == balance and m.holding("u1", PUBLISH) == 0.0
+        _, cost = self.reference(book, b, PUBLISH, 1.0)
+        assert trade(m, ledger, "u1", PUBLISH, 1.0).token_cost == cost

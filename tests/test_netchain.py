@@ -1,5 +1,6 @@
 """Tests for block production, quorum approval, replay and tampering."""
 
+import enum
 import hashlib
 import json
 import re
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from scholarchain import netchain
 from scholarchain.errors import ChainError, ProtocolError
-from scholarchain.lifecycle import ProtocolConfig, ProtocolState, canonical_json
+from scholarchain.lifecycle import (ContentMetadata, ProtocolConfig, ProtocolState,
+                                    canonical_json, content_hash)
 from scholarchain.netchain import (
     APPLIED,
     REJECTED,
@@ -28,7 +30,7 @@ from scholarchain.netchain import (
     verify_chain,
     verify_export,
 )
-from protocol_fuzz import FLOATS, TEXT, canonical_dumps, int_digit_limit
+from protocol_fuzz import FLOATS, TEXT, canonical_dumps, full_state_hash, int_digit_limit
 
 PEERS = PeerSet(("p1", "p2", "p3", "p4"))
 #: A high surrogate and a low one, which JSON reads back as one character.
@@ -55,6 +57,14 @@ def pool_with(chain, *txs):
     for tx in txs:
         submit_tx(pool, tx, chain)
     return pool
+
+
+class Name(str):
+    """A string of a type other than `str`."""
+
+
+class Level(enum.IntEnum):
+    FIVE = 5
 
 
 def nested_list(depth):
@@ -144,6 +154,31 @@ class TestSubmitTx:
         assert len(pool) == 0
         submit_tx(pool, credit_tx(2, "ada"), chain)
         assert produce_block(chain, pool, PEERS).committed
+
+    @pytest.mark.parametrize("kind, payload, submitter, type_name", [
+        (TxKind.COMMENT, {"user": ("a",)}, "bob", "tuple"),
+        (TxKind.CONCLUDE_REVIEW, {"article": "a", "votes": {"r1": ("PUBLISH",)}},
+         "platform", "tuple"),
+        (TxKind.CLAIM_ARTICLE, {"article": Name("a")}, "bob", "Name"),
+        (TxKind.CREDIT, {"user": "bob", "amount": Level.FIVE}, "platform", "Level"),
+    ], ids=["tuple", "tuple-in-votes", "str-subclass", "int-enum"])
+    def test_payload_values_must_be_exact_json_types(self, kind, payload, submitter,
+                                                     type_name):
+        # A reason may quote a payload value with `repr`, and the export reads
+        # back a tuple as a list and a subclass as its base type, so a sealed
+        # "'bob' cannot act for ('a',) in COMMENT" would replay as "... for
+        # ['a'] ..." and fail the honest chain.
+        chain = Chain(genesis())
+        pool = TxPool()
+        with pytest.raises(ChainError) as refused:
+            submit_tx(pool, Transaction(1, kind, payload, submitter), chain)
+        assert str(refused.value) == f"payload is not encodable as JSON: type {type_name}"
+        assert len(pool) == 0
+        # The payload as JSON reads it back is admitted, and its chain verifies.
+        submit_tx(pool, Transaction(1, kind, json.loads(json.dumps(payload)), submitter),
+                  chain)
+        assert produce_block(chain, pool, PEERS).committed
+        assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_text_json_reads_back_otherwise_is_refused(self):
         # "a" + PAIR and "a" + chr(0x10000) are two ids that JSON writes alike.
@@ -611,6 +646,61 @@ def test_declared_field_missing_or_true_is_rejected(kind, field, missing):
     assert verify_chain(chain.blocks, genesis(), PEERS).ok
 
 
+def review_chain() -> tuple[Chain, dict[str, str]]:
+    """A chain and its article hashes by title: "reviewed" is under review and
+    bo holds 2 of its PUBLISH shares, "active" was never reviewed, and the
+    review of "revised" was sent back."""
+    chain = Chain(genesis())
+    hashes = {title: content_hash(ContentMetadata(title, "x", (("A", "ada"),)))
+              for title in ("reviewed", "active", "revised")}
+    blocks = [
+        [credit_tx(0, user, 100) for user in ("ada", "bo", "cy")],
+        [*(submit_article_tx(0, "ada", title) for title in hashes),
+         *(Transaction(0, TxKind.START_REVIEW, {"article": hashes[title], "deposit": 10,
+                                                "panel": ["r1", "r2", "r3"]}, "ada")
+           for title in ("reviewed", "revised")),
+         Transaction(0, TxKind.TRADE, {"article": hashes["reviewed"], "outcome": "PUBLISH",
+                                       "shares": 2}, "bo"),
+         Transaction(0, TxKind.CONCLUDE_REVIEW, {"article": hashes["revised"],
+                                                 "votes": {"r1": "REVISE", "r2": "REVISE"}},
+                     "platform")],
+    ]
+    for txs in blocks:
+        first = chain.last_tx_id + 1
+        pool = pool_with(chain, *(tx._replace(tx_id=first + i) for i, tx in enumerate(txs)))
+        block = produce_block(chain, pool, PEERS).block
+        assert all(r.status == APPLIED for r in block.txs), block.txs
+    return chain, hashes
+
+
+@pytest.mark.parametrize("article, outcome, shares, user, reason", [
+    ("reviewed", "MAYBE", 1, "cy", "unknown outcome 'MAYBE'"),
+    ("reviewed", "PUBLISH", 0, "cy", "share delta must be a nonzero finite number"),
+    # The gate admits the integer, but as a double it is an infinity.
+    ("reviewed", "PUBLISH", 2**1024, "cy",
+     "bad payload for TRADE: field 'shares' must be a number"),
+    ("reviewed", "REVISE", -1, "bo", "'bo' holds 0.0 REVISE shares, cannot sell 1.0"),
+    ("reviewed", "PUBLISH", 2**256, "cy", "a holding must stay below 2**256 shares"),
+    ("active", "PUBLISH", 1, "cy", "review-outcome trading needs an open review"),
+    ("reviewed", "PUBLISH", 1, "ada", "authors are barred from their own review market"),
+    ("reviewed", "PUBLISH", 500, "cy", "'cy' balance 100 cannot cover trade cost 488"),
+    # A concluded review's market is resolved, and its article is no longer
+    # under review, which refuses the trade first.
+    ("revised", "PUBLISH", 1, "cy", "review-outcome trading needs an open review"),
+], ids=["unknown-outcome", "zero-shares", "non-finite-shares", "sell-beyond-holding",
+        "holding-bound", "no-open-review", "author", "unaffordable", "resolved-market"])
+def test_a_refused_trade_seals_its_reason_and_replays(article, outcome, shares, user,
+                                                      reason):
+    chain, hashes = review_chain()
+    before = state_hash(chain.tip)
+    payload = {"article": hashes[article], "outcome": outcome, "shares": shares}
+    pool = pool_with(chain, Transaction(chain.last_tx_id + 1, TxKind.TRADE, payload, user))
+    block = produce_block(chain, pool, PEERS).block
+    assert [(r.status, r.error) for r in block.txs] == [(REJECTED, reason)]
+    assert block.state_hash == before == full_state_hash(chain.tip)
+    assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
+
 def demo_chain():
     """Three committed blocks exercising article flow and a rejection."""
     state = genesis()
@@ -853,6 +943,21 @@ class TestWireFormat:
         assert not result.ok
         assert result.first_bad_height == bad_height
         assert reason in result.reason
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("ESCROW", "'ESCROW' is not a valid TxKind"),
+    (5, "5 is not a valid TxKind"),
+    ([1], "[1] is not a valid TxKind"),
+    (None, "None is not a valid TxKind"),
+    (True, "True is not a valid TxKind"),
+], ids=["unknown-name", "number", "list", "null", "true"])
+def test_an_unknown_kind_is_refused_in_the_enum_s_words(kind, reason):
+    # Import finds a record's kind in a table of wire values; a value the
+    # table misses, an unhashable one too, goes to `TxKind(value)`.
+    text = resealed_export(1, lambda obj: obj["txs"][1].update(kind=kind))
+    result = verify_export(text, genesis(), PEERS)
+    assert result == (False, None, f"line 2: malformed block: {reason}")
 
 
 def wire_dict(block: Block) -> dict:

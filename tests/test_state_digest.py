@@ -364,6 +364,110 @@ def test_operations_refuse_ids_the_writers_cannot_encode(operation):
     assert state_hash(state) == before == full_state_hash(state)
 
 
+def title_hashing(test) -> str:
+    """A title whose article hash, by ada, passes `test`."""
+    return next(title for title in (f"sized {i}" for i in range(10_000))
+                if test(content_hash(ContentMetadata(title, "", (("A", "ada"),)))))
+
+
+@pytest.fixture(scope="module")
+def sized_state() -> ProtocolState:
+    """A digested state of 2000 funded accounts, 30 claimed articles, an open
+    dispute on each of the first 10, and 10 articles under review, each
+    market held by 30 traders."""
+    state = ProtocolState(ProtocolConfig(
+        initial_reserve=10**9, peers=PEERS.peers, market_liquidity=20.0))
+    for i in range(2000):
+        state.ledger.credit(f"u{i:05d}", 10**6)
+    for uid in ("ada", "trader", "newcomer"):
+        state.ledger.credit(uid, 10**6)
+    for i in range(30):
+        state.claim_published_article(f"claimed-{i:03d}", "", f"u{i:05d}")
+        if i < 10:
+            state.raise_objection(f"claimed-{i:03d}", f"u{i + 100:05d}", 5)
+    for i in range(10):
+        article = state.submit_article(ContentMetadata(f"reviewed {i}", "", (("A", "ada"),)),
+                                       "ada")
+        state.start_review(article.article_hash, "ada", 10, PANEL)
+        for j in range(30):
+            state.trade_review_shares(article.article_hash, f"u{1000 + 30 * i + j:05d}",
+                                      OUTCOMES[j % 2], 1.0 + j)
+    state_hash(state)
+    return state
+
+
+def at(keys, where: str):
+    """The key at the start, the middle or the end of `keys` in sorted order."""
+    keys = sorted(keys)
+    return keys[{"first": 0, "middle": len(keys) // 2, "last": -1}[where]]
+
+
+def market_article(state: ProtocolState, market_id: str) -> str:
+    return next(h for h, a in state.articles.items() if a.market_id == market_id)
+
+
+def trade_holding(state: ProtocolState, where: str, shares=None):
+    """Trade on one holding of the middle market: `shares` more, or all sold."""
+    market_id = at(state.markets, "middle")
+    key = at(state.markets[market_id].holdings, where)
+    uid, outcome = key.rsplit(":", 1)
+    held = state.markets[market_id].holdings[key]
+    state.trade_review_shares(market_article(state, market_id), uid, outcome,
+                              -held if shares is None else shares)
+
+
+def new_review(state: ProtocolState, test) -> None:
+    """Open a review whose market id, from its article hash, passes `test`."""
+    title = title_hashing(lambda h: test(f"{h[:16]}:r1"))
+    article = state.submit_article(ContentMetadata(title, "", (("A", "ada"),)), "ada")
+    state.start_review(article.article_hash, "ada", 10, PANEL)
+
+
+def new_holder(state: ProtocolState, uid: str) -> None:
+    """A new account buys a new holding in the middle market."""
+    state.ledger.credit(uid, 1000)
+    market_id = at(state.markets, "middle")
+    state.trade_review_shares(market_article(state, market_id), uid, "REVISE", 2.0)
+
+
+WHERE = ("first", "middle", "last")
+SIZED_WRITES = {
+    **{f"account-{w}": lambda s, w=w: s.ledger.credit(at(s.ledger.accounts, w), 1)
+       for w in WHERE},
+    **{f"article-{w}": lambda s, w=w: s.claim_published_article(at(s.articles, w), "",
+                                                                "newcomer")
+       for w in WHERE},
+    **{f"dispute-{w}": lambda s, w=w: s.resolve_dispute(
+        at(s.disputes, w), dict.fromkeys(PEERS.peers[:3], "uphold")) for w in WHERE},
+    **{f"market-{w}": lambda s, w=w: s.trade_review_shares(
+        market_article(s, at(s.markets, w)), "trader", "PUBLISH", 1.5) for w in WHERE},
+    **{f"holding-{w}": lambda s, w=w: trade_holding(s, w, 0.5) for w in WHERE},
+    "new-account-first": lambda s: s.ledger.credit("0-first", 1),
+    "new-account-last": lambda s: s.ledger.credit("z-last", 1),
+    "new-article-first": lambda s: s.claim_published_article("0-first", "", "ada"),
+    "new-article-last": lambda s: s.claim_published_article("z-last", "", "ada"),
+    "new-dispute-first": lambda s: (s.claim_published_article("0-first", "", "ada"),
+                                    s.raise_objection("0-first", "trader", 3)),
+    "new-dispute-last": lambda s: (s.claim_published_article("z-last", "", "ada"),
+                                   s.raise_objection("z-last", "trader", 3)),
+    "new-market-first": lambda s: new_review(s, lambda m: m < min(s.markets)),
+    "new-market-last": lambda s: new_review(s, lambda m: m > max(s.markets)),
+    "new-holding-first": lambda s: new_holder(s, "0-first"),
+    "new-holding-last": lambda s: new_holder(s, "z-last"),
+    **{f"holding-sold-to-zero-{w}": lambda s, w=w: trade_holding(s, w) for w in WHERE},
+}
+
+
+@pytest.mark.parametrize("write", SIZED_WRITES.values(), ids=SIZED_WRITES)
+def test_a_write_at_a_section_edge_digests_as_the_whole_state(sized_state, write):
+    # Each section keeps its sorted fragments; a write at its first, middle or
+    # last key, or a new key that sorts first or last, must land in its slot,
+    # and a holding sold to zero must lose its own.
+    state = sized_state.clone()
+    write(state)
+    assert state_hash(state) == full_state_hash(state) != state_hash(sized_state)
+
+
 # Integers up to the ledger's bound; strings and floats as `protocol_fuzz`.
 OPTIONAL_TEXT = st.none() | TEXT
 INTS = st.integers(0, 2**256 - 1)
@@ -390,10 +494,10 @@ def test_each_writer_matches_the_oracle(entity):
 def test_an_account_fragment_is_keyed_by_its_quoted_id(uid, account):
     state = ProtocolState()
     state.ledger.credit("someone", 1)
-    state.to_canonical_json()  # the first digest builds the sections
+    state_hash(state)  # the first digest builds the sections
     state.ledger.accounts[uid] = account
     state.ledger.written[uid] = None
-    assert state.to_canonical_json() == canonical_dumps(state.to_canonical())
+    assert state_hash(state) == full_state_hash(state)
 
 
 @given(MARKETS, st.lists(st.tuples(HOLDINGS, st.just(0.0) | FLOATS)))
