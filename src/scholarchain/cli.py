@@ -177,14 +177,16 @@ def _population_outputs(scenario: dict, seed: int) -> dict[str, str]:
     game = _game(scenario)
     size, chosen = scenario["size"], scenario["strategies"]
     with _judged("strategies"):
-        assignment = {
-            p: strategies.automaton_by_name(chosen["default"]) for p in range(size)
-        }
+        # Automata are immutable, so the players of one name share one.
+        named = {chosen["default"]: strategies.automaton_by_name(chosen["default"])}
+        assignment = dict.fromkeys(range(size), named[chosen["default"]])
         for key, name in chosen["overrides"].items():
             player = int(key)
             if player not in assignment:
                 raise ValueError(f"no player {key} in a population of {size}")
-            assignment[player] = strategies.automaton_by_name(name)
+            if name not in named:
+                named[name] = strategies.automaton_by_name(name)
+            assignment[player] = named[name]
     with _judged("size", "delta", "horizon"):
         config = strategies.PopulationConfig(
             size=size,
@@ -420,17 +422,17 @@ VERB_KINDS = {
 }
 
 
-def run_scenario(
-    name: str, out_dir: str = "out", seed_override: Optional[int] = None
-) -> list[str]:
-    """Run one scenario file; returns the paths of its outputs.
+def run_scenario(name: str, out_dir: str = "out", seed_override: Optional[int] = None,
+                 scenario: Optional[dict] = None) -> list[str]:
+    """Run one scenario file, or its fields `scenario` as `load_scenario`
+    returned them; returns the paths of its outputs.
 
     All outputs are rendered in memory first: a failing scenario writes
     nothing at all.  A file that already holds the same bytes is left
     untouched, since truncating it can cost more than the whole run.
     """
-    path = resolve_scenario_path(name)
-    scenario = load_scenario(path)
+    if scenario is None:
+        scenario = load_scenario(resolve_scenario_path(name))
     seed = seed_override if seed_override is not None else scenario["seed"]
     render = KINDS[scenario["kind"]][2]
     outputs = render(scenario, seed)
@@ -451,6 +453,7 @@ def run_scenario(
 
 
 def _cmd_run(verb: str, args) -> int:
+    loaded = []
     for name in args.scenarios:
         scenario = load_scenario(resolve_scenario_path(name))
         if scenario["kind"] not in VERB_KINDS[verb]:
@@ -458,21 +461,22 @@ def _cmd_run(verb: str, args) -> int:
                 f"field 'kind': {scenario['kind']!r} cannot run under "
                 f"'{verb}' (expects one of {', '.join(VERB_KINDS[verb])})"
             )
+        loaded.append((name, scenario))
     if args.parallel and len(args.scenarios) > 1:
         # Imported here: the import alone costs every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor() as pool:
             futures = [
-                pool.submit(run_scenario, name, args.out_dir, args.seed)
-                for name in args.scenarios
+                pool.submit(run_scenario, name, args.out_dir, args.seed, scenario)
+                for name, scenario in loaded
             ]
             for future in futures:
                 for written in future.result():
                     print(written)
     else:
-        for name in args.scenarios:
-            for written in run_scenario(name, args.out_dir, args.seed):
+        for name, scenario in loaded:
+            for written in run_scenario(name, args.out_dir, args.seed, scenario):
                 print(written)
     return 0
 

@@ -257,21 +257,16 @@ def closed_form_payoff(
 
 
 def cooperation_sustained(game: PayoffMatrix2x2, delta: float) -> bool:
-    """Whether grim-on-grim cooperation beats the best one-shot deviation.
-
-    The deviation benchmark is defecting immediately and facing grim
-    punishment forever, i.e. the unconditional defector.  The comparison is
-    exact; the boundary counts as sustained.
+    """Whether grim-on-grim cooperation beats the best one-shot deviation,
+    exactly: d * (T - P) >= T - R on the row payoffs R = u(C,C), T = u(D,C)
+    and P = u(D,D), the boundary sustained.  This is grim trigger against
+    one deviation (J. Friedman, 1971): grim on grim earns R every round, and
+    the unconditional defector against grim earns (1 - d) * T + d * P.
     """
-    c_payoff = game.row_payoff(Action.C, Action.C)
-    d_payoff = game.row_payoff(Action.D, Action.D)
-    temptation = game.row_payoff(Action.D, Action.C)
-    if not (c_payoff > d_payoff and temptation > c_payoff):
+    (reward, _), _, (temptation, _), (punishment, _) = game.cells
+    if not (reward > punishment and temptation > reward):
         raise ValueError("game is not a social dilemma of the required shape")
-    d = _check_delta(delta)
-    u_c = _closed_form_exact(grim(), grim(), game, d)
-    u_d = _closed_form_exact(all_d(), grim(), game, d)
-    return u_c >= u_d
+    return _check_delta(delta) * (temptation - punishment) >= temptation - reward
 
 
 def cooperation_threshold_population(n: int, reputation_shared: bool) -> float:
@@ -404,6 +399,7 @@ def run_population(
     good = [True] * size
     totals = [0.0] * size
     cell = [0] * size
+    new_row = tuple.__new__  # a RoundRecord without its generated __new__'s frame
     rows: list[RoundRecord] = []
     coop_rates: list[float] = []
 
@@ -432,7 +428,7 @@ def run_population(
         for p in sorted(order):
             c = cell[p]
             totals[p] += floats[c] * weight
-            rows.append(RoundRecord(k, p, *cells[c], GOOD if good[p] else BAD))
+            rows.append(new_row(RoundRecord, (k, p, *cells[c], GOOD if good[p] else BAD)))
         coop_rates.append(sum(cell[p] < 2 for p in order) / len(order))
 
     return PopulationReport(

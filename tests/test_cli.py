@@ -588,6 +588,34 @@ class TestEntryPoints:
                      "population.json"]) == 0
         assert set(called) == {"run_scenario", "run_population", "closed_form_payoff"}
 
+    def test_a_command_loads_each_scenario_file_once(self, tmp_path, monkeypatch):
+        from scholarchain import cli
+
+        loaded = []
+        load = cli.load_scenario
+        monkeypatch.setattr(cli, "load_scenario",
+                            lambda path: loaded.append(path.name) or load(path))
+        assert main(["--out-dir", str(tmp_path), "sweep", "delta_sweep.json",
+                     "population.json"]) == 0
+        assert loaded == ["delta_sweep.json", "population.json"]
+
+    @pytest.mark.parametrize("edit, refused", [
+        (lambda s: s.update(kind="game-analysis", output="table3"),
+         "field 'kind': 'game-analysis' cannot run under 'sweep' "
+         "(expects one of repeated-game-sweep, population-run)"),
+        (lambda s: s.update(size="ten"), "field 'size': must be an integer"),
+    ], ids=["wrong-kind", "malformed-field"])
+    def test_every_file_is_checked_before_any_is_written(self, tmp_path, capsys, edit,
+                                                         refused):
+        scenario = json.loads(resolve_scenario_path("population.json").read_text())
+        edit(scenario)
+        bad = tmp_path / "second.json"
+        bad.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "sweep", "delta_sweep.json", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert not out.exists()
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "scholarchain", "--out-dir", str(tmp_path),

@@ -28,6 +28,12 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_demo_02_flips_at_one_half(tmp_path):
+    result = run_python([str(ROOT / "demos" / "02_repeated_cooperation.py")], tmp_path)
+    verdicts = re.findall(r"^  (0\.\d) .* (yes|no)$", result.stdout, re.MULTILINE)
+    assert verdicts == [(f"0.{i}", "no" if i < 5 else "yes") for i in range(1, 10)]
+
+
 def test_readme_library_example_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]

@@ -1,6 +1,7 @@
 """Tests for repeated-game analytics and population play."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from scholarchain.strategies import (
     PopulationConfig,
     PopulationReport,
     RoundRecord,
+    _closed_form_exact,
     all_c,
     all_d,
     automaton_by_name,
@@ -172,6 +174,58 @@ class TestCooperationSustained:
         )
         with pytest.raises(ValueError):
             cooperation_sustained(harmony, 0.9)
+
+
+    @pytest.mark.parametrize("game, threshold", [
+        (DILEMMA, 0.5),  # B = 2, e = 1: (T - R) / (T - P) = 1 / 2
+        (PayoffMatrix2x2.from_cells(
+            {(C, C): (5, 5), (C, D): (-1, 8), (D, C): (8, -1), (D, D): (0, 0)}), 0.375),
+    ], ids=["commons2", "three-eighths"])
+    def test_the_exact_threshold_sustains(self, game, threshold):
+        below = math.nextafter(threshold, 0)
+        assert cooperation_sustained(game, threshold) is True
+        assert cooperation_sustained(game, below) is False
+        assert reference_sustained(game, threshold) and not reference_sustained(game, below)
+
+    @given(st.data())
+    def test_matches_the_closed_form_comparison(self, data):
+        game = data.draw(dilemmas())
+        (reward, _), _, (temptation, _), (punishment, _) = game.cells
+        nearest = float((temptation - reward) / (temptation - punishment))
+        deltas = [math.nextafter(nearest, 0), nearest, math.nextafter(nearest, 1),
+                  data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True))]
+        for delta in deltas:
+            if 0 < delta < 1:
+                assert cooperation_sustained(game, delta) is reference_sustained(game, delta)
+
+
+def reference_sustained(game, delta):
+    """Grim on grim against the unconditional defector on grim, by the exact
+    closed forms."""
+    d = Fraction(delta)
+    return _closed_form_exact(grim(), grim(), game, d) >= _closed_form_exact(
+        all_d(), grim(), game, d)
+
+
+PAYOFFS = st.fractions(-50, 50, max_denominator=60)
+GAPS = st.fractions(Fraction(1, 60), 50, max_denominator=60)
+
+
+@st.composite
+def dilemmas(draw):
+    """Games with row payoffs T > R > P and a sucker payoff S of either sign;
+    the column payoffs mirror the rows or are drawn freely."""
+    punishment = draw(PAYOFFS)
+    reward = punishment + draw(GAPS)
+    temptation = reward + draw(GAPS)
+    sucker = draw(PAYOFFS)
+    if draw(st.booleans()):
+        cols = (reward, temptation, sucker, punishment)
+    else:
+        cols = tuple(draw(PAYOFFS) for _ in range(4))
+    return PayoffMatrix2x2.from_cells({
+        (C, C): (reward, cols[0]), (C, D): (sucker, cols[1]),
+        (D, C): (temptation, cols[2]), (D, D): (punishment, cols[3])})
 
 
 class TestPopulationThreshold:
