@@ -53,15 +53,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
     Floats are refused: game payoffs must not carry binary rounding noise.
     """
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact rational required, got {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"exact rational required, got {value!r}")
+        value = value.strip()
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact rational required, got {value!r}")
+    return Fraction(value)
 
 
 class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):
@@ -102,16 +98,20 @@ class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):
 
     def is_symmetric(self) -> bool:
         """True when both players face the same game (u_row(a,b) == u_col(b,a))."""
-        return all(
-            self.row_payoff(a, b) == self.col_payoff(b, a)
-            for a in ACTIONS
-            for b in ACTIONS
-        )
+        return self == _transposed(self)
 
     def shifted(self, offset: RationalLike) -> "PayoffMatrix2x2":
         """Add a constant to every payoff; equilibria are invariant under this."""
         d = as_rational(offset)
         return PayoffMatrix2x2(tuple((r + d, c + d) for r, c in self.cells))
+
+
+def _transposed(game: PayoffMatrix2x2) -> PayoffMatrix2x2:
+    """The column player's game as a row player sees it: its row payoff at
+    (a, b) is `game`'s column payoff at (b, a).  The cells are already
+    Fractions, so they are not coerced again."""
+    cc, cd, dc, dd = ((c, r) for r, c in game.cells)
+    return tuple.__new__(PayoffMatrix2x2, ((cc, dc, cd, dd),))
 
 
 class CommonsParams(namedtuple("CommonsParams", "benefit effort threshold size")):
@@ -254,17 +254,18 @@ def pure_equilibria(game: PayoffMatrix2x2) -> list[tuple[Action, Action]]:
     """All pure Nash profiles, by exhaustive best-response check.
 
     A profile is an equilibrium when no unilateral deviation strictly
-    improves either player; ties count as best responses.
+    improves either player; ties count as best responses.  The column
+    player's replies are the row player's in the transposed game.
     """
-    result = []
-    for a, b in _CELL_ORDER:
-        other_a = Action.D if a is Action.C else Action.C
-        other_b = Action.D if b is Action.C else Action.C
-        row_ok = game.row_payoff(a, b) >= game.row_payoff(other_a, b)
-        col_ok = game.col_payoff(a, b) >= game.col_payoff(a, other_b)
-        if row_ok and col_ok:
-            result.append((a, b))
-    return result
+    col_game = _transposed(game)
+    return [(a, b) for a, b in _CELL_ORDER
+            if _is_best_reply(game, a, b) and _is_best_reply(col_game, b, a)]
+
+
+def _is_best_reply(game: PayoffMatrix2x2, a: Action, b: Action) -> bool:
+    """Whether the row action `a` is a best reply to the column action `b`."""
+    other = Action.D if a is Action.C else Action.C
+    return game.row_payoff(a, b) >= game.row_payoff(other, b)
 
 
 def mixed_equilibrium(
@@ -277,50 +278,35 @@ def mixed_equilibrium(
     strictly inside (0, 1); degenerate games (an indifference equation with
     zero coefficient) also return None.
     """
-    # Column's C-probability q makes the row player indifferent.
-    a = game.row_payoff(Action.C, Action.C)
-    b = game.row_payoff(Action.C, Action.D)
-    c = game.row_payoff(Action.D, Action.C)
-    d = game.row_payoff(Action.D, Action.D)
-    denom_q = a - b - c + d
-    # Row's C-probability p makes the column player indifferent.
-    a2 = game.col_payoff(Action.C, Action.C)
-    b2 = game.col_payoff(Action.C, Action.D)
-    c2 = game.col_payoff(Action.D, Action.C)
-    d2 = game.col_payoff(Action.D, Action.D)
-    denom_p = a2 - b2 - c2 + d2
-    if denom_q == 0 or denom_p == 0:
-        return None
-    q_c = Fraction(d - b, denom_q)
-    p_c = Fraction(d2 - c2, denom_p)
-    if not (0 < q_c < 1 and 0 < p_c < 1):
+    q_c, p_c = _indifference_mix(game), _indifference_mix(_transposed(game))
+    if q_c is None or p_c is None:
         return None
     return (1 - p_c, 1 - q_c)
 
 
+def _indifference_mix(game: PayoffMatrix2x2) -> Optional[Fraction]:
+    """The column's C-probability that makes the row player indifferent,
+    when it exists and lies strictly inside (0, 1)."""
+    a, b, c, d = (r for r, _ in game.cells)
+    denom = a - b - c + d
+    if denom == 0 or not 0 < (q_c := (d - b) / denom) < 1:
+        return None
+    return q_c
+
+
 def dominant_action(game: PayoffMatrix2x2, player: str) -> Optional[Action]:
-    """The strictly dominant action for "row" or "col", if any."""
-    better = _dominance_profile(game, player)
-    if all(cmp > 0 for cmp in better):
+    """The strictly dominant action for "row" or "col", if any; the column
+    player's is the row player's in the transposed game."""
+    if player == "col":
+        game = _transposed(game)
+    elif player != "row":
+        raise ValueError(f"player must be 'row' or 'col', got {player!r}")
+    better = [game.row_payoff(Action.C, b) - game.row_payoff(Action.D, b) for b in ACTIONS]
+    if all(gap > 0 for gap in better):
         return Action.C
-    if all(cmp < 0 for cmp in better):
+    if all(gap < 0 for gap in better):
         return Action.D
     return None
-
-
-def _dominance_profile(game: PayoffMatrix2x2, player: str) -> list[Fraction]:
-    """Per-opponent-action payoff gaps u(C, .) - u(D, .) for one player."""
-    if player == "row":
-        return [
-            game.row_payoff(Action.C, b) - game.row_payoff(Action.D, b)
-            for b in ACTIONS
-        ]
-    if player == "col":
-        return [
-            game.col_payoff(a, Action.C) - game.col_payoff(a, Action.D)
-            for a in ACTIONS
-        ]
-    raise ValueError(f"player must be 'row' or 'col', got {player!r}")
 
 
 def equilibrium_set(game: PayoffMatrix2x2) -> EquilibriumSet:

@@ -207,15 +207,13 @@ def _discounted_sum(payoffs: list[Fraction], d: Fraction) -> tuple[Fraction, Fra
     return total, weight
 
 
-def _joint_cycle(
+def _closed_form_exact(
     strategy_a: StrategyAutomaton,
     strategy_b: StrategyAutomaton,
     game: PayoffMatrix2x2,
-) -> tuple[list[Fraction], int]:
-    """Player A's stage payoffs until the joint state repeats.
-
-    Returns the payoff sequence and the index where the cycle starts.
-    """
+    d: Fraction,
+) -> Fraction:
+    # A's stage payoffs until the joint state repeats; that state's first round starts the cycle.
     seen: dict[tuple[str, str], int] = {}
     payoffs: list[Fraction] = []
     sa, sb = strategy_a.initial, strategy_b.initial
@@ -223,18 +221,8 @@ def _joint_cycle(
         seen[(sa, sb)] = len(payoffs)
         aa, ab = strategy_a.action(sa), strategy_b.action(sb)
         payoffs.append(game.row_payoff(aa, ab))
-        sa = strategy_a.step(sa, ab)
-        sb = strategy_b.step(sb, aa)
-    return payoffs, seen[(sa, sb)]
-
-
-def _closed_form_exact(
-    strategy_a: StrategyAutomaton,
-    strategy_b: StrategyAutomaton,
-    game: PayoffMatrix2x2,
-    d: Fraction,
-) -> Fraction:
-    payoffs, start = _joint_cycle(strategy_a, strategy_b, game)
+        sa, sb = strategy_a.step(sa, ab), strategy_b.step(sb, aa)
+    start = seen[(sa, sb)]
     tail_sum, weight = _discounted_sum(payoffs[:start], d)
     cycle_sum, ratio = _discounted_sum(payoffs[start:], d)
     # The cycle starts at weight d^start and repeats with ratio d^len(cycle).
@@ -382,8 +370,8 @@ def run_population(
 
     The rounds run on action indices, C as 0 and D as 1.  The game's four
     cells (own action, opponent's action) with their payoffs and the
-    payoffs' floats, and each automaton's table of states, are made once per
-    run, so no `Action` or `Fraction` is hashed or converted per row.
+    payoffs' floats, and each distinct automaton's table of states, are made
+    once per run, so no `Action` or `Fraction` is hashed or converted per row.
     """
     if not game.is_symmetric():
         raise ValueError("population play needs a symmetric stage game")
@@ -393,7 +381,9 @@ def run_population(
     cells = [(a, game.row_payoff(a, b)) for a in ACTIONS for b in ACTIONS]
     floats = [float(u) for _, u in cells]
     players = [config.strategies[p] for p in range(size)]
-    tables = [_table(aut) for aut in players]
+    # Players of one strategy name share an automaton, which is tabled once.
+    table_by_id = {id(aut): _table(aut) for aut in {id(aut): aut for aut in players}.values()}
+    tables = [table_by_id[id(aut)] for aut in players]
     by_reputation = [config.reputation_visible and aut.reputation_rule for aut in players]
     states = [0] * size
     good = [True] * size

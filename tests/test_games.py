@@ -89,6 +89,39 @@ def random_game_strategy():
     ).map(PayoffMatrix2x2)
 
 
+@st.composite
+def maybe_symmetric_games(draw):
+    """A random game, or one whose column payoffs mirror its row payoffs."""
+    game = draw(random_game_strategy())
+    if draw(st.booleans()):
+        return game
+    return PayoffMatrix2x2.from_cells(
+        {(a, b): (game.row_payoff(a, b), game.row_payoff(b, a))
+         for a in ACTIONS for b in ACTIONS})
+
+
+def brute_force_dominant(game: PayoffMatrix2x2, player: str):
+    """Independent check: the action whose own payoff is strictly higher
+    than the other action's against every opponent action."""
+    def own(mine, theirs):
+        cell = (mine, theirs) if player == "row" else (theirs, mine)
+        return game.payoff(*cell)[0 if player == "row" else 1]
+
+    for action, other in ((C, D), (D, C)):
+        if all(own(action, theirs) > own(other, theirs) for theirs in ACTIONS):
+            return action
+    return None
+
+
+def has_interior_mix(game: PayoffMatrix2x2) -> bool:
+    """Independent check: a player's payoff gap u(C) - u(D) is linear in the
+    opponent's mix, so it has a root strictly inside (0, 1) exactly when its
+    values against the opponent's two pure actions have opposite signs."""
+    row_gaps = [game.payoff(C, b)[0] - game.payoff(D, b)[0] for b in ACTIONS]
+    col_gaps = [game.payoff(a, C)[1] - game.payoff(a, D)[1] for a in ACTIONS]
+    return row_gaps[0] * row_gaps[1] < 0 and col_gaps[0] * col_gaps[1] < 0
+
+
 class TestRationals:
     def test_parse_forms(self):
         assert as_rational("1/2") == Fraction(1, 2)
@@ -226,6 +259,10 @@ class TestMixedEquilibrium:
         assert mixed_equilibrium(g) == (Fraction(1, 2), Fraction(1, 2))
 
     @given(random_game_strategy())
+    def test_exists_exactly_when_both_gaps_change_sign(self, game):
+        assert (mixed_equilibrium(game) is not None) is has_interior_mix(game)
+
+    @given(random_game_strategy())
     def test_interior_mix_makes_both_players_indifferent(self, game):
         mix = mixed_equilibrium(game)
         if mix is None:
@@ -256,6 +293,19 @@ class TestDominance:
     def test_unknown_player_rejected(self):
         with pytest.raises(ValueError):
             dominant_action(zeros(), "diagonal")
+
+    @given(random_game_strategy())
+    def test_matches_brute_force_for_both_players(self, game):
+        for player in ("row", "col"):
+            assert dominant_action(game, player) is brute_force_dominant(game, player)
+
+
+class TestSymmetry:
+    @given(maybe_symmetric_games())
+    def test_matches_the_cell_by_cell_definition(self, game):
+        expected = all(game.payoff(a, b)[0] == game.payoff(b, a)[1]
+                       for a in ACTIONS for b in ACTIONS)
+        assert game.is_symmetric() is expected
 
 
 class TestEquilibriumSet:

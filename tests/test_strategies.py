@@ -155,6 +155,37 @@ class TestClosedForm:
         sim = discounted_average_payoff(play_match(a, b, DILEMMA, 500), delta)
         assert abs(exact - sim.value) <= sim.truncation_bound + 1e-12
 
+    @given(st.data())
+    def test_exact_on_every_pair_of_named_automata(self, data):
+        game = data.draw(asymmetric_games())
+        d = data.draw(DISCOUNTS)
+        for name_a, name_b in itertools.product(AUTOMATON_FACTORIES, repeat=2):
+            a, b = automaton_by_name(name_a), automaton_by_name(name_b)
+            assert _closed_form_exact(a, b, game, d) == exact_discounted_average(a, b, game, d)
+
+
+def exact_discounted_average(a, b, game, d):
+    """Independent exact oracle for two automata of at most two states each.
+
+    Their joint automaton has at most four states, so player A's payoffs are
+    periodic from round 4 on, with a period of at most 4 that divides 12:
+    the average is (1 - d) * (sum of rounds 0-3 + d^4 * (sum of rounds 4-15
+    weighted from 1) / (1 - d^12)).
+    """
+    assert len(a.actions) <= 2 and len(b.actions) <= 2
+    payoffs = [ua for _, _, ua, _ in play_match(a, b, game, 16)]
+    head = sum(d**t * u for t, u in enumerate(payoffs[:4]))
+    period = sum(d**t * u for t, u in enumerate(payoffs[4:]))
+    return (1 - d) * (head + d**4 * period / (1 - d**12))
+
+
+DISCOUNTS = st.fractions(0, 1, max_denominator=50).filter(lambda d: 0 < d < 1)
+
+
+def asymmetric_games():
+    """Games with eight independently drawn payoffs."""
+    return st.tuples(*[st.tuples(PAYOFFS, PAYOFFS) for _ in range(4)]).map(PayoffMatrix2x2)
+
 
 class TestCooperationSustained:
     def test_boundary_patience_sustains(self):
@@ -306,6 +337,15 @@ class TestRunPopulation:
         defector = report.discounted_payoffs[0]
         cooperators = [report.discounted_payoffs[p] for p in range(1, 10)]
         assert defector > sum(cooperators) / len(cooperators)
+
+    @pytest.mark.parametrize("visible", [True, False])
+    def test_shared_automata_play_as_separate_copies(self, visible):
+        separate = population(9, {0: "alld", 4: "grim", 5: "allc"}, visible=visible, seed=17)
+        shared = {name: automaton_by_name(name) for name in AUTOMATON_FACTORIES}
+        config = separate._replace(
+            strategies={p: shared[aut.name] for p, aut in separate.strategies.items()})
+        a, b = run_population(separate, DILEMMA), run_population(config, DILEMMA)
+        assert (a.to_csv(), a.summary_json()) == (b.to_csv(), b.summary_json())
 
     def test_asymmetric_game_rejected(self):
         from scholarchain.games import PayoffMatrix2x2
