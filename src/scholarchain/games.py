@@ -60,6 +60,10 @@ def as_rational(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+#: `_make`, and so `_replace`, through a named tuple's own checking `__new__`.
+_checked_make = classmethod(lambda cls, values: cls(*values))
+
+
 class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):
     """Bimatrix game over actions {C, D} with exact rational payoffs.
 
@@ -68,6 +72,7 @@ class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, cells: tuple[tuple[RationalLike, RationalLike], ...]):
         if len(cells) != 4:
@@ -123,6 +128,7 @@ class CommonsParams(namedtuple("CommonsParams", "benefit effort threshold size")
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, benefit: RationalLike, effort: RationalLike, threshold: int, size: int):
         benefit, effort = as_rational(benefit), as_rational(effort)
@@ -187,6 +193,7 @@ class PublicationParams(namedtuple("PublicationParams", "reward effort publish_p
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, reward: RationalLike, effort: RationalLike,
                 publish_prob: Mapping[str, RationalLike]):
@@ -240,6 +247,7 @@ class EquilibriumSet(namedtuple("EquilibriumSet", "pure mixed")):
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, pure: tuple[tuple[Action, Action], ...],
                 mixed: Optional[tuple[Fraction, Fraction]]):

@@ -2,8 +2,9 @@
 
 Discounted average payoffs come in two forms that must agree: an exact
 closed form that detects the cycle of the joint automaton and sums the
-geometric series in rational arithmetic, and a truncated simulation whose
-error bound delta^K * max|u| is reported alongside the value.
+geometric series, and a truncated simulation reporting its error bound
+delta^K * max|u|.  Both are integer polynomials in the discount's numerator
+and denominator over the payoffs' common denominator, one Fraction per result.
 
 Population play matches players uniformly at random each round under a
 seeded RNG; with visible reputations, reputation-conditioned players defect
@@ -14,12 +15,13 @@ its owner defects against a good-flagged opponent.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .games import ACTIONS, Action, PayoffMatrix2x2
+from .games import ACTIONS, Action, PayoffMatrix2x2, _checked_make
 
 GOOD, BAD = "good", "bad"
 
@@ -36,6 +38,7 @@ class StrategyAutomaton(
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, name: str, initial: str, actions: Mapping[str, Action],
                 transitions: Mapping[tuple[str, Action], str], reputation_rule: bool = False):
@@ -186,25 +189,36 @@ def discounted_average_payoff(
     Truncating the infinite sum at K rounds leaves at most
     d^K * max|u| unaccounted for; that bound is returned with the value.
     """
-    if not transcript.rounds:
+    if not transcript:
         raise ValueError("transcript is empty")
     d = _check_delta(delta)
-    idx = {"a": 2, "b": 3}[player]
-    payoffs = [row[idx] for row in transcript.rounds]
-    total, weight = _discounted_sum(payoffs, d)
-    value = (1 - d) * total
-    bound = weight * max(map(abs, payoffs))  # weight is d^K
-    return DiscountedPayoff(float(value), float(bound))
+    if player not in ("a", "b"):
+        raise ValueError(f"player must be 'a' or 'b', got {player!r}")
+    payoffs = [row[2 if player == "a" else 3] for row in transcript]
+    # Zeros after round K make it the truncated sum; int / int rounds correctly.
+    numerator, denominator = _discounted_sum([*payoffs, 0], len(payoffs), d)
+    bound = d ** len(payoffs) * max(map(abs, payoffs))
+    return DiscountedPayoff(numerator / denominator, float(bound))
 
 
-def _discounted_sum(payoffs: list[Fraction], d: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact sum of d^k * u_k over the payoffs, and d^len(payoffs)."""
-    total = Fraction(0)
-    weight = Fraction(1)
-    for u in payoffs:
-        total += weight * u
-        weight *= d
-    return total, weight
+def _discounted_sum(payoffs: list[Fraction], start: int, d: Fraction) -> tuple[int, int]:
+    """(1 - d) * sum of d^k * u_k over rounds k >= 0, payoffs[start:] repeating
+    forever, as an integer numerator and denominator.  With d = p/q, u_k = n_k/m
+    over the common denominator m, and Horner's rule in `int` summing the s tail
+    rounds to T = sum n_k p^k q^(s-1-k) and the c cycle rounds to Y alike, it is
+    (q - p) (T (q^c - p^c) + p^s Y) / (m q^s (q^c - p^c))."""
+    p, q = d.numerator, d.denominator
+    m = math.lcm(*(u.denominator for u in payoffs))
+    sums = []
+    for part in (payoffs[:start], payoffs[start:]):
+        total, power = 0, 1  # power is p^k
+        for u in part:
+            total = total * q + u.numerator * (m // u.denominator) * power
+            power *= p
+        sums.append((total, power))
+    (tail, p_s), (cycle, p_c) = sums
+    gap = q ** (len(payoffs) - start) - p_c
+    return (q - p) * (tail * gap + p_s * cycle), m * q**start * gap
 
 
 def _closed_form_exact(
@@ -222,11 +236,7 @@ def _closed_form_exact(
         aa, ab = strategy_a.action(sa), strategy_b.action(sb)
         payoffs.append(game.row_payoff(aa, ab))
         sa, sb = strategy_a.step(sa, ab), strategy_b.step(sb, aa)
-    start = seen[(sa, sb)]
-    tail_sum, weight = _discounted_sum(payoffs[:start], d)
-    cycle_sum, ratio = _discounted_sum(payoffs[start:], d)
-    # The cycle starts at weight d^start and repeats with ratio d^len(cycle).
-    return (1 - d) * (tail_sum + weight * cycle_sum / (1 - ratio))
+    return Fraction(*_discounted_sum(payoffs, seen[(sa, sb)], d))
 
 
 def closed_form_payoff(
@@ -238,8 +248,8 @@ def closed_form_payoff(
     """Exact infinite-horizon discounted average payoff for player A.
 
     The joint automaton is deterministic, hence eventually periodic; the
-    tail is summed directly and the cycle by geometric series, all in
-    rational arithmetic, with no truncation.
+    tail is summed directly and the cycle by geometric series, exactly, with
+    no truncation.
     """
     return float(_closed_form_exact(strategy_a, strategy_b, game, _check_delta(delta)))
 
@@ -286,6 +296,7 @@ class PopulationConfig(namedtuple(
     """
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, size: int, strategies: Mapping[int, StrategyAutomaton], delta: float,
                 reputation_visible: bool, rng_seed: int, horizon: int):

@@ -9,6 +9,7 @@ from scholarchain.games import (
     ACTIONS,
     Action,
     CommonsParams,
+    EquilibriumSet,
     PayoffMatrix2x2,
     PublicationParams,
     as_rational,
@@ -128,6 +129,15 @@ class TestRationals:
         assert as_rational("-3") == Fraction(-3)
         assert as_rational(7) == Fraction(7)
 
+    def test_replace_checks_the_new_cells(self):
+        game = review_dilemma()
+        with pytest.raises(ValueError):
+            game._replace(cells=((1, 2),))
+        with pytest.raises(TypeError):
+            game._replace(cells=tuple((0.5, 0) for _ in range(4)))
+        assert game._replace(cells=game.shifted(1).cells) == biased_publication_game()
+        assert PayoffMatrix2x2._make([(("1/2", 0),) * 4]).cells[0] == (Fraction(1, 2), 0)
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
@@ -165,6 +175,12 @@ class TestCommonsPayoff:
             CommonsParams(benefit=1, effort=1, threshold=1, size=2)
         with pytest.raises(ValueError):
             CommonsParams(benefit=2, effort=0, threshold=1, size=2)
+
+    def test_replace_checks_the_new_fields(self):
+        for bad in ({"effort": 0}, {"benefit": 1}, {"threshold": 0}, {"size": 2}):
+            with pytest.raises(ValueError):
+                self.params._replace(**bad)
+        assert self.params._replace(benefit="5/2").benefit == Fraction(5, 2)
 
     @pytest.mark.parametrize("coop_count", range(0, 11))
     def test_defection_dominates_cell_wise(self, coop_count):
@@ -212,6 +228,14 @@ class TestPublicationGame:
     def test_prob_keys_required(self):
         with pytest.raises(ValueError):
             PublicationParams(reward=4, effort=1, publish_prob={"e0": 1})
+
+    def test_replace_checks_the_new_fields(self):
+        params = PublicationParams(reward=4, effort=1, publish_prob=dict.fromkeys(
+            ("00", "0e", "e0", "ee"), Fraction(1, 2)))
+        for bad in ({"effort": 0}, {"reward": -1}, {"publish_prob": {"e0": 1}}):
+            with pytest.raises(ValueError):
+                params._replace(**bad)
+        assert params._replace(reward="4") == params
 
     def test_prob_range_checked(self):
         with pytest.raises(ValueError):
@@ -313,6 +337,14 @@ class TestEquilibriumSet:
         es = equilibrium_set(debiased_publication_game())
         assert es.pure == ((C, C), (D, D))
         assert es.mixed == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_replace_checks_the_new_mix(self):
+        es = equilibrium_set(debiased_publication_game())
+        with pytest.raises(ValueError):
+            es._replace(mixed=(Fraction(3, 2), 0))
+        with pytest.raises(ValueError):
+            EquilibriumSet._make([(), (0, -1)])
+        assert es._replace(mixed=None) == EquilibriumSet(es.pure, None)
 
 
 class TestJsonInterface:

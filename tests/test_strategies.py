@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scholarchain.games import Action, PayoffMatrix2x2, two_player_commons_game
 from scholarchain.strategies import (
@@ -18,6 +18,7 @@ from scholarchain.strategies import (
     PopulationConfig,
     PopulationReport,
     RoundRecord,
+    StrategyAutomaton,
     _closed_form_exact,
     all_c,
     all_d,
@@ -64,14 +65,19 @@ class TestAutomata:
         assert reputation_grim().reputation_rule
         assert not grim().reputation_rule
 
+    def test_replace_checks_the_new_fields(self):
+        with pytest.raises(ValueError, match="'nowhere'"):
+            grim()._replace(initial="nowhere")
+        with pytest.raises(ValueError):
+            StrategyAutomaton._make([*grim()[:3], {}, False])
+        assert grim()._replace(reputation_rule=True) == reputation_grim()._replace(name="grim")
+
     def test_lookup_by_name(self):
         assert automaton_by_name("alld").name == "alld"
         with pytest.raises(ValueError):
             automaton_by_name("tit-for-tat")
 
     def test_incomplete_transitions_rejected(self):
-        from scholarchain.strategies import StrategyAutomaton
-
         with pytest.raises(ValueError):
             StrategyAutomaton(
                 name="broken",
@@ -123,6 +129,25 @@ class TestDiscountedAverage:
         with pytest.raises(ValueError):
             discounted_average_payoff(MatchTranscript(()), 0.5)
 
+    def test_unknown_player_rejected(self):
+        t = play_match(grim(), grim(), DILEMMA, 3)
+        with pytest.raises(ValueError, match="'c'"):
+            discounted_average_payoff(t, 0.5, player="c")
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_matches_a_plain_fraction_sum(self, data):
+        game = data.draw(asymmetric_games())
+        names = st.sampled_from(sorted(AUTOMATON_FACTORIES))
+        a, b = automaton_by_name(data.draw(names)), automaton_by_name(data.draw(names))
+        delta, player = data.draw(FLOAT_DISCOUNTS), data.draw(st.sampled_from("ab"))
+        transcript = play_match(a, b, game, 500)
+        payoffs = [row[2 if player == "a" else 3] for row in transcript]
+        d = Fraction(delta)
+        result = discounted_average_payoff(transcript, delta, player)
+        assert result.value == float((1 - d) * fraction_discounted_sum(payoffs, d))
+        assert result.truncation_bound == float(d**500 * max(abs(u) for u in payoffs))
+
     def test_delta_domain(self):
         t = play_match(grim(), grim(), DILEMMA, 3)
         for bad in (0.0, 1.0, -0.2, 1.5):
@@ -163,6 +188,18 @@ class TestClosedForm:
             a, b = automaton_by_name(name_a), automaton_by_name(name_b)
             assert _closed_form_exact(a, b, game, d) == exact_discounted_average(a, b, game, d)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_exact_on_the_discounts_of_floats(self, data):
+        game = data.draw(asymmetric_games())
+        delta = data.draw(FLOAT_DISCOUNTS)
+        d = Fraction(delta)
+        for name_a, name_b in itertools.product(AUTOMATON_FACTORIES, repeat=2):
+            a, b = automaton_by_name(name_a), automaton_by_name(name_b)
+            exact = exact_discounted_average(a, b, game, d)
+            assert _closed_form_exact(a, b, game, d) == exact
+            assert closed_form_payoff(a, b, game, delta) == float(exact)
+
 
 def exact_discounted_average(a, b, game, d):
     """Independent exact oracle for two automata of at most two states each.
@@ -179,7 +216,21 @@ def exact_discounted_average(a, b, game, d):
     return (1 - d) * (head + d**4 * period / (1 - d**12))
 
 
+def fraction_discounted_sum(payoffs, d):
+    """Sum of d^k * u_k in Fractions, nested as u_0 + d * (u_1 + d * (...)),
+    which keeps the denominators of a 500-round sum affordable."""
+    total = Fraction(0)
+    for u in reversed(payoffs):
+        total = u + d * total
+    return total
+
+
 DISCOUNTS = st.fractions(0, 1, max_denominator=50).filter(lambda d: 0 < d < 1)
+
+#: The discounts the program passes: `Fraction(float)`, whose denominator is
+#: a power of two up to 2**1074.
+FLOAT_DISCOUNTS = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [math.nextafter(1.0, 0.0), 5e-324])
 
 
 def asymmetric_games():
@@ -361,6 +412,15 @@ class TestRunPopulation:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "round,player,action,stage_payoff,reputation"
         assert len(lines) == 1 + 3 * 4
+
+    def test_replace_checks_the_new_fields(self):
+        config = population(4, seed=2)
+        for bad in ({"delta": 1.5}, {"horizon": 0}, {"size": 5}):
+            with pytest.raises(ValueError):
+                config._replace(**bad)
+        with pytest.raises(ValueError):
+            PopulationConfig._make([*config[:-1], 0])
+        assert config._replace(delta=0.5) == population(4, seed=2, delta=0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
