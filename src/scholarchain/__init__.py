@@ -14,6 +14,7 @@ Module map:
     strategies  strategy automata, discounting, population runs
     ledger      integer token accounts, escrow, platform reserve
     market      review-outcome prediction market (log scoring rule)
+    fields      the declared field vocabulary that reads every JSON input
     lifecycle   the article state machine and protocol operations
     netchain    execute-once quorum chain, replay and tamper checks
     cli         scenario runner (`scholarchain` command)

@@ -18,31 +18,17 @@ Outputs are plain CSV/JSON for external plotting.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-# Only the renderers that use it import the game-theory layer.
-from . import market as market_mod
-from . import netchain
+# Each renderer imports the layer it runs, so a fresh command loads only that
+# one: `games` (and `strategies` for sweep) for analyze and sweep, `market`
+# and `ledger` for market, and the chain layer for protocol and verify.
 from .errors import ProtocolError
-from .ledger import TokenLedger
-from .lifecycle import OPTIONAL, Field, FieldError, ProtocolConfig, ProtocolState, check_fields
-from .netchain import (
-    PLATFORM,
-    Chain,
-    PeerSet,
-    Transaction,
-    TxKind,
-    TxPool,
-    produce_block,
-    state_hash,
-    submit_tx,
-    verify_export,
-)
+from .fields import OPTIONAL, Field, FieldError, check_fields
 
 class ScenarioError(Exception):
     """Scenario file failed to parse or validate; message names the field."""
@@ -215,6 +201,10 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     rejections are committed to the chain as rejected transactions and listed
     in the summary; the demo always runs to the end.
     """
+    from . import market as market_mod
+    from .lifecycle import ProtocolConfig, ProtocolState
+    from .netchain import (PLATFORM, REJECTED, Chain, PeerSet, Transaction, TxKind, TxPool,
+                           export_chain, produce_block, state_hash, submit_tx)
     users, peers, author = scenario["users"], tuple(scenario["peers"]), scenario["author"]
     with _judged("config"):
         config = ProtocolConfig.from_canonical({**scenario["config"], "peers": peers})
@@ -298,7 +288,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         {"tx_id": r.tx.tx_id, "kind": r.tx.kind.value, "error": r.error}
         for b in chain.blocks
         for r in b.txs
-        if r.status == netchain.REJECTED
+        if r.status == REJECTED
     ]
     resolved_market = next(
         (m for m in final.markets.values() if m.resolved is not None), None
@@ -319,7 +309,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     }
     prefix = scenario["output"]
     return {
-        f"{prefix}_chain.jsonl": netchain.export_chain(chain.blocks),
+        f"{prefix}_chain.jsonl": export_chain(chain.blocks),
         f"{prefix}_genesis.json": json.dumps(
             {"config": config.to_canonical()}, indent=2, sort_keys=True
         ) + "\n",
@@ -331,6 +321,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
 
 
 def _text_hash(text: str) -> str:
+    import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -339,7 +330,9 @@ def _text_hash(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
+    from . import market as market_mod
     from .games import as_rational
+    from .ledger import TokenLedger
     traders, outcome, prefix = scenario["traders"], scenario["resolve"], scenario["output"]
     with _judged("b"):
         b = float(as_rational(str(scenario["b"])))
@@ -482,6 +475,8 @@ def _cmd_run(verb: str, args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .lifecycle import ProtocolConfig, ProtocolState
+    from .netchain import PeerSet, verify_export
     chain_path = Path(args.chain)
     try:
         text = chain_path.read_text(encoding="utf-8")

@@ -29,6 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import market as market_mod
 from .errors import CommentRedirectsToMarket, LifecycleError
+from .fields import Field, FieldError, _strings, check_fields
 from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
 from .market import Market, Section, Trade, quote, quote_or_null
 
@@ -91,11 +92,6 @@ class ContentMetadata(namedtuple("ContentMetadata", "title abstract authors inst
             raise LifecycleError("article needs at least one author")
         return super().__new__(cls, title, abstract, tuple(tuple(a) for a in authors),
                                tuple(institutions))
-
-
-def _strings(value) -> bool:
-    """True for a list or tuple of strings; a string alone is not one."""
-    return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
 
 
 def content_hash(meta: ContentMetadata) -> str:
@@ -191,67 +187,6 @@ class Dispute:
                 f'"dispute_id":{quote(self.dispute_id)},'
                 f'"resolution":{quote_or_null(self.resolution)},'
                 f'"stake":{self.stake!r}}}')
-
-
-#: A declared field of a JSON object: its name, its type (a key of
-#: `_JSON_TYPES`; None for any value), its default if it is optional (None:
-#: required; `OPTIONAL`: left out when absent), and the fields of the record
-#: that an object, or each item of a list, must be.  A list of records is
-#: "a list" with a record.
-Field = namedtuple("Field", "name type default record", defaults=[None, ()])
-OPTIONAL = object()
-_ABSENT = object()
-_DOUBLE_BOUND = 2**1024 - 2**970  # `float()` of an integer this large overflows
-#: The one type table: a type -> the Python types that hold it, and a test a
-#: held value must also pass.  A bool is only ever "a boolean", a tuple counts
-#: as a list, and a number must fit a double.
-_JSON_TYPES = {
-    "a string": (str, None), "an integer": (int, lambda n: type(n) is not bool),
-    "a number": ((int, float), lambda n: type(n) is not bool and (
-        isinstance(n, float) or abs(n) < _DOUBLE_BOUND)),
-    "a boolean": (bool, None), "an object": (dict, None), "a list": ((list, tuple), None),
-    "a list of strings": ((list, tuple), _strings), None: (object, None)}
-
-
-class FieldError(Exception):
-    """A value its declared field refuses: `path` names it (`trades[0].shares`),
-    `expected` is the declared type, and `missing` is true if it is absent."""
-
-    def __init__(self, path: str, expected: Optional[str], missing: bool = False):
-        super().__init__(path, expected, missing)
-        self.path, self.expected, self.missing = path, expected, missing
-
-
-def check_fields(obj: Mapping, fields: Sequence[Field], path: str = "") -> dict:
-    """Each field's value in `obj`, or its default, after JSON Schema's `type`,
-    `required` and `items` keywords: nothing is converted, and a record's
-    fields are checked and returned in their turn.  Raises FieldError for the
-    first value refused; `path` prefixes the path it names."""
-    checked = {}
-    for name, kind, default, record in fields:
-        value = obj.get(name, _ABSENT)
-        if value is _ABSENT:
-            if default is None:
-                raise FieldError(path + name, kind, missing=True)
-            if default is not OPTIONAL:
-                checked[name] = default
-            continue
-        types, test = _JSON_TYPES[kind]
-        if not isinstance(value, types) or test is not None and not test(value):
-            raise FieldError(path + name, kind)
-        if record and kind == "a list":
-            value = [_check_record(item, record, f"{path}{name}[{i}]")
-                     for i, item in enumerate(value)]
-        elif record:
-            value = _check_record(value, record, path + name)
-        checked[name] = value
-    return checked
-
-
-def _check_record(item, record: Sequence[Field], path: str) -> dict:
-    if not isinstance(item, dict):
-        raise FieldError(path, "an object")
-    return check_fields(item, record, path + ".")
 
 
 #: The paper's incentive rules, fixed on every chain: a review deposit must

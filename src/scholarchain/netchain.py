@@ -30,8 +30,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .lifecycle import (ContentMetadata, Field, FieldError, ProtocolState, canonical_json,
-                        check_fields, compact_encoder)
+from .fields import Field, FieldError, check_fields
+from .lifecycle import ContentMetadata, ProtocolState, canonical_json, compact_encoder
 from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
@@ -153,7 +153,7 @@ _ARTICLE, _VOTES = Field("article", "a string"), Field("votes", "an object")
 #: kind -> (platform_only, fields, handler).  Only `PLATFORM` may submit a
 #: platform operation; any other kind is a user's own act, and the actor it
 #: names (payload "user", default the submitter) must be the submitter.  Each
-#: payload field is declared (`lifecycle.Field`); a handler takes a number as a
+#: payload field is declared (`fields.Field`); a handler takes a number as a
 #: float.  Undeclared keys are ignored, like calldata past a contract call's
 #: arguments.  A handler takes (state, fields, submitter).
 _RULES: dict[TxKind, tuple[bool, tuple[Field, ...], Callable]] = {
@@ -246,26 +246,30 @@ def _json_carries(text: str) -> bool:
 _PAIRED = "payload is not encodable as JSON: a string holds a surrogate pair"
 
 
-def _check_shape(container, depth: int) -> None:
-    """Raise ChainError unless the payload holds only JSON values of exactly
-    JSON's types: dict and list containers with str keys, and str, int,
-    float, bool and None leaves, strings that JSON reads back, integers of at
-    most 640 digits and finite floats, nested at most `_MAX_DEPTH` deep, so
-    that every interpreter can write and read it back.  A tuple, or a
-    subclass such as an enum, is refused: the export reads it back as a list
-    or as its base type, whose `repr` a rejection reason may quote."""
+def _check_shape(container, depth: int):
+    """The payload's copy, each dict and list built anew and then checked, so
+    that a later change to the caller's payload reaches no block; ChainError
+    unless it holds only JSON values of exactly JSON's types: dict and list
+    containers with str keys, and str, int, float, bool and None leaves,
+    strings that JSON reads back, integers of at most 640 digits and finite
+    floats, nested at most `_MAX_DEPTH` deep, so that every interpreter can
+    write and read it back.  A tuple, or a subclass such as an enum, is
+    refused: the export reads it back as a list or as its base type."""
     if depth > _MAX_DEPTH:
         raise ChainError(f"payload nests more than {_MAX_DEPTH} containers")
-    if type(container) is dict:
-        for key in container:
+    copied = container.copy()
+    if type(copied) is dict:
+        for key in copied:
             if type(key) is not str:
                 raise ChainError("payload is not encodable as JSON: " + (
                     f"a key of type {type(key).__name__}" if isinstance(key, str)
                     else "a key is not a string"))
             if not key.isascii() and not _json_carries(key):
                 raise ChainError(_PAIRED)
-        container = container.values()
-    for item in container:
+        items = copied.items()
+    else:
+        items = enumerate(copied)
+    for at, item in items:
         kind = type(item)
         if kind is str:
             if not item.isascii() and not _json_carries(item):
@@ -274,16 +278,18 @@ def _check_shape(container, depth: int) -> None:
             if not -_INT_BOUND < item < _INT_BOUND:
                 raise ChainError("payload is not encodable as JSON: integer over 640 digits")
         elif kind is dict or kind is list:
-            _check_shape(item, depth + 1)
+            copied[at] = _check_shape(item, depth + 1)
         elif kind is float:
             if not math.isfinite(item):
                 raise ChainError(f"payload is not encodable as JSON: {item} is not finite")
         elif kind is not bool and item is not None:
             raise ChainError(f"payload is not encodable as JSON: type {kind.__name__}")
+    return copied
 
 
-def _check_tx_form(tx: Transaction) -> None:
-    """Raise ChainError unless a submitted or imported transaction is admissible.
+def _check_tx_form(tx: Transaction) -> Transaction:
+    """The transaction holding the gate's copy of its payload (`_check_shape`),
+    or ChainError unless a submitted or imported transaction is admissible.
 
     JSON turns a non-string key into a string, has no non-finite number and
     reads a surrogate pair back as one character, so any of these would make
@@ -301,13 +307,14 @@ def _check_tx_form(tx: Transaction) -> None:
         raise ChainError("submitter is not encodable as JSON: it holds a surrogate pair")
     if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
         raise ChainError("tx id must be a non-negative integer of at most 640 digits")
-    _check_shape(tx.payload, 1)
+    return _new_tuple(Transaction, (tx.tx_id, tx.kind, _check_shape(tx.payload, 1), tx.submitter))
 
 
 def submit_tx(pool: TxPool, tx: Transaction, chain: "Chain") -> TxPool:
     """Admit a transaction through the gate and append it to the pool; its id
-    must exceed every id pending in the pool or committed on `chain`."""
-    _check_tx_form(tx)
+    must exceed every id pending in the pool or committed on `chain`.  The
+    pool holds the gate's copy of the payload, not the caller's."""
+    tx = _check_tx_form(tx)
     last = max(pool.pending[-1].tx_id if pool.pending else -1, chain.last_tx_id)
     if tx.tx_id <= last:
         raise ChainError(f"tx id {tx.tx_id} is not strictly increasing (last {last})")
@@ -514,8 +521,7 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
     except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
         kind = TxKind(obj["kind"])
     tx = _new_tuple(Transaction, (obj["tx_id"], kind, obj["payload"], obj["submitter"]))
-    _check_tx_form(tx)
-    return _new_tuple(TxRecord, (tx, obj["status"], obj["error"]))
+    return _new_tuple(TxRecord, (_check_tx_form(tx), obj["status"], obj["error"]))
 
 
 def import_chain(text: str) -> list[Block]:

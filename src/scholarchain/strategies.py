@@ -195,20 +195,22 @@ def discounted_average_payoff(
     if player not in ("a", "b"):
         raise ValueError(f"player must be 'a' or 'b', got {player!r}")
     payoffs = [row[2 if player == "a" else 3] for row in transcript]
+    distinct = set(payoffs)  # at most four: each is a cell of the one stage game
     # Zeros after round K make it the truncated sum; int / int rounds correctly.
-    numerator, denominator = _discounted_sum([*payoffs, 0], len(payoffs), d)
-    bound = d ** len(payoffs) * max(map(abs, payoffs))
+    numerator, denominator = _discounted_sum([*payoffs, 0], len(payoffs), d, distinct)
+    bound = d ** len(payoffs) * max(map(abs, distinct))
     return DiscountedPayoff(numerator / denominator, float(bound))
 
 
-def _discounted_sum(payoffs: list[Fraction], start: int, d: Fraction) -> tuple[int, int]:
+def _discounted_sum(payoffs: list[Fraction], start: int, d: Fraction,
+                    values: Iterable[Fraction]) -> tuple[int, int]:
     """(1 - d) * sum of d^k * u_k over rounds k >= 0, payoffs[start:] repeating
     forever, as an integer numerator and denominator.  With d = p/q, u_k = n_k/m
-    over the common denominator m, and Horner's rule in `int` summing the s tail
-    rounds to T = sum n_k p^k q^(s-1-k) and the c cycle rounds to Y alike, it is
-    (q - p) (T (q^c - p^c) + p^s Y) / (m q^s (q^c - p^c))."""
+    over m, the common denominator of the `values` the payoffs take, and Horner's
+    rule in `int` summing the s tail rounds to T = sum n_k p^k q^(s-1-k) and the
+    c cycle rounds to Y alike, it is (q - p) (T (q^c - p^c) + p^s Y) / (m q^s (q^c - p^c))."""
     p, q = d.numerator, d.denominator
-    m = math.lcm(*(u.denominator for u in payoffs))
+    m = math.lcm(*(u.denominator for u in values))
     sums = []
     for part in (payoffs[:start], payoffs[start:]):
         total, power = 0, 1  # power is p^k
@@ -236,7 +238,7 @@ def _closed_form_exact(
         aa, ab = strategy_a.action(sa), strategy_b.action(sb)
         payoffs.append(game.row_payoff(aa, ab))
         sa, sb = strategy_a.step(sa, ab), strategy_b.step(sb, aa)
-    return Fraction(*_discounted_sum(payoffs, seen[(sa, sb)], d))
+    return Fraction(*_discounted_sum(payoffs, seen[(sa, sb)], d, payoffs))
 
 
 def closed_form_payoff(

@@ -14,7 +14,6 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from scipy.stats import binomtest
 
 from scholarchain.cli import load_scenario, resolve_scenario_path, run_protocol_demo
 from scholarchain.errors import LedgerError, LifecycleError, MarketError
@@ -142,6 +141,14 @@ def _defector_vs_cooperators(seed: int, delta: float) -> tuple[float, float]:
     return defector, sum(cooperators) / len(cooperators)
 
 
+def sign_test_p(k: int, n: int) -> float:
+    """The exact two-sided p-value of k successes in n fair coin flips: the
+    chance of an outcome no likelier than k, as `scipy.stats.binomtest(k, n,
+    0.5)` gives it."""
+    counts = [math.comb(n, i) for i in range(n + 1)]
+    return sum(c for c in counts if c <= counts[k]) / 2**n
+
+
 def test_criterion_4_population_monte_carlo():
     with criterion(4, "defection pays iff impatient (1000 seeds/side)", budget=60.0):
         runs = 1000
@@ -151,9 +158,9 @@ def test_criterion_4_population_monte_carlo():
         impatient_above = sum(1 for d, c in impatient if d > c)
         # Two-sided sign test: the direction must dominate at p < 0.01.
         assert patient_below > runs // 2
-        assert binomtest(patient_below, runs, 0.5).pvalue < 0.01
+        assert sign_test_p(patient_below, runs) < 0.01
         assert impatient_above > runs // 2
-        assert binomtest(impatient_above, runs, 0.5).pvalue < 0.01
+        assert sign_test_p(impatient_above, runs) < 0.01
 
 
 def test_criterion_5_lifecycle_fsm_fuzz():

@@ -675,6 +675,39 @@ class TestPackageRoot:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
+    def test_importing_the_cli_loads_no_layer(self):
+        # `cli` declares its scenario kinds with `fields` alone; each renderer
+        # imports the layer it runs.  A fresh interpreter, as above.
+        script = ("import sys\nimport scholarchain.cli\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('scholarchain')))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(
+            ["scholarchain", "scholarchain.cli", "scholarchain.errors", "scholarchain.fields"])
+
+    @pytest.mark.parametrize("runs, unloaded", [
+        ([["analyze", "table3.json"], ["analyze", "table4.json"],
+          ["sweep", "delta_sweep.json"], ["sweep", "population.json"]],
+         ("netchain", "lifecycle", "market", "ledger")),
+        ([["market", "market_demo.json"]], ("netchain", "lifecycle")),
+    ], ids=["game-verbs", "market"])
+    def test_game_and_market_verbs_do_not_load_the_chain(self, tmp_path, runs, unloaded):
+        # A fresh interpreter, as above.
+        script = (
+            "import sys\n"
+            "from scholarchain import cli\n"
+            f"for argv in {runs!r}:\n"
+            f"    assert cli.main(['--out-dir', {str(tmp_path)!r}, *argv]) == 0, argv\n"
+            f"print([m for m in {unloaded!r} if 'scholarchain.' + m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_no_verb_loads_dataclasses_or_inspect(self, tmp_path):
         # `dataclasses` and the `inspect` it imports cost a fresh command about
         # 8 ms of start-up, so no module of the package loads them.  A fresh

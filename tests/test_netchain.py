@@ -67,6 +67,14 @@ class Level(enum.IntEnum):
     FIVE = 5
 
 
+def add(container, value):
+    """Append `value` to a list, or set it under "late" in a dict."""
+    if type(container) is list:
+        container.append(value)
+    else:
+        container["late"] = value
+
+
 def nested_list(depth):
     value = 0
     for _ in range(depth):
@@ -265,6 +273,42 @@ class TestSubmitTx:
         submit_tx(pool, Transaction(2, TxKind.CREDIT, deepest, "platform"), chain)
         assert produce_block(chain, pool, PEERS).committed
         assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
+
+    @pytest.mark.parametrize("late", [
+        ("value", {1}), ("value", float), ("value", float("nan")), ("value", float("-inf")),
+        ("value", "a" + PAIR), ("value", ("a",)), ("value", Name("a")),
+        ("value", Level.FIVE), ("value", 10**640), ("value", nested_list(16)),
+        ("key", PAIR), ("key", 1),
+    ], ids=["set", "class", "nan", "infinite", "surrogate-pair", "tuple", "str-subclass",
+            "int-enum", "641-digits", "too-deep", "surrogate-pair-key", "int-key"])
+    def test_a_change_after_submission_is_not_committed(self, late):
+        # The pool holds the gate's copy, so no change to the caller's payload
+        # after submission, not even a value the gate refuses, reaches a block.
+        what, value = late
+        for depth in range(1, 17):
+            # A CREDIT payload nested to the bound, dicts and lists by turns.
+            payload = {"user": "ada", "amount": 5}
+            containers = [payload]
+            while len(containers) < 16:
+                inner = [len(containers)] if len(containers) % 2 else {"at": len(containers)}
+                add(containers[-1], inner)
+                containers.append(inner)
+            target = containers[depth - 1]
+            if what == "key" and type(target) is list:
+                continue
+            chain = Chain(genesis())
+            pool = pool_with(chain, Transaction(1, TxKind.CREDIT, payload, "platform"))
+            admitted = json.loads(json.dumps(payload))
+            if what == "key":
+                target[value] = 1
+            else:
+                add(target, value)
+            result = produce_block(chain, pool, PEERS)
+            assert result.committed, depth
+            [record] = result.block.txs
+            assert (record.status, record.tx.payload) == (APPLIED, admitted), depth
+            assert chain.tip.ledger.balance("ada") == 5
+            assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
     def test_last_tx_id_tracks_committed_blocks_only(self):
         chain = Chain(genesis())

@@ -134,14 +134,21 @@ class TestDiscountedAverage:
         with pytest.raises(ValueError, match="'c'"):
             discounted_average_payoff(t, 0.5, player="c")
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_matches_a_plain_fraction_sum(self, data):
+        # A match of two automata, or any 500 plays, so that a transcript
+        # takes each of the game's four payoffs in any order.
         game = data.draw(asymmetric_games())
-        names = st.sampled_from(sorted(AUTOMATON_FACTORIES))
-        a, b = automaton_by_name(data.draw(names)), automaton_by_name(data.draw(names))
+        if data.draw(st.booleans()):
+            names = st.sampled_from(sorted(AUTOMATON_FACTORIES))
+            a, b = automaton_by_name(data.draw(names)), automaton_by_name(data.draw(names))
+            transcript = play_match(a, b, game, 500)
+        else:
+            plays = data.draw(st.lists(st.tuples(st.sampled_from([C, D]), st.sampled_from([C, D])),
+                                       min_size=500, max_size=500))
+            transcript = MatchTranscript((a, b, *game.payoff(a, b)) for a, b in plays)
         delta, player = data.draw(FLOAT_DISCOUNTS), data.draw(st.sampled_from("ab"))
-        transcript = play_match(a, b, game, 500)
         payoffs = [row[2 if player == "a" else 3] for row in transcript]
         d = Fraction(delta)
         result = discounted_average_payoff(transcript, delta, player)
