@@ -217,9 +217,11 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     pool = TxPool()
     next_id = 1
 
-    def push(kind: TxKind, payload: dict, submitter: str):
+    def push(field: str, kind: TxKind, payload: dict, submitter: str):
+        """Submit a transaction built from scenario `field`, named if refused."""
         nonlocal next_id
-        submit_tx(pool, Transaction(next_id, kind, payload, submitter), chain)
+        with _judged(field):
+            submit_tx(pool, Transaction(next_id, kind, payload, submitter), chain)
         next_id += 1
 
     def commit():
@@ -227,28 +229,28 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
             produce_block(chain, pool, peer_set)
 
     for user, balance in users.items():
-        push(TxKind.CREDIT, {"user": user, "amount": balance}, PLATFORM)
+        push("users", TxKind.CREDIT, {"user": user, "amount": balance}, PLATFORM)
     commit()
 
-    push(TxKind.SUBMIT_ARTICLE, dict(scenario["article"]), author)
+    push("article", TxKind.SUBMIT_ARTICLE, dict(scenario["article"]), author)
     commit()
     article_hash = next(iter(chain.tip.articles), "")
 
-    for comment in scenario["comments"]:
+    for i, comment in enumerate(scenario["comments"]):
         push(
-            TxKind.COMMENT,
+            f"comments[{i}]", TxKind.COMMENT,
             {"article": article_hash, "text_hash": _text_hash(comment["text"])},
             comment["user"],
         )
     push(
-        TxKind.START_REVIEW,
+        "deposit", TxKind.START_REVIEW,
         {"article": article_hash, "deposit": scenario["deposit"],
          "panel": list(scenario["panel"])},
         author,
     )
-    for trade in scenario["trades"]:
+    for i, trade in enumerate(scenario["trades"]):
         push(
-            TxKind.TRADE,
+            f"trades[{i}]", TxKind.TRADE,
             {
                 "article": article_hash,
                 "outcome": trade["outcome"],
@@ -258,13 +260,13 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         )
     commit()
 
-    push(TxKind.CONCLUDE_REVIEW, {"article": article_hash, "votes": scenario["votes"]},
-         PLATFORM)
+    push("votes", TxKind.CONCLUDE_REVIEW,
+         {"article": article_hash, "votes": scenario["votes"]}, PLATFORM)
     commit()
 
     if objection:
         push(
-            TxKind.RAISE_OBJECTION,
+            "objection", TxKind.RAISE_OBJECTION,
             {"article": article_hash, "stake": objection["stake"]},
             objection["challenger"],
         )
@@ -276,7 +278,7 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         ]
         if open_disputes:
             push(
-                TxKind.RESOLVE_DISPUTE,
+                "objection", TxKind.RESOLVE_DISPUTE,
                 {"dispute": open_disputes[0], "votes": objection["peer_votes"]},
                 PLATFORM,
             )

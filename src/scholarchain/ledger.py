@@ -30,9 +30,9 @@ AMOUNT_BOUND = 2**256
 
 
 class Account:
-    def __init__(self, balance: int = 0, escrowed: int = 0):
+    def __init__(self, balance: int = 0):
         self.balance = balance
-        self.escrowed = escrowed
+        self.escrowed = 0
 
     def to_canonical(self) -> dict:
         return {"balance": self.balance, "escrowed": self.escrowed}

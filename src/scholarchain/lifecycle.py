@@ -111,22 +111,18 @@ class Article:
     """One paper-as-contract registry entry."""
 
     def __init__(self, article_hash: str, state: ArticleState, owners: list[str],
-                 doi: Optional[str] = None, author_deposit: int = 0,
-                 depositor: Optional[str] = None, review_panel: tuple[str, ...] = (),
-                 market_id: Optional[str] = None,
-                 comments: Optional[list[tuple[str, int, str]]] = None,
-                 review_round: int = 0, dispute_seq: int = 0):
+                 doi: Optional[str] = None):
         self.article_hash = article_hash
         self.state = state
         self.owners = owners
         self.doi = doi
-        self.author_deposit = author_deposit
-        self.depositor = depositor
-        self.review_panel = review_panel
-        self.market_id = market_id
-        self.comments = [] if comments is None else comments
-        self.review_round = review_round
-        self.dispute_seq = dispute_seq
+        self.author_deposit = 0
+        self.depositor: Optional[str] = None
+        self.review_panel: tuple[str, ...] = ()
+        self.market_id: Optional[str] = None
+        self.comments: list[tuple[str, int, str]] = []
+        self.review_round = 0
+        self.dispute_seq = 0
 
     def to_canonical(self) -> dict:
         return {
@@ -163,13 +159,12 @@ class Article:
 class Dispute:
     """A staked retraction challenge against a published article."""
 
-    def __init__(self, dispute_id: str, article_hash: str, challenger: str, stake: int,
-                 resolution: Optional[str] = None):
+    def __init__(self, dispute_id: str, article_hash: str, challenger: str, stake: int):
         self.dispute_id = dispute_id
         self.article_hash = article_hash
         self.challenger = challenger
         self.stake = stake
-        self.resolution = resolution  # "retract" | "uphold" once decided
+        self.resolution: Optional[str] = None  # "retract" | "uphold" once decided
 
     def to_canonical(self) -> dict:
         return {

@@ -103,24 +103,19 @@ def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
 class Market:
     """One open-or-resolved review market."""
 
-    def __init__(self, market_id: str, b: float,
-                 outstanding: Optional[dict[str, float]] = None,
-                 holdings: Optional[dict[str, float]] = None,
-                 resolved: Optional[str] = None, trade_count: int = 0,
-                 events: Optional[list[dict]] = None):
+    def __init__(self, market_id: str, b: float):
         self.market_id = market_id
         self.b = b
-        self.outstanding = {PUBLISH: 0.0, REVISE: 0.0} if outstanding is None else outstanding
+        self.outstanding = {PUBLISH: 0.0, REVISE: 0.0}
         # Shares held, keyed "uid:outcome" as the canonical form writes them.
-        self.holdings = {} if holdings is None else holdings
-        self.resolved = resolved
-        self.trade_count = trade_count
-        self.events = [] if events is None else events
+        self.holdings: dict[str, float] = {}
+        self.resolved: Optional[str] = None
+        self.trade_count = 0
+        self.events: list[dict] = []
         # The holdings traded since the last `to_canonical_json`, a dict used
         # as a set like `TokenLedger.written`, and the holdings' kept
-        # fragments: the section starts empty, with the holdings built in as
-        # written.
-        self.written = dict.fromkeys(self.holdings)
+        # fragments: a market starts with no holdings, so both start empty.
+        self.written: dict[str, None] = {}
         self._holdings = Section(self.holdings, self.written, repr, keyed=True)
         # `lmsr_cost` of the book, kept with the b and a copy of the book it
         # was computed for, so that a direct write to `b` or `outstanding`

@@ -287,7 +287,7 @@ def _check_shape(container, depth: int):
     return copied
 
 
-def _check_tx_form(tx: Transaction) -> Transaction:
+def _check_tx_form(tx_id, kind, payload, submitter) -> Transaction:
     """The transaction holding the gate's copy of its payload (`_check_shape`),
     or ChainError unless a submitted or imported transaction is admissible.
 
@@ -295,26 +295,26 @@ def _check_tx_form(tx: Transaction) -> Transaction:
     reads a surrogate pair back as one character, so any of these would make
     the export replay differently from what executed.
     """
-    if not isinstance(tx.kind, TxKind):
-        raise ChainError(f"unknown transaction kind {tx.kind!r}")
-    if not isinstance(tx.payload, dict):
+    if not isinstance(kind, TxKind):
+        raise ChainError(f"unknown transaction kind {kind!r}")
+    if not isinstance(payload, dict):
         raise ChainError("payload must be a mapping")
-    if type(tx.payload) is not dict:
-        raise ChainError(f"payload is not encodable as JSON: type {type(tx.payload).__name__}")
-    if not isinstance(tx.submitter, str) or not tx.submitter:
+    if type(payload) is not dict:
+        raise ChainError(f"payload is not encodable as JSON: type {type(payload).__name__}")
+    if not isinstance(submitter, str) or not submitter:
         raise ChainError("submitter must be a nonempty user id")
-    if not tx.submitter.isascii() and not _json_carries(tx.submitter):
+    if not submitter.isascii() and not _json_carries(submitter):
         raise ChainError("submitter is not encodable as JSON: it holds a surrogate pair")
-    if type(tx.tx_id) is not int or not 0 <= tx.tx_id < _INT_BOUND:
+    if type(tx_id) is not int or not 0 <= tx_id < _INT_BOUND:
         raise ChainError("tx id must be a non-negative integer of at most 640 digits")
-    return _new_tuple(Transaction, (tx.tx_id, tx.kind, _check_shape(tx.payload, 1), tx.submitter))
+    return _new_tuple(Transaction, (tx_id, kind, _check_shape(payload, 1), submitter))
 
 
 def submit_tx(pool: TxPool, tx: Transaction, chain: "Chain") -> TxPool:
     """Admit a transaction through the gate and append it to the pool; its id
     must exceed every id pending in the pool or committed on `chain`.  The
     pool holds the gate's copy of the payload, not the caller's."""
-    tx = _check_tx_form(tx)
+    tx = _check_tx_form(*tx)
     last = max(pool.pending[-1].tx_id if pool.pending else -1, chain.last_tx_id)
     if tx.tx_id <= last:
         raise ChainError(f"tx id {tx.tx_id} is not strictly increasing (last {last})")
@@ -520,8 +520,8 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         kind = _KINDS[obj["kind"]]
     except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
         kind = TxKind(obj["kind"])
-    tx = _new_tuple(Transaction, (obj["tx_id"], kind, obj["payload"], obj["submitter"]))
-    return _new_tuple(TxRecord, (_check_tx_form(tx), obj["status"], obj["error"]))
+    tx = _check_tx_form(obj["tx_id"], kind, obj["payload"], obj["submitter"])
+    return _new_tuple(TxRecord, (tx, obj["status"], obj["error"]))
 
 
 def import_chain(text: str) -> list[Block]:

@@ -203,6 +203,14 @@ class TestScenarioLoading:
         ("table3.json", lambda s: s.update(kind=[]), "field 'kind': must be a string"),
         ("table3.json", lambda s: s.update(kind={}), "field 'kind': must be a string"),
         ("table3.json", lambda s: s.update(output=5), "field 'output': must be a string"),
+        ("protocol_publish.json", lambda s: s["trades"][0].update(shares=float("nan")),
+         "field 'trades[0]': payload is not encodable as JSON: nan is not finite"),
+        ("protocol_publish.json", lambda s: s.update(deposit=float("inf")),
+         "field 'deposit': payload is not encodable as JSON: inf is not finite"),
+        ("protocol_publish.json", lambda s: s["users"].update(ada=10**700),
+         "field 'users': payload is not encodable as JSON: integer over 640 digits"),
+        ("protocol_publish.json", lambda s: s.update(votes=json.loads("[" * 17 + "]" * 17)),
+         "field 'votes': payload nests more than 16 containers"),
     ], ids=["market-string-shares", "market-no-outcome", "market-int-user",
             "market-string-trades", "protocol-no-comment-text", "protocol-no-trade-user",
             "protocol-user-list", "protocol-string-panel", "protocol-string-peers",
@@ -212,7 +220,9 @@ class TestScenarioLoading:
             "population-override-past-the-end", "population-negative-override",
             "population-delta-5", "population-negative-horizon",
             "population-string-visibility", "sweep-string-grid", "analysis-string-game",
-            "analysis-game-without-R", "analysis-list-P", "list-kind", "object-kind", "int-output"])
+            "analysis-game-without-R", "analysis-list-P", "list-kind", "object-kind", "int-output",
+            "protocol-nan-shares", "protocol-inf-deposit", "protocol-700-digit-balance",
+            "protocol-votes-too-deep"])
     def test_a_malformed_scenario_field_is_named(self, tmp_path, capsys, name, edit,
                                                  refused):
         scenario = load_scenario(resolve_scenario_path(name))

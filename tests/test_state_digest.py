@@ -473,16 +473,38 @@ OPTIONAL_TEXT = st.none() | TEXT
 INTS = st.integers(0, 2**256 - 1)
 HOLDERS = TEXT | st.sampled_from(["ab", "ab0", "ab:", ""])
 
-ACCOUNTS = st.builds(Account, INTS, INTS)
+
+def with_fields(entity, **fields):
+    """`entity`, built as its creating operation builds it, with the fields
+    that later operations write set to `fields`."""
+    vars(entity).update(fields)
+    return entity
+
+
+def traded(mkt: Market, holdings: dict) -> Market:
+    """`mkt` holding `holdings`, each recorded as written, as a trade records it."""
+    for key, shares in holdings.items():
+        mkt.holdings[key] = shares
+        mkt.written[key] = None
+    return mkt
+
+
+ACCOUNTS = st.builds(with_fields, st.builds(Account, INTS), escrowed=INTS)
 ARTICLES = st.builds(
-    Article, TEXT, st.sampled_from(ArticleState), st.lists(TEXT), OPTIONAL_TEXT, INTS,
-    OPTIONAL_TEXT, st.lists(TEXT).map(tuple), OPTIONAL_TEXT,
-    st.lists(st.tuples(TEXT, INTS, TEXT)), INTS, INTS)
-DISPUTES = st.builds(Dispute, TEXT, TEXT, TEXT, INTS, OPTIONAL_TEXT)
+    with_fields,
+    st.builds(Article, TEXT, st.sampled_from(ArticleState), st.lists(TEXT), OPTIONAL_TEXT),
+    author_deposit=INTS, depositor=OPTIONAL_TEXT, review_panel=st.lists(TEXT).map(tuple),
+    market_id=OPTIONAL_TEXT, comments=st.lists(st.tuples(TEXT, INTS, TEXT)),
+    review_round=INTS, dispute_seq=INTS)
+DISPUTES = st.builds(with_fields, st.builds(Dispute, TEXT, TEXT, TEXT, INTS),
+                     resolution=OPTIONAL_TEXT)
 HOLDINGS = st.builds("{}:{}".format, HOLDERS, st.sampled_from(OUTCOMES))
 MARKETS = st.builds(
-    Market, TEXT, FLOATS, st.fixed_dictionaries({o: FLOATS for o in OUTCOMES}),
-    st.dictionaries(HOLDINGS, FLOATS), st.none() | st.sampled_from(OUTCOMES), INTS)
+    traded,
+    st.builds(with_fields, st.builds(Market, TEXT, FLOATS),
+              outstanding=st.fixed_dictionaries({o: FLOATS for o in OUTCOMES}),
+              resolved=st.none() | st.sampled_from(OUTCOMES), trade_count=INTS),
+    st.dictionaries(HOLDINGS, FLOATS))
 
 
 @given(ACCOUNTS | ARTICLES | DISPUTES | MARKETS)
@@ -527,7 +549,7 @@ def section_oracle(entities: dict, keyed: bool) -> str:
 @pytest.mark.parametrize("key", ["a", "m", "z"], ids=["first", "middle", "last"])
 def test_a_section_inserts_and_removes_keys_in_order(keyed, built, key):
     # A state's section is built from its entities' encodings, a market's
-    # empty with every entity recorded as written.
+    # empty, with each holding recorded as written by the trade that wrote it.
     entities = {"c": 1.5, "k": 2.0, "x": 3.0}
     if built == "from-bodies":
         written, bodies = {}, {k: repr(entities[k]) for k in sorted(entities)}
@@ -566,14 +588,3 @@ def test_uids_that_share_a_prefix_keep_text_order_and_payouts():
     assert mkt._holdings.keys == sorted(mkt.holdings) == [
         "ab0:PUBLISH", "ab0:REVISE", "ab::PUBLISH", "ab::REVISE", "ab:PUBLISH", "ab:REVISE"]
     assert list(market.payouts(mkt, "PUBLISH").items()) == [("ab", 2), ("ab0", 2), ("ab:", 2)]
-
-
-def test_a_market_built_with_holdings_encodes_them():
-    mkt = Market("m", 100.0, {"PUBLISH": 3.0, "REVISE": 2.0},
-                 {"zed:PUBLISH": 3.0, "amy:REVISE": 2.0})
-    assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
-    ledger = TokenLedger(10**6, {"bo": 1000})
-    market.trade(mkt, ledger, "bo", "REVISE", 1.0)
-    market.trade(mkt, ledger, "zed", "PUBLISH", -3.0)
-    assert mkt.to_canonical_json() == canonical_dumps(mkt.to_canonical())
-    assert list(mkt.holdings) == ["amy:REVISE", "bo:REVISE"]
