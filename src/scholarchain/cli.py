@@ -481,7 +481,7 @@ def _cmd_verify(args) -> int:
     from .netchain import PeerSet, verify_export
     chain_path = Path(args.chain)
     try:
-        text = chain_path.read_text(encoding="utf-8")
+        text = chain_path.read_bytes().decode("utf-8")  # byte-exact: no newline translation
     except UnicodeDecodeError as exc:
         print(f"FAILED at parse: {exc}", file=sys.stderr)
         return 1

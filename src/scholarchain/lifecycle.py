@@ -229,6 +229,9 @@ class ProtocolConfig:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __deepcopy__(self, memo):
+        return self  # a config never changes, so a cloned state shares it
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

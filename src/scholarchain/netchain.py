@@ -16,7 +16,8 @@ digest, so the tip never holds half a block.
 
 Blocks are hash-linked over their full content (header *and* transaction
 records), so any single-byte mutation of a committed block is caught by
-`verify_chain` replaying from genesis.
+`verify_chain` replaying from genesis.  `verify_export` parses each line of
+an export only when that replay reaches it, so it holds one block at a time.
 """
 
 from __future__ import annotations
@@ -407,11 +408,12 @@ class VerifyResult(NamedTuple):
 
 
 def verify_chain(
-    blocks: Sequence[Block],
+    blocks: Iterable[Block],
     genesis: ProtocolState,
     peer_set: PeerSet,
 ) -> VerifyResult:
-    """Replay all blocks from genesis and check every link and digest.
+    """Replay the blocks from genesis, in the order the iterable yields them,
+    and check every link and digest; the first fault ends the replay.
 
     Valid iff heights are consecutive, each prev_hash matches the previous
     block's content digest, every block's own digest seals its content,
@@ -422,32 +424,31 @@ def verify_chain(
     state = genesis.clone()
     prev_hash = GENESIS_PREV_HASH
     last_tx_id = -1
-    for expected_height, block in enumerate(blocks):
-        def bad(reason: str) -> VerifyResult:
-            return VerifyResult(False, block.height, reason)
-
-        if block.height != expected_height:
-            return VerifyResult(False, expected_height, "height out of sequence")
+    peers, quorum = set(peer_set.peers), peer_set.quorum
+    for height, block in enumerate(blocks):
+        if block.height != height:
+            return VerifyResult(False, height, "height out of sequence")
         if block.prev_hash != prev_hash:
-            return bad("broken prev-hash link")
+            return VerifyResult(False, height, "broken prev-hash link")
         if _seal(block) != block.block_hash:
-            return bad("block content does not match its digest")
-        if len(set(block.approvals)) < peer_set.quorum:
-            return bad("distinct approvals below quorum")
-        if not set(block.approvals) <= set(peer_set.peers):
-            return bad("approval from unknown peer")
-        for record in block.txs:
-            if record.tx.tx_id <= last_tx_id:
-                return bad(f"tx id {record.tx.tx_id} is not strictly increasing")
-            last_tx_id = record.tx.tx_id
+            return VerifyResult(False, height, "block content does not match its digest")
+        approvals = set(block.approvals)
+        if len(approvals) < quorum:
+            return VerifyResult(False, height, "distinct approvals below quorum")
+        if not approvals <= peers:
+            return VerifyResult(False, height, "approval from unknown peer")
+        for tx, _, _ in block.txs:
+            if tx.tx_id <= last_tx_id:
+                return VerifyResult(False, height, f"tx id {tx.tx_id} is not strictly increasing")
+            last_tx_id = tx.tx_id
         replayed = _execute(state, [r.tx for r in block.txs])
-        for record, again in zip(block.txs, replayed):
-            if again.status != record.status:
-                return bad(f"tx {record.tx.tx_id} status diverges on replay")
-            if again.error != record.error:
-                return bad(f"tx {record.tx.tx_id} reason diverges on replay")
+        for (tx, status, error), again in zip(block.txs, replayed):
+            if again.status != status:
+                return VerifyResult(False, height, f"tx {tx.tx_id} status diverges on replay")
+            if again.error != error:
+                return VerifyResult(False, height, f"tx {tx.tx_id} reason diverges on replay")
         if state_hash(state) != block.state_hash:
-            return bad("replayed state hash mismatch")
+            return VerifyResult(False, height, "replayed state hash mismatch")
         prev_hash = block.block_hash
     return VerifyResult(True, None)
 
@@ -524,44 +525,67 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
     return _new_tuple(TxRecord, (tx, obj["status"], obj["error"]))
 
 
-def import_chain(text: str) -> list[Block]:
-    """Parse an exported chain; malformed lines raise ChainError.
-
-    The format is strictly newline-delimited (no other separator byte is a
-    block boundary), so corrupted separators surface as parse errors.
-    """
-    blocks = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line == "":
-            continue
+def _block_from_line(line: str, lineno: int) -> Block:
+    """The block on one line of an export; ChainError if the line is malformed."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict) or list(obj) != _BLOCK_WIRE_KEYS:
+            raise ChainError(f"block keys must be exactly {_BLOCK_WIRE_KEYS}")
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or list(obj) != _BLOCK_WIRE_KEYS:
-                raise ChainError(f"block keys must be exactly {_BLOCK_WIRE_KEYS}")
-            try:
-                check_fields(obj, _BLOCK_FIELDS)
-            except FieldError as exc:
-                raise ChainError(_BLOCK_REASONS[exc.path]) from None
-            block = Block(
-                height=obj["height"],
-                prev_hash=obj["prevHash"],
-                txs=tuple(map(_tx_record_from_obj, obj["txs"])),
-                state_hash=obj["stateHash"],
-                approvals=tuple(obj["approvals"]),
-                block_hash=obj["blockHash"],
-            )
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise ChainError(f"line {lineno}: malformed block: {exc}") from exc
-        blocks.append(block)
-    return blocks
+            check_fields(obj, _BLOCK_FIELDS)
+        except FieldError as exc:
+            raise ChainError(_BLOCK_REASONS[exc.path]) from None
+        return _new_tuple(Block, (
+            obj["height"], obj["prevHash"], tuple(map(_tx_record_from_obj, obj["txs"])),
+            obj["stateHash"], tuple(obj["approvals"]), obj["blockHash"]))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ChainError(f"line {lineno}: malformed block: {exc}") from exc
+
+
+class _ExportedBlocks:
+    """The blocks of an export, each parsed from its line only when iteration
+    reaches it, so a loop over them holds one block at a time.  `len` counts
+    the non-empty lines without parsing them."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def _lines(self):
+        """(line number, start, end) of each non-empty line of the text."""
+        text, start, lineno = self.text, 0, 1
+        while start <= len(text):
+            end = text.find("\n", start)
+            if end < 0:
+                end = len(text)
+            if end > start:
+                yield lineno, start, end
+            start, lineno = end + 1, lineno + 1
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._lines())
+
+    def __iter__(self):
+        text = self.text
+        for lineno, start, end in self._lines():
+            yield _block_from_line(text[start:end], lineno)
+
+
+def import_chain(text: str) -> _ExportedBlocks:
+    """A lazy view of an exported chain's blocks (`_ExportedBlocks`); a
+    malformed line raises ChainError when iteration reaches it.  The format
+    is strictly newline-delimited (no other separator byte is a block
+    boundary), so corrupted separators surface as parse errors."""
+    return _ExportedBlocks(text)
 
 
 def verify_export(
     text: str, genesis: ProtocolState, peer_set: PeerSet
 ) -> VerifyResult:
-    """Verify a serialized chain; parse failures count as verification failures."""
+    """Verify a serialized chain as it is read: each line is parsed when the
+    replay reaches it, so memory holds the replayed state and one block.  A
+    malformed line fails verification with no height, unless a block before
+    it failed first."""
     try:
-        blocks = import_chain(text)
+        return verify_chain(import_chain(text), genesis, peer_set)
     except ChainError as exc:
         return VerifyResult(False, None, str(exc))
-    return verify_chain(blocks, genesis, peer_set)

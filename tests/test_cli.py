@@ -406,6 +406,17 @@ class TestProtocolVerb:
         assert main(["verify", str(chain_file)]) == 1
         assert "FAILED at parse" in capsys.readouterr().err
 
+    def test_verify_fails_a_block_separator_changed_to_cr_at_parse(self, tmp_path, capsys):
+        # Read with newline translation, the CR would part the two lines again.
+        run_scenario("protocol_publish.json", str(tmp_path))
+        chain_file = tmp_path / "protocol_publish_chain.jsonl"
+        data = chain_file.read_bytes()
+        end = data.index(b"\n")
+        chain_file.write_bytes(data[:end] + b"\r" + data[end + 1:])
+        assert main(["verify", str(chain_file)]) == 1
+        assert ("FAILED at parse: line 1: malformed block: Extra data"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("chain_name, error", [
         ("protocol_publish_chain.jsonl",
          "genesis descriptor {dir}/protocol_publish_genesis.json is missing"),

@@ -4,9 +4,10 @@ import enum
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scholarchain import netchain
 from scholarchain.errors import ChainError, ProtocolError
@@ -22,6 +23,7 @@ from scholarchain.netchain import (
     TxKind,
     TxPool,
     TxRecord,
+    VerifyResult,
     export_chain,
     import_chain,
     produce_block,
@@ -897,7 +899,7 @@ class TestWireFormat:
     def test_round_trip(self):
         chain = demo_chain()
         text = export_chain(chain.blocks)
-        blocks = import_chain(text)
+        blocks = list(import_chain(text))
         assert blocks == list(chain.blocks)
         assert verify_chain(blocks, genesis(), PEERS).ok
 
@@ -916,11 +918,11 @@ class TestWireFormat:
 
     def test_malformed_line_raises(self):
         with pytest.raises(ChainError):
-            import_chain('{"height": 0')
+            list(import_chain('{"height": 0'))
 
     def test_deeply_nested_line_raises_chain_error(self):
         with pytest.raises(ChainError):
-            import_chain("[" * 100_000)
+            list(import_chain("[" * 100_000))
 
     def test_every_single_byte_flip_breaks_verification(self):
         chain = demo_chain()
@@ -987,6 +989,80 @@ class TestWireFormat:
         assert not result.ok
         assert result.first_bad_height == bad_height
         assert reason in result.reason
+
+
+class TestStreamedVerify:
+    """Verify parses each line of an export when the replay reaches it."""
+
+    def test_an_import_yields_the_blocks_before_a_malformed_line(self):
+        chain = demo_chain()
+        lines = export_chain(chain.blocks).splitlines(keepends=True)
+        blocks = iter(import_chain("".join(lines[:2]) + '{"height": 2\n'))
+        assert next(blocks) == chain.blocks[0]
+        assert next(blocks) == chain.blocks[1]
+        with pytest.raises(ChainError, match="^line 3: malformed block: "):
+            next(blocks)
+
+    def test_an_import_counts_its_lines_without_parsing_them(self):
+        text = export_chain(demo_chain().blocks)
+        assert len(import_chain(text)) == 3
+        # Empty lines are skipped, and a malformed line is counted, unparsed.
+        assert len(import_chain("\n" + text.replace("\n", "\n\n") + "{not json")) == 4
+
+    def test_a_replay_fault_is_reported_before_a_later_malformed_line(self):
+        lines = resealed_export(0, lambda obj: obj.update(stateHash="0" * 64)).splitlines(
+            keepends=True)
+        lines[2] = '{"height": 2\n'
+        assert verify_export("".join(lines), genesis(), PEERS) == VerifyResult(
+            False, 0, "replayed state hash mismatch")
+
+    def test_verify_holds_one_block_not_the_whole_export(self):
+        # Forty blocks of forty trades among two traders: the replayed state
+        # stays small, and the parsed blocks are most of what import makes.
+        chain, hashes = review_chain()
+        first = chain.last_tx_id + 1
+        produce_block(chain, pool_with(chain, credit_tx(first, "bo", 10**6),
+                                       credit_tx(first + 1, "cy", 10**6)), PEERS)
+        for _ in range(40):
+            first = chain.last_tx_id + 1
+            # bo and cy each buy one share and sell it back, in turn.
+            trades = (Transaction(first + i, TxKind.TRADE,
+                                  {"article": hashes["reviewed"], "outcome": "PUBLISH",
+                                   "shares": 1 if i % 4 < 2 else -1}, ("bo", "cy")[i % 2])
+                      for i in range(40))
+            block = produce_block(chain, pool_with(chain, *trades), PEERS).block
+            assert all(r.status == APPLIED for r in block.txs), block.txs
+        text = export_chain(chain.blocks)
+        tracemalloc.start()
+        try:
+            blocks = list(import_chain(text))
+            held = tracemalloc.get_traced_memory()[0]
+            del blocks
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert verify_export(text, genesis(), PEERS).ok
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held
+
+
+FLIPPABLE = export_chain(demo_chain().blocks).encode("utf-8")
+
+
+@given(st.integers(0, len(FLIPPABLE) - 1), st.integers(0, 7))
+@settings(deadline=None)
+def test_verify_export_is_eager_import_then_verify_chain(pos, bit):
+    # One flipped byte makes one fault, so reading as the replay goes reports
+    # what reading the whole export first reports.
+    data = bytearray(FLIPPABLE)
+    data[pos] ^= 1 << bit
+    text = data.decode("utf-8", "surrogateescape")
+    try:
+        eager = verify_chain(list(import_chain(text)), genesis(), PEERS)
+    except ChainError as exc:
+        eager = VerifyResult(False, None, str(exc))
+    assert verify_export(text, genesis(), PEERS) == eager
 
 
 @pytest.mark.parametrize("kind, reason", [
@@ -1076,7 +1152,7 @@ def test_the_seal_is_written_as_canonical_json_encodes_it(block):
 def test_a_block_is_exported_as_json_dumps_writes_it(block):
     text = export_chain([block])
     assert text == json.dumps(wire_dict(block), separators=(",", ":")) + "\n"
-    assert import_chain(text) == [block]
+    assert list(import_chain(text)) == [block]
 
 
 ENCODABLE = (json_values(3)
