@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 # one: `games` (and `strategies` for sweep) for analyze and sweep, `market`
 # and `ledger` for market, and the chain layer for protocol and verify.
 from .errors import ProtocolError
-from .fields import OPTIONAL, Field, FieldError, check_fields
+from .fields import OPTIONAL, Field, FieldError, as_rational, check_fields
 
 class ScenarioError(Exception):
     """Scenario file failed to parse or validate; message names the field."""
@@ -130,7 +130,6 @@ def _analysis_outputs(scenario: dict, seed: int) -> dict[str, str]:
 
 def _sweep_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from . import strategies
-    from .games import as_rational
     game = _game(scenario)
     grid = scenario["delta_grid"]
     with _judged("delta_grid"):
@@ -207,6 +206,8 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
                            export_chain, produce_block, state_hash, submit_tx)
     users, peers, author = scenario["users"], tuple(scenario["peers"]), scenario["author"]
     with _judged("config"):
+        if "peers" in scenario["config"]:
+            raise ValueError("peers are set by the scenario's 'peers' field")
         config = ProtocolConfig.from_canonical({**scenario["config"], "peers": peers})
     with _judged("peers"):
         peer_set = PeerSet(peers)
@@ -333,7 +334,6 @@ def _text_hash(text: str) -> str:
 
 def _market_outputs(scenario: dict, seed: int) -> dict[str, str]:
     from . import market as market_mod
-    from .games import as_rational
     from .ledger import TokenLedger
     traders, outcome, prefix = scenario["traders"], scenario["resolve"], scenario["output"]
     with _judged("b"):

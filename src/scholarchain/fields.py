@@ -1,6 +1,7 @@
 """The declared field vocabulary that reads payloads, scenario files, the
-genesis config and block lines; it imports nothing of the package, so the
-CLI declares its scenario kinds without loading the chain layer."""
+genesis config and block lines, and the helpers that validated values share;
+it imports nothing of the package, so the CLI declares its scenario kinds
+without loading the chain layer."""
 
 from __future__ import annotations
 
@@ -16,6 +17,21 @@ Field = namedtuple("Field", "name type default record", defaults=[None, ()])
 OPTIONAL = object()
 _ABSENT = object()
 _DOUBLE_BOUND = 2**1024 - 2**970  # `float()` of an integer this large overflows
+
+
+#: `_make`, and so `_replace`, through a named tuple's own checking `__new__`.
+_checked_make = classmethod(lambda cls, values: cls(*values))
+
+
+def as_rational(value):
+    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.  Floats
+    are refused: exact payoffs must not carry binary rounding noise."""
+    from fractions import Fraction  # only the verbs that read a rational load it
+    if isinstance(value, str):
+        value = value.strip()
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact rational required, got {value!r}")
+    return Fraction(value)
 
 
 def _strings(value) -> bool:

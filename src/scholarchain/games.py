@@ -18,6 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
+from .fields import _checked_make, as_rational
+
 RationalLike = Union[int, str, Fraction]
 
 #: Publication-probability keys: first char is the player's own effort level
@@ -46,22 +48,6 @@ _CELL_ORDER = (
 
 #: Scenario names of the cells, row action first, in `_CELL_ORDER` order.
 _CELL_NAMES = ("CC", "CD", "DC", "DD")
-
-
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction.
-
-    Floats are refused: game payoffs must not carry binary rounding noise.
-    """
-    if isinstance(value, str):
-        value = value.strip()
-    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"exact rational required, got {value!r}")
-    return Fraction(value)
-
-
-#: `_make`, and so `_replace`, through a named tuple's own checking `__new__`.
-_checked_make = classmethod(lambda cls, values: cls(*values))
 
 
 class PayoffMatrix2x2(namedtuple("PayoffMatrix2x2", "cells")):

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import market as market_mod
 from .errors import CommentRedirectsToMarket, LifecycleError
-from .fields import Field, FieldError, _strings, check_fields
+from .fields import Field, FieldError, _checked_make, _strings, check_fields
 from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
 from .market import Market, Section, Trade, quote, quote_or_null
 
@@ -74,6 +74,7 @@ class ContentMetadata(namedtuple("ContentMetadata", "title abstract authors inst
     """The hashed subset of an article's content data."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, title: str, abstract: str,
                 authors: Sequence[tuple[str, str]],  # (display name, user id)
@@ -253,15 +254,8 @@ class ProtocolConfig:
         return cls(**{k: v for k, v in form.items() if k not in FIXED_RULES})
 
     def to_canonical(self) -> dict:
-        return {
-            "min_review_deposit": FIXED_RULES["min_review_deposit"],
-            "reward_multiple": FIXED_RULES["reward_multiple"],
-            "min_panel": FIXED_RULES["min_panel"],
-            "market_liquidity": self.market_liquidity,
-            "authors_may_trade": FIXED_RULES["authors_may_trade"],
-            "initial_reserve": self.initial_reserve,
-            "peers": list(self.peers),
-        }
+        return {**FIXED_RULES, "market_liquidity": self.market_liquidity,
+                "initial_reserve": self.initial_reserve, "peers": list(self.peers)}
 
 
 def _decide(

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .fields import Field, FieldError, check_fields
+from .fields import Field, FieldError, _checked_make, check_fields
 from .lifecycle import ContentMetadata, ProtocolState, canonical_json, compact_encoder
 from .market import quote
 
@@ -96,6 +96,7 @@ class PeerSet(namedtuple("PeerSet", "peers")):
     """Trusted peers; quorum is the BFT-style floor(2n/3) + 1."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, peers: Iterable[str]):
         peers = tuple(peers)

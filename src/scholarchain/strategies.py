@@ -21,7 +21,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .games import ACTIONS, Action, PayoffMatrix2x2, _checked_make
+from .fields import _checked_make
+from .games import ACTIONS, Action, PayoffMatrix2x2
 
 GOOD, BAD = "good", "bad"
 

@@ -158,6 +158,8 @@ class TestScenarioLoading:
          "field 'trades[2].user': must be a string"),
         ("market_demo.json", lambda s: s.update(trades="x"),
          "field 'trades': must be a list"),
+        ("market_demo.json", lambda s: s.update(trades=[5]),
+         "field 'trades[0]': must be an object"),
         ("protocol_publish.json", lambda s: s["comments"][1].pop("text"),
          "field 'comments[1].text': required"),
         ("protocol_publish.json", lambda s: s["trades"][0].pop("user"),
@@ -168,6 +170,8 @@ class TestScenarioLoading:
          "field 'panel': must be a list of strings"),
         ("protocol_publish.json", lambda s: s.update(peers="abcd"),
          "field 'peers': must be a list of strings"),
+        ("protocol_publish.json", lambda s: s["config"].update(peers=["zz1", "zz2"]),
+         "field 'config': peers are set by the scenario's 'peers' field"),
         ("market_demo.json", lambda s: s["trades"][0].update(outcome="MAYBE"),
          "field 'trades[0]': unknown outcome 'MAYBE'"),
         ("market_demo.json", lambda s: s["trades"][1].update(shares=10**400),
@@ -196,6 +200,8 @@ class TestScenarioLoading:
          "field 'reputation_visible': must be a boolean"),
         ("delta_sweep.json", lambda s: s.update(delta_grid="x"),
          "field 'delta_grid': must be an object"),
+        ("delta_sweep.json", lambda s: s["delta_grid"].update(step="0"),
+         "field 'delta_grid': needs step > 0 and stop >= start"),
         ("table3.json", lambda s: s.update(game="x"), "field 'game': must be an object"),
         ("table3.json", lambda s: s.update(game={"type": "publication"}), "field 'game': 'R'"),
         ("table3.json", lambda s: s["game"].update(P=[]),
@@ -212,14 +218,16 @@ class TestScenarioLoading:
         ("protocol_publish.json", lambda s: s.update(votes=json.loads("[" * 17 + "]" * 17)),
          "field 'votes': payload nests more than 16 containers"),
     ], ids=["market-string-shares", "market-no-outcome", "market-int-user",
-            "market-string-trades", "protocol-no-comment-text", "protocol-no-trade-user",
-            "protocol-user-list", "protocol-string-panel", "protocol-string-peers",
+            "market-string-trades", "market-int-trade", "protocol-no-comment-text",
+            "protocol-no-trade-user", "protocol-user-list", "protocol-string-panel",
+            "protocol-string-peers", "protocol-config-peers",
             "market-unknown-outcome", "market-shares-beyond-a-double", "market-list-resolve",
             "market-list-b", "population-string-size", "population-string-strategies",
             "population-string-horizon", "population-string-override",
             "population-override-past-the-end", "population-negative-override",
             "population-delta-5", "population-negative-horizon",
-            "population-string-visibility", "sweep-string-grid", "analysis-string-game",
+            "population-string-visibility", "sweep-string-grid", "sweep-zero-step",
+            "analysis-string-game",
             "analysis-game-without-R", "analysis-list-P", "list-kind", "object-kind", "int-output",
             "protocol-nan-shares", "protocol-inf-deposit", "protocol-700-digit-balance",
             "protocol-votes-too-deep"])
@@ -233,6 +241,20 @@ class TestScenarioLoading:
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), verb, str(bad)]) == 2
         assert f"error: {refused}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, refused", [
+        ("list.json", "top level must be an object"),
+        ("nowhere.json", "no such scenario file (and no bundled one)"),
+        ("directory.json", "Is a directory"),
+    ], ids=["list-file", "unknown-name", "directory"])
+    def test_an_unreadable_scenario_file_is_named(self, tmp_path, capsys, name, refused):
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "directory.json").mkdir()
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "analyze", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: ") and refused in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", BUNDLED)
@@ -435,6 +457,19 @@ class TestProtocolVerb:
         (tmp_path / "protocol_publish_chain.jsonl").rename(chain_file)
         assert main(["verify", str(chain_file)]) == 2
         assert f"error: {error.format(dir=tmp_path)}\n" in capsys.readouterr().err
+
+    def test_verify_names_a_missing_chain_file(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path / "gone_chain.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+
+    def test_verify_refuses_a_genesis_without_peers(self, tmp_path, capsys):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        genesis_file = tmp_path / "protocol_publish_genesis.json"
+        descriptor = read_json(genesis_file)
+        descriptor["config"]["peers"] = []
+        genesis_file.write_text(json.dumps(descriptor), encoding="utf-8")
+        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
+        assert capsys.readouterr().err == "error: genesis config names no peers\n"
 
     @pytest.mark.parametrize("descriptor", [
         "not json", '{"config": {"bogus": 1}}', "[1]",
@@ -712,7 +747,7 @@ class TestPackageRoot:
         ([["analyze", "table3.json"], ["analyze", "table4.json"],
           ["sweep", "delta_sweep.json"], ["sweep", "population.json"]],
          ("netchain", "lifecycle", "market", "ledger")),
-        ([["market", "market_demo.json"]], ("netchain", "lifecycle")),
+        ([["market", "market_demo.json"]], ("netchain", "lifecycle", "games", "strategies")),
     ], ids=["game-verbs", "market"])
     def test_game_and_market_verbs_do_not_load_the_chain(self, tmp_path, runs, unloaded):
         # A fresh interpreter, as above.

@@ -138,6 +138,10 @@ class TestRationals:
         assert game._replace(cells=game.shifted(1).cells) == biased_publication_game()
         assert PayoffMatrix2x2._make([(("1/2", 0),) * 4]).cells[0] == (Fraction(1, 2), 0)
 
+    def test_missing_cells_are_named(self):
+        with pytest.raises(ValueError, match=r"^cells missing for profiles \[\(<Action\.C"):
+            PayoffMatrix2x2.from_cells({})
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
@@ -228,6 +232,12 @@ class TestPublicationGame:
     def test_prob_keys_required(self):
         with pytest.raises(ValueError):
             PublicationParams(reward=4, effort=1, publish_prob={"e0": 1})
+
+    def test_unknown_prob_key_rejected(self):
+        # The four keys of PROB_KEYS, and a fifth.
+        probs = dict.fromkeys(("00", "0e", "e0", "ee", "e1"), Fraction(1, 2))
+        with pytest.raises(ValueError, match="^unknown publish_prob key 'e1'$"):
+            PublicationParams(reward=4, effort=1, publish_prob=probs)
 
     def test_replace_checks_the_new_fields(self):
         params = PublicationParams(reward=4, effort=1, publish_prob=dict.fromkeys(

@@ -80,6 +80,10 @@ class TestContentHash:
         with pytest.raises(LifecycleError):
             ContentMetadata("t", "a", ())
 
+    def test_abstract_must_be_a_string(self):
+        with pytest.raises(LifecycleError, match="^article abstract must be a string$"):
+            ContentMetadata("t", 5, (("X", "u1"),))
+
     @pytest.mark.parametrize("authors, institutions", [
         (["xy"], ()),
         ((("X", "u1", "extra"),), ()),
@@ -169,6 +173,10 @@ class TestStartReview:
     def test_wrong_type_config_rejected_at_genesis(self, field, value, reason):
         with pytest.raises(LifecycleError, match=reason):
             ProtocolConfig.from_canonical({field: value})
+
+    def test_duplicate_peers_rejected_at_genesis(self):
+        with pytest.raises(LifecycleError, match="^peer list has duplicates$"):
+            ProtocolConfig(peers=("p1", "p1"))
 
     @pytest.mark.parametrize("field", ["initial_reserve"])
     def test_config_integers_are_below_2_256(self, field):
@@ -415,6 +423,14 @@ class TestDisputes:
             state.resolve_dispute(
                 dispute.dispute_id, {"p1": "retract", "p2": "uphold"}
             )
+        assert dispute.resolution is None
+
+    def test_a_config_without_peers_decides_no_dispute(self):
+        state = state_with_author(peers=())
+        article = published_article(state)
+        dispute = state.raise_objection(article.article_hash, "cy", 5)
+        with pytest.raises(LifecycleError, match="^no peers configured to decide disputes$"):
+            state.resolve_dispute(dispute.dispute_id, {"p1": "retract"})
         assert dispute.resolution is None
 
     def test_double_resolution_rejected(self):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,10 @@ class TestPeerSet:
         with pytest.raises(ChainError):
             PeerSet(())
 
+    def test_duplicates_rejected(self):
+        with pytest.raises(ChainError, match="^duplicate peer ids$"):
+            PeerSet(("p1", "p1"))
+
     @pytest.mark.parametrize("peers", [(1, 2, 3, 4), ("p1", ""), ("p1", None),
                                        ("p1", "p" + PAIR)],
                              ids=["int-ids", "empty-id", "none-id", "surrogate-pair"])
@@ -118,6 +123,13 @@ class TestSubmitTx:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ChainError):
             submit_tx(TxPool(), Transaction(1, "MAGIC", {}, "x"), Chain(genesis()))
+
+    def test_empty_submitter_rejected(self):
+        pool = TxPool()
+        with pytest.raises(ChainError, match="^submitter must be a nonempty user id$"):
+            submit_tx(pool, Transaction(1, TxKind.CLAIM_ARTICLE, {"article": "a"}, ""),
+                      Chain(genesis()))
+        assert len(pool) == 0
 
     def test_duplicate_tx_id_rejected(self):
         chain = Chain(genesis())
@@ -171,7 +183,8 @@ class TestSubmitTx:
          "platform", "tuple"),
         (TxKind.CLAIM_ARTICLE, {"article": Name("a")}, "bob", "Name"),
         (TxKind.CREDIT, {"user": "bob", "amount": Level.FIVE}, "platform", "Level"),
-    ], ids=["tuple", "tuple-in-votes", "str-subclass", "int-enum"])
+        (TxKind.CREDIT, OrderedDict(user="bob", amount=5), "platform", "OrderedDict"),
+    ], ids=["tuple", "tuple-in-votes", "str-subclass", "int-enum", "ordered-dict-payload"])
     def test_payload_values_must_be_exact_json_types(self, kind, payload, submitter,
                                                      type_name):
         # A reason may quote a payload value with `repr`, and the export reads
@@ -747,6 +760,41 @@ def test_a_refused_trade_seals_its_reason_and_replays(article, outcome, shares, 
     assert verify_export(export_chain(chain.blocks), genesis(), PEERS).ok
 
 
+#: The hash of `submit_article_tx(_, "ada", "active")`'s article.
+ACTIVE = content_hash(ContentMetadata("active", "x", (("A", "ada"),)))
+RETRACT_VOTES = {"p1": "retract", "p2": "retract", "p3": "retract"}
+
+
+@pytest.mark.parametrize("kind, payload, submitter, reason", [
+    (TxKind.CREDIT, {"user": "ada", "amount": 5, "source": "x"}, "platform",
+     "unknown credit source 'x'"),
+    (TxKind.START_REVIEW, {"article": ACTIVE, "deposit": 10, "panel": ["r1", "r1", "r2"]},
+     "ada", "review panel has duplicate members"),
+    (TxKind.RESOLVE_DISPUTE, {"dispute": "claimed:d1", "votes": RETRACT_VOTES}, "platform",
+     "reserve 0 cannot pay the bounty of 5"),
+], ids=["credit-source", "duplicate-panel", "reserve-below-bounty"])
+def test_a_refused_operation_seals_its_reason_and_replays(kind, payload, submitter, reason):
+    # An empty reserve, an ACTIVE article of ada's, and bo's open dispute
+    # against a PUBLISHED one.
+    def reserveless():
+        return ProtocolState(ProtocolConfig(initial_reserve=0, peers=PEERS.peers,
+                                            market_liquidity=20.0))
+
+    chain = Chain(reserveless())
+    setup = [credit_tx(1, "ada", 100), credit_tx(2, "bo", 100),
+             submit_article_tx(3, "ada", "active"),
+             Transaction(4, TxKind.CLAIM_ARTICLE, {"article": "claimed"}, "ada"),
+             Transaction(5, TxKind.RAISE_OBJECTION, {"article": "claimed", "stake": 5}, "bo")]
+    block = produce_block(chain, pool_with(chain, *setup), PEERS).block
+    assert all(r.status == APPLIED for r in block.txs), block.txs
+    before = state_hash(chain.tip)
+    block = produce_block(chain, pool_with(chain, Transaction(6, kind, payload, submitter)),
+                          PEERS).block
+    assert [(r.status, r.error) for r in block.txs] == [(REJECTED, reason)]
+    assert block.state_hash == before
+    assert verify_export(export_chain(chain.blocks), reserveless(), PEERS).ok
+
+
 def demo_chain():
     """Three committed blocks exercising article flow and a rejection."""
     state = genesis()
@@ -977,12 +1025,16 @@ class TestWireFormat:
         # Block 1's second record is the rejected CREDIT by "bo".
         (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
          "tx 4 reason diverges on replay"),
+        (1, lambda obj: obj["txs"][1].update(status="applied"), 1,
+         "tx 4 status diverges on replay"),
+        (1, lambda obj: obj.update(approvals=["p9", *obj["approvals"][1:]]), 1,
+         "approval from unknown peer"),
     ], ids=["list-payload", "list-approvals", "duplicate-approvals", "raw-escrow-kind",
             "float-height", "bool-height", "object-error", "list-signature",
             "string-signature",
             "bool-tx-id", "duplicate-tx-id", "nan-payload", "infinity-payload",
             "1e400-payload", "-1e999-payload", "deep-payload", "4301-digit-payload",
-            "641-digit-payload", "rewritten-reason"])
+            "641-digit-payload", "rewritten-reason", "rewritten-status", "unknown-approver"])
     def test_resealed_malformed_block_fails(self, height, edit, bad_height, reason):
         with int_digit_limit(0):
             result = verify_export(resealed_export(height, edit), genesis(), PEERS)

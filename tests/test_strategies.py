@@ -86,6 +86,11 @@ class TestAutomata:
                 transitions={("s", C): "s"},
             )
 
+    def test_unknown_transition_target_rejected(self):
+        with pytest.raises(ValueError, match="^transition target 'b' unknown$"):
+            StrategyAutomaton(name="broken", initial="s", actions={"s": C},
+                              transitions={("s", C): "s", ("s", D): "b"})
+
 
 class TestPlayMatch:
     def test_transcript_payoffs_match_stage_game(self):

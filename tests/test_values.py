@@ -2,6 +2,7 @@
 refuses attribute writes, and deep-copies to an equal value."""
 
 import copy
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,10 +65,39 @@ class TestValueClass:
         for name in (*fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
 
     def test_a_deep_copy_is_equal(self, cls, fields):
         value = cls(**fields)
         assert copy.deepcopy(value) == value
+
+
+#: Each validated named tuple, a field value its constructor refuses, and the
+#: constructor's message for it.
+REFUSED = [
+    (PayoffMatrix2x2, {"cells": ((1, 2),)}, "a 2x2 game has exactly four cells"),
+    (CommonsParams, {"effort": Fraction(2)}, "benefit must exceed effort"),
+    (PublicationParams, {"reward": -1}, "reward must be non-negative"),
+    (EquilibriumSet, {"mixed": (Fraction(3, 2), 0)}, "mixed probabilities must lie in [0,1]"),
+    (StrategyAutomaton, {"initial": "nowhere"}, "initial state 'nowhere' unknown"),
+    (PopulationConfig, {"horizon": 0}, "horizon must be >= 1"),
+    (ContentMetadata, {"authors": ()}, "article needs at least one author"),
+    (PeerSet, {"peers": ()}, "peer set cannot be empty"),
+]
+
+
+@pytest.mark.parametrize("cls, bad, message", REFUSED,
+                         ids=[cls.__name__ for cls, *_ in REFUSED])
+def test_make_and_replace_refuse_what_the_constructor_refuses(cls, bad, message):
+    fields = {**dict(VALUES)[cls], **bad}
+    with pytest.raises(Exception) as built:
+        cls(**fields)
+    assert str(built.value) == message
+    value = cls(**dict(VALUES)[cls])
+    for rebuild in (lambda: cls._make(fields.values()), lambda: value._replace(**bad)):
+        with pytest.raises(type(built.value), match=f"^{re.escape(message)}$"):
+            rebuild()
 
 
 def test_a_transcript_counts_its_rounds():
