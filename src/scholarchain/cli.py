@@ -204,13 +204,13 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     from .lifecycle import ProtocolConfig, ProtocolState
     from .netchain import (PLATFORM, REJECTED, Chain, PeerSet, Transaction, TxKind, TxPool,
                            export_chain, produce_block, state_hash, submit_tx)
-    users, peers, author = scenario["users"], tuple(scenario["peers"]), scenario["author"]
+    users, author = scenario["users"], scenario["author"]
+    with _judged("peers"):
+        peer_set = PeerSet(scenario["peers"])
     with _judged("config"):
         if "peers" in scenario["config"]:
             raise ValueError("peers are set by the scenario's 'peers' field")
-        config = ProtocolConfig.from_canonical({**scenario["config"], "peers": peers})
-    with _judged("peers"):
-        peer_set = PeerSet(peers)
+        config = ProtocolConfig.from_canonical({**scenario["config"], "peers": peer_set.peers})
     objection = scenario.get("objection")
 
     genesis = ProtocolState(config)
@@ -272,17 +272,10 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
             objection["challenger"],
         )
         commit()
-        open_disputes = [
-            d.dispute_id
-            for d in chain.tip.disputes.values()
-            if d.resolution is None
-        ]
-        if open_disputes:
-            push(
-                "objection", TxKind.RESOLVE_DISPUTE,
-                {"dispute": open_disputes[0], "votes": objection["peer_votes"]},
-                PLATFORM,
-            )
+        dispute = chain.tip.open_dispute(article_hash)
+        if dispute is not None:
+            push("objection", TxKind.RESOLVE_DISPUTE,
+                 {"dispute": dispute.dispute_id, "votes": objection["peer_votes"]}, PLATFORM)
             commit()
 
     final = chain.tip
@@ -293,13 +286,9 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         for r in b.txs
         if r.status == REJECTED
     ]
-    resolved_market = next(
-        (m for m in final.markets.values() if m.resolved is not None), None
-    )
-    payouts = (
-        market_mod.payouts(resolved_market, resolved_market.resolved)
-        if resolved_market is not None else {}
-    )
+    market = final.markets.get(article.market_id) if article else None
+    payouts = (market_mod.payouts(market, market.resolved)
+               if market is not None and market.resolved is not None else {})
     summary = {
         "article_hash": article_hash,
         "final_article_state": article.state.value if article else None,

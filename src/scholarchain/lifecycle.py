@@ -303,6 +303,17 @@ class ProtocolState:
             raise LifecycleError(f"no article with hash {article_hash!r}")
         return art
 
+    def open_dispute(self, article_hash: str) -> Optional[Dispute]:
+        """The article's unresolved dispute, if any.  Only its latest id can
+        hold one, since an objection is refused while an earlier one is open."""
+        article = self.articles.get(article_hash)
+        if article is None:
+            return None
+        dispute = self.disputes.get(f"{article_hash[:16]}:d{article.dispute_seq}")
+        if dispute is None or dispute.article_hash != article_hash:
+            return None
+        return dispute if dispute.resolution is None else None
+
     def market_of(self, article: Article) -> Market:
         if article.market_id is None or article.market_id not in self.markets:
             raise LifecycleError(f"article {article.article_hash!r} has no market")
@@ -471,10 +482,7 @@ class ProtocolState:
             raise LifecycleError("objection stake must be a positive token amount")
         if self.ledger.balance(challenger) < stake:
             raise LifecycleError(f"{challenger!r} cannot cover the stake of {stake}")
-        if any(
-            d.article_hash == article_hash and d.resolution is None
-            for d in self.disputes.values()
-        ):
+        if self.open_dispute(article_hash) is not None:
             raise LifecycleError("article already has an open dispute")
         self.ledger.escrow(challenger, stake)
         article.dispute_seq += 1

@@ -172,6 +172,8 @@ class TestScenarioLoading:
          "field 'peers': must be a list of strings"),
         ("protocol_publish.json", lambda s: s["config"].update(peers=["zz1", "zz2"]),
          "field 'config': peers are set by the scenario's 'peers' field"),
+        ("protocol_publish.json", lambda s: s["peers"].append("p1"),
+         "field 'peers': duplicate peer ids"),
         ("market_demo.json", lambda s: s["trades"][0].update(outcome="MAYBE"),
          "field 'trades[0]': unknown outcome 'MAYBE'"),
         ("market_demo.json", lambda s: s["trades"][1].update(shares=10**400),
@@ -221,6 +223,7 @@ class TestScenarioLoading:
             "market-string-trades", "market-int-trade", "protocol-no-comment-text",
             "protocol-no-trade-user", "protocol-user-list", "protocol-string-panel",
             "protocol-string-peers", "protocol-config-peers",
+            "protocol-duplicate-peers",
             "market-unknown-outcome", "market-shares-beyond-a-double", "market-list-resolve",
             "market-list-b", "population-string-size", "population-string-strategies",
             "population-string-horizon", "population-string-override",

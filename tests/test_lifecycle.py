@@ -238,11 +238,14 @@ class TestStartReview:
         with pytest.raises(LifecycleError):
             state.start_review(article.article_hash, "ada", 10, ("r1", "r2", "r3"))
 
-    def test_small_panel_rejected(self):
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_small_panel_rejected(self, size):
         state = state_with_author()
         article = state.submit_article(meta(), "ada")
-        with pytest.raises(LifecycleError):
-            state.start_review(article.article_hash, "ada", 10, ("r1",))
+        panel = tuple(f"r{i}" for i in range(1, size + 1))
+        refused = rf"^panel of {size} is below the minimum 3$"
+        with pytest.raises(LifecycleError, match=refused):
+            state.start_review(article.article_hash, "ada", 10, panel)
 
     def test_insufficient_balance_rejected(self):
         state = state_with_author(balance=8)
@@ -362,6 +365,9 @@ def retracted_article(state):
     return article
 
 
+UPHOLD_VOTES = {"p1": "uphold", "p2": "uphold", "p3": "uphold"}
+
+
 class TestDisputes:
     def test_objection_opens_dispute_and_escrows_stake(self):
         state = state_with_author()
@@ -432,6 +438,37 @@ class TestDisputes:
         with pytest.raises(LifecycleError, match="^no peers configured to decide disputes$"):
             state.resolve_dispute(dispute.dispute_id, {"p1": "retract"})
         assert dispute.resolution is None
+
+    def test_a_second_objection_waits_for_the_open_one(self):
+        state = state_with_author()
+        article = published_article(state)
+        first = state.raise_objection(article.article_hash, "cy", 5)
+        before = state.to_canonical()
+        with pytest.raises(LifecycleError, match="^article already has an open dispute$"):
+            state.raise_objection(article.article_hash, "dee", 7)
+        assert state.to_canonical() == before
+        assert (state.ledger.balance("dee"), state.ledger.escrowed("dee")) == (100, 0)
+        assert (state.ledger.balance("cy"), state.ledger.escrowed("cy")) == (95, 5)
+        assert state.disputes == {first.dispute_id: first}
+
+    def test_an_objection_after_a_resolved_one_takes_the_next_id(self):
+        state = state_with_author()
+        article = published_article(state)
+        first = state.raise_objection(article.article_hash, "cy", 5)
+        state.resolve_dispute(first.dispute_id, UPHOLD_VOTES)
+        second = state.raise_objection(article.article_hash, "dee", 7)
+        assert second.dispute_id == f"{article.article_hash[:16]}:d2"
+        assert state.ledger.escrowed("dee") == 7
+
+    def test_open_dispute_is_the_unresolved_one(self):
+        state = state_with_author()
+        article = published_article(state)
+        assert state.open_dispute(article.article_hash) is None
+        dispute = state.raise_objection(article.article_hash, "cy", 5)
+        assert state.open_dispute(article.article_hash) is dispute
+        state.resolve_dispute(dispute.dispute_id, UPHOLD_VOTES)
+        assert state.open_dispute(article.article_hash) is None
+        assert state.open_dispute("no-such-article") is None
 
     def test_double_resolution_rejected(self):
         state = state_with_author()

@@ -772,7 +772,9 @@ RETRACT_VOTES = {"p1": "retract", "p2": "retract", "p3": "retract"}
      "ada", "review panel has duplicate members"),
     (TxKind.RESOLVE_DISPUTE, {"dispute": "claimed:d1", "votes": RETRACT_VOTES}, "platform",
      "reserve 0 cannot pay the bounty of 5"),
-], ids=["credit-source", "duplicate-panel", "reserve-below-bounty"])
+    (TxKind.RAISE_OBJECTION, {"article": "claimed", "stake": 5}, "bo",
+     "article already has an open dispute"),
+], ids=["credit-source", "duplicate-panel", "reserve-below-bounty", "second-objection"])
 def test_a_refused_operation_seals_its_reason_and_replays(kind, payload, submitter, reason):
     # An empty reserve, an ACTIVE article of ada's, and bo's open dispute
     # against a PUBLISHED one.
@@ -992,9 +994,10 @@ class TestWireFormat:
          "payload must be a mapping"),
         (0, lambda obj: obj.update(approvals=[["p1"], ["p2"], ["p3"]]), None,
          "approvals must be a list of peer ids"),
-        (0, lambda obj: obj.update(approvals=["p1", "p1", "p1"]), 0, "below quorum"),
+        (0, lambda obj: obj.update(approvals=["p1", "p1", "p1"]), 0,
+         "distinct approvals below quorum"),
         (1, lambda obj: obj["txs"][1].update(kind="ESCROW"), None,
-         "'ESCROW' is not a valid TxKind"),
+         "line 2: malformed block: 'ESCROW' is not a valid TxKind"),
         # Each of these equals a valid value under ==, or was never type-checked.
         (0, lambda obj: obj.update(height=0.0), None, "block height must be an integer"),
         (1, lambda obj: obj.update(height=True), None, "block height must be an integer"),
@@ -1005,23 +1008,29 @@ class TestWireFormat:
         (1, lambda obj: obj["txs"][0].update(signature="x"), None,
          "tx signature must be empty"),
         (1, lambda obj: obj["txs"][0].update(tx_id=True), None,
-         "tx id must be a non-negative integer"),
+         "tx id must be a non-negative integer of at most 640 digits"),
         # Block 0 holds tx ids 1 and 2.
         (1, lambda obj: obj["txs"][0].update(tx_id=1), 1,
          "tx id 1 is not strictly increasing"),
         # `json.dumps` writes bare NaN and Infinity tokens, which are not JSON,
         # and a number beyond a double's range decodes to an infinity.
-        (1, payload_note(float("nan")), None, "nan is not finite"),
-        (1, payload_note(float("inf")), None, "inf is not finite"),
-        (1, payload_note(float("inf"), ("Infinity", "1e400")), None, "inf is not finite"),
+        (1, payload_note(float("nan")), None,
+         "payload is not encodable as JSON: nan is not finite"),
+        (1, payload_note(float("inf")), None,
+         "payload is not encodable as JSON: inf is not finite"),
+        (1, payload_note(float("inf"), ("Infinity", "1e400")), None,
+         "payload is not encodable as JSON: inf is not finite"),
         (1, payload_note(float("-inf"), ("-Infinity", "-1e999")), None,
-         "-inf is not finite"),
+         "payload is not encodable as JSON: -inf is not finite"),
         # About as deep as `json.dumps` can encode under the test runner; a few
         # tens of levels deeper, sealing the block raised RecursionError.
-        (1, payload_note(nested_list(900)), None, "nests more than 16 containers"),
+        (1, payload_note(nested_list(900)), None,
+         "payload nests more than 16 containers"),
         # Readable here only because the test lifts the interpreter's limit.
-        (1, payload_note(10**4300), None, "integer over 640 digits"),
-        (1, payload_note(10**640), None, "integer over 640 digits"),
+        (1, payload_note(10**4300), None,
+         "payload is not encodable as JSON: integer over 640 digits"),
+        (1, payload_note(10**640), None,
+         "payload is not encodable as JSON: integer over 640 digits"),
         # Block 1's second record is the rejected CREDIT by "bo".
         (1, lambda obj: obj["txs"][1].update(error="insufficient balance"), 1,
          "tx 4 reason diverges on replay"),
@@ -1040,7 +1049,7 @@ class TestWireFormat:
             result = verify_export(resealed_export(height, edit), genesis(), PEERS)
         assert not result.ok
         assert result.first_bad_height == bad_height
-        assert reason in result.reason
+        assert result.reason == reason
 
 
 class TestStreamedVerify:

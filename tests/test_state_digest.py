@@ -203,7 +203,11 @@ def test_dispute_replaced_at_a_taken_id():
         (TxKind.RAISE_OBJECTION, {"article": "same-sixteen-chrsA", "stake": 5}, "bo"),
         (TxKind.RAISE_OBJECTION, {"article": "same-sixteen-chrsB", "stake": 7}, "ada"),
     ])
-    assert chain.tip.disputes["same-sixteen-chr:d1"].stake == 7
+    tip = chain.tip
+    assert tip.disputes["same-sixteen-chr:d1"].stake == 7
+    # A's latest id holds B's dispute, so A has none open and B has its own.
+    assert tip.open_dispute("same-sixteen-chrsA") is None
+    assert tip.open_dispute("same-sixteen-chrsB") is tip.disputes["same-sixteen-chr:d1"]
 
 
 def count_encodes(monkeypatch) -> collections.Counter:
