@@ -47,6 +47,7 @@ _EXPORTS = {
         "Article",
         "ArticleState",
         "ContentMetadata",
+        "PeerSet",
         "ProtocolConfig",
         "ProtocolState",
         "content_hash",
@@ -61,7 +62,6 @@ _EXPORTS = {
     "netchain": (
         "Block",
         "Chain",
-        "PeerSet",
         "Transaction",
         "TxKind",
         "TxPool",

@@ -10,8 +10,8 @@ Verbs:
 
 Scenario files are JSON with a `kind` discriminator and a mandatory `seed`;
 rationals are written as "p/q" strings.  A scenario plus its seed fully
-determines every output byte: all results are computed first and written
-only when the whole run has succeeded, so failures leave no partial files.
+determines every output byte: all results are computed, and every output
+path read, before the first write, so only a write fault leaves partial files.
 Outputs are plain CSV/JSON for external plotting.
 """
 
@@ -201,8 +201,8 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
     in the summary; the demo always runs to the end.
     """
     from . import market as market_mod
-    from .lifecycle import ProtocolConfig, ProtocolState
-    from .netchain import (PLATFORM, REJECTED, Chain, PeerSet, Transaction, TxKind, TxPool,
+    from .lifecycle import PeerSet, ProtocolConfig, ProtocolState
+    from .netchain import (PLATFORM, REJECTED, Chain, Transaction, TxKind, TxPool,
                            export_chain, produce_block, state_hash, submit_tx)
     users, author = scenario["users"], scenario["author"]
     with _judged("peers"):
@@ -411,9 +411,13 @@ def run_scenario(name: str, out_dir: str = "out", seed_override: Optional[int] =
     """Run one scenario file, or its fields `scenario` as `load_scenario`
     returned them; returns the paths of its outputs.
 
-    All outputs are rendered in memory first: a failing scenario writes
+    All outputs are rendered in memory, and every output path read, before
+    the first write: a failing scenario or an unreadable output path writes
     nothing at all.  A file that already holds the same bytes is left
-    untouched, since truncating it can cost more than the whole run.
+    untouched, since truncating it can cost more than the whole run.  A write
+    that fails midway (a full disk, say) leaves the files written before it,
+    and may cut short the one it was writing.  An `OSError` raises
+    ScenarioError with its text.
     """
     if scenario is None:
         scenario = load_scenario(resolve_scenario_path(name))
@@ -421,19 +425,15 @@ def run_scenario(name: str, out_dir: str = "out", seed_override: Optional[int] =
     render = KINDS[scenario["kind"]][2]
     outputs = render(scenario, seed)
     target = Path(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for filename, content in outputs.items():
-        file_path = target / filename
-        data = content.encode("utf-8")
-        try:
-            unchanged = file_path.read_bytes() == data
-        except OSError:
-            unchanged = False
-        if not unchanged:
-            file_path.write_bytes(data)
-        paths.append(str(file_path))
-    return paths
+    files = {target / filename: text.encode("utf-8") for filename, text in outputs.items()}
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        changed = [p for p, data in files.items() if not p.exists() or p.read_bytes() != data]
+        for path in changed:
+            path.write_bytes(files[path])
+    except OSError as exc:
+        raise ScenarioError(str(exc)) from None
+    return list(map(str, files))
 
 
 def _cmd_run(verb: str, args) -> int:
@@ -466,8 +466,8 @@ def _cmd_run(verb: str, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .lifecycle import ProtocolConfig, ProtocolState
-    from .netchain import PeerSet, verify_export
+    from .lifecycle import PeerSet, ProtocolConfig, ProtocolState
+    from .netchain import verify_export
     chain_path = Path(args.chain)
     try:
         text = chain_path.read_bytes().decode("utf-8")  # byte-exact: no newline translation
@@ -492,15 +492,14 @@ def _cmd_verify(args) -> int:
     try:
         descriptor = json.loads(genesis_path.read_text(encoding="utf-8"))
         config = ProtocolConfig.from_canonical(descriptor["config"])
-        peer_set = PeerSet(config.peers) if config.peers else None
     except (OSError, ValueError, LookupError, TypeError, RecursionError,
             ProtocolError) as exc:
         print(f"error: genesis descriptor {genesis_path}: {exc}", file=sys.stderr)
         return 2
-    if peer_set is None:
+    if not config.peers:
         print("error: genesis config names no peers", file=sys.stderr)
         return 2
-    result = verify_export(text, ProtocolState(config), peer_set)
+    result = verify_export(text, ProtocolState(config), PeerSet(config.peers))
     if result.ok:
         print(f"OK: {args.chain} replays cleanly")
         return 0

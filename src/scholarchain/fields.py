@@ -34,6 +34,14 @@ def as_rational(value):
     return Fraction(value)
 
 
+def _json_carries(text: str) -> bool:
+    """Whether JSON reads `text` back as it is.  JSON writes a high surrogate
+    followed by a low one as two escapes, which read back, and seal, as the
+    one character that the pair encodes in UTF-16."""
+    return text.isascii() or text == text.encode(
+        "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
 def _strings(value) -> bool:
     """True for a list or tuple of strings; a string alone is not one."""
     return isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)

@@ -25,11 +25,11 @@ import json
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import market as market_mod
-from .errors import CommentRedirectsToMarket, LifecycleError
-from .fields import Field, FieldError, _checked_make, _strings, check_fields
+from .errors import ChainError, CommentRedirectsToMarket, LifecycleError
+from .fields import Field, FieldError, _checked_make, _json_carries, _strings, check_fields
 from .ledger import AMOUNT_BOUND, FORFEIT, MINT, REFUND, RESERVE, TokenLedger
 from .market import Market, Section, Trade, quote, quote_or_null
 
@@ -192,54 +192,62 @@ FIXED_RULES = {"min_review_deposit": 5, "reward_multiple": 2, "min_panel": 3,
                "authors_may_trade": False}
 
 
+class PeerSet(namedtuple("PeerSet", "peers")):
+    """Trusted peers; quorum is the BFT-style floor(2n/3) + 1."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, peers: Iterable[str]):
+        peers = tuple(peers)
+        if not peers:
+            raise ChainError("peer set cannot be empty")
+        if not all(isinstance(p, str) and p and _json_carries(p) for p in peers):
+            raise ChainError("peer ids must be non-empty strings that JSON reads back")
+        if len(set(peers)) != len(peers):
+            raise ChainError("duplicate peer ids")
+        return super().__new__(cls, peers)
+
+    @property
+    def quorum(self) -> int:
+        return (2 * len(self.peers)) // 3 + 1
+
+
 _CONFIG_FIELDS = (Field("initial_reserve", "an integer"),
                   Field("market_liquidity", "a number"), Field("peers", "a list of strings"))
 
 
-class ProtocolConfig:
+class ProtocolConfig(namedtuple("ProtocolConfig", "market_liquidity initial_reserve peers")):
     """The settable platform constants of one chain.
 
     A successful challenger's bounty equals the stake.  `peers` are the
     trusted members whose majorities decide disputes (the same set approves
-    blocks).  A config never changes once made, because a state keeps its
-    config's canonical fragment from the first digest on.
+    blocks), under `PeerSet`'s rule; a config may have none.  A config never
+    changes once made, because a state keeps its config's canonical fragment
+    from the first digest on.
     """
 
-    def __init__(self, market_liquidity: float = 100.0, initial_reserve: int = 0,
-                 peers: Sequence[str] = ()):
-        fields = {"market_liquidity": market_liquidity, "initial_reserve": initial_reserve,
-                  "peers": peers}
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, market_liquidity: float = 100.0, initial_reserve: int = 0,
+                peers: Sequence[str] = ()):
         try:
-            check_fields(fields, _CONFIG_FIELDS)
+            check_fields({"market_liquidity": market_liquidity,
+                          "initial_reserve": initial_reserve, "peers": peers}, _CONFIG_FIELDS)
         except FieldError as exc:
             if exc.expected == "a number" and type(market_liquidity) is int:
                 raise LifecycleError("market liquidity is too large for a double") from None
             raise LifecycleError(f"{exc.path} must be {exc.expected}") from None
-        fields["peers"] = peers = tuple(peers)
         if not 0 <= initial_reserve < AMOUNT_BOUND:
             raise LifecycleError("initial_reserve must be below 2**256 and not negative")
         if not 0 < market_liquidity < math.inf:
             raise LifecycleError(f"market liquidity must be positive, got {market_liquidity}")
-        if len(set(peers)) != len(peers):
-            raise LifecycleError("peer list has duplicates")
-        self.__dict__.update(fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        return super().__new__(cls, market_liquidity, initial_reserve,
+                               PeerSet(peers).peers if peers else ())
 
     def __deepcopy__(self, memo):
         return self  # a config never changes, so a cloned state shares it
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(other) == vars(self)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     @classmethod
     def from_canonical(cls, form) -> "ProtocolConfig":

@@ -25,14 +25,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import namedtuple
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ChainError, ProtocolError
 from .ledger import MINT
-from .fields import Field, FieldError, _checked_make, check_fields
-from .lifecycle import ContentMetadata, ProtocolState, canonical_json, compact_encoder
+from .fields import Field, FieldError, _json_carries, check_fields
+from .lifecycle import ContentMetadata, PeerSet, ProtocolState, canonical_json, compact_encoder
 from .market import quote
 
 GENESIS_PREV_HASH = "0" * 64
@@ -90,27 +89,6 @@ class Block(NamedTuple):
     state_hash: str
     approvals: tuple[str, ...]
     block_hash: str
-
-
-class PeerSet(namedtuple("PeerSet", "peers")):
-    """Trusted peers; quorum is the BFT-style floor(2n/3) + 1."""
-
-    __slots__ = ()
-    _make = _checked_make
-
-    def __new__(cls, peers: Iterable[str]):
-        peers = tuple(peers)
-        if not peers:
-            raise ChainError("peer set cannot be empty")
-        if not all(isinstance(p, str) and p and _json_carries(p) for p in peers):
-            raise ChainError("peer ids must be non-empty strings that JSON reads back")
-        if len(set(peers)) != len(peers):
-            raise ChainError("duplicate peer ids")
-        return super().__new__(cls, peers)
-
-    @property
-    def quorum(self) -> int:
-        return (2 * len(self.peers)) // 3 + 1
 
 
 def state_hash(state: ProtocolState) -> str:
@@ -235,14 +213,6 @@ class TxPool:
 
 _MAX_DEPTH = 16  # containers in a payload, itself included; an author pair is 3 deep
 _INT_BOUND = 10**640  # at most 640 digits, the lowest int<->str limit CPython allows
-
-
-def _json_carries(text: str) -> bool:
-    """Whether JSON reads `text` back as it is.  JSON writes a high surrogate
-    followed by a low one as two escapes, which read back, and seal, as the
-    one character that the pair encodes in UTF-16."""
-    return text.isascii() or text == text.encode(
-        "utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
 _PAIRED = "payload is not encodable as JSON: a string holds a surrogate pair"

@@ -465,6 +465,16 @@ class TestProtocolVerb:
         assert main(["verify", str(tmp_path / "gone_chain.jsonl")]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
 
+    def test_verify_names_a_genesis_with_duplicate_peers(self, tmp_path, capsys):
+        run_scenario("protocol_publish.json", str(tmp_path))
+        genesis_file = tmp_path / "protocol_publish_genesis.json"
+        descriptor = read_json(genesis_file)
+        descriptor["config"]["peers"] = ["p1", "p1"]
+        genesis_file.write_text(json.dumps(descriptor), encoding="utf-8")
+        assert main(["verify", str(tmp_path / "protocol_publish_chain.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: genesis descriptor {genesis_file}: duplicate peer ids\n")
+
     def test_verify_refuses_a_genesis_without_peers(self, tmp_path, capsys):
         run_scenario("protocol_publish.json", str(tmp_path))
         genesis_file = tmp_path / "protocol_publish_genesis.json"
@@ -611,6 +621,22 @@ class TestBundledScenarios:
         assert [Path(p).read_bytes() for p in paths] == [Path(p).read_bytes() for p in fresh]
         summary = str(tmp_path / "market_demo_summary.json")
         assert os.stat(summary).st_mtime_ns != old
+
+    def test_an_output_path_that_cannot_be_written_is_bad_input(self, tmp_path, capsys):
+        # Every output path is read before the first write, so nothing is written.
+        out = tmp_path / "od"
+        (out / "protocol_publish_genesis.json").mkdir(parents=True)
+        assert main(["--out-dir", str(out), "protocol", "protocol_publish.json"]) == 2
+        genesis = out / "protocol_publish_genesis.json"
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{genesis}'\n"
+        assert [p.name for p in out.iterdir()] == ["protocol_publish_genesis.json"]
+        assert not any(genesis.iterdir())
+        # An --out-dir that names a regular file.
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert main(["--out-dir", str(plain), "analyze", "table3.json"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{plain}'\n"
+        assert plain.read_bytes() == b""
 
     def test_the_reader_reads_back_every_genesis_config(self, tmp_path):
         for name in BUNDLED:

@@ -1,10 +1,12 @@
 """Tests for the article state machine and protocol operations."""
 
+import copy
 import hashlib
 
 import pytest
 
 from scholarchain.errors import (
+    ChainError,
     CommentRedirectsToMarket,
     LedgerError,
     LifecycleError,
@@ -175,8 +177,22 @@ class TestStartReview:
             ProtocolConfig.from_canonical({field: value})
 
     def test_duplicate_peers_rejected_at_genesis(self):
-        with pytest.raises(LifecycleError, match="^peer list has duplicates$"):
+        with pytest.raises(ChainError, match="^duplicate peer ids$"):
             ProtocolConfig(peers=("p1", "p1"))
+
+    @pytest.mark.parametrize("peers", [("", "p2"), (chr(0xD83D) + chr(0xDE00), "p2", "p3")],
+                             ids=["empty-id", "surrogate-pair"])
+    def test_the_config_refuses_the_peer_ids_a_peer_set_refuses(self, peers):
+        # JSON reads a surrogate pair back as one character, so the genesis
+        # descriptor would name a different config.
+        with pytest.raises(ChainError, match="^peer ids must be non-empty strings "
+                                             "that JSON reads back$"):
+            ProtocolConfig(peers=peers)
+
+    def test_a_clone_shares_its_config(self):
+        state = state_with_author()
+        assert copy.deepcopy(state.config) is state.config
+        assert state.clone().config is state.config
 
     @pytest.mark.parametrize("field", ["initial_reserve"])
     def test_config_integers_are_below_2_256(self, field):
@@ -200,7 +216,7 @@ class TestStartReview:
 
     def test_an_unknown_config_key_is_named_by_the_constructor(self):
         # The CLI prints this text for a scenario's or a descriptor's config.
-        with pytest.raises(TypeError, match=r"^ProtocolConfig\.__init__\(\) got an "
+        with pytest.raises(TypeError, match=r"^ProtocolConfig\.__new__\(\) got an "
                                             r"unexpected keyword argument 'fee'$"):
             ProtocolConfig.from_canonical({"fee": 1})
 

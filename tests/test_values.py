@@ -84,6 +84,8 @@ REFUSED = [
     (PopulationConfig, {"horizon": 0}, "horizon must be >= 1"),
     (ContentMetadata, {"authors": ()}, "article needs at least one author"),
     (PeerSet, {"peers": ()}, "peer set cannot be empty"),
+    (ProtocolConfig, {"initial_reserve": -1},
+     "initial_reserve must be below 2**256 and not negative"),
 ]
 
 
