@@ -63,7 +63,7 @@ def load_scenario(path: Path) -> dict:
     included; a renderer reads only what this returns."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     try:
         scenario = json.loads(text)
@@ -300,13 +300,13 @@ def run_protocol_demo(scenario: dict, seed: int) -> dict[str, str]:
         "seed": seed,
     }
     prefix = scenario["output"]
+    form = final.to_canonical()
     return {
         f"{prefix}_chain.jsonl": export_chain(chain.blocks),
         f"{prefix}_genesis.json": json.dumps(
-            {"config": config.to_canonical()}, indent=2, sort_keys=True
-        ) + "\n",
-        f"{prefix}_ledger.json": final.ledger.to_json(),
-        f"{prefix}_registry.json": final.registry_export_json(),
+            {"config": form["config"]}, indent=2, sort_keys=True) + "\n",
+        f"{prefix}_ledger.json": json.dumps(form["ledger"], indent=2, sort_keys=True) + "\n",
+        f"{prefix}_registry.json": json.dumps(form["articles"], indent=2, sort_keys=True) + "\n",
         f"{prefix}_market_payouts.csv": market_mod.payout_table_csv(payouts),
         f"{prefix}_summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
     }

@@ -15,7 +15,6 @@ so a rejected call leaves the ledger untouched.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Optional
 
 from .errors import LedgerError
@@ -159,6 +158,3 @@ class TokenLedger:
             "burned_total": 0,  # no operation burns; the key keeps the form's bytes
             "initial_supply": self.initial_supply,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_canonical(), indent=2, sort_keys=True) + "\n"

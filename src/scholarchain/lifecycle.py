@@ -224,7 +224,7 @@ class ProtocolConfig(namedtuple("ProtocolConfig", "market_liquidity initial_rese
     trusted members whose majorities decide disputes (the same set approves
     blocks), under `PeerSet`'s rule; a config may have none.  A config never
     changes once made, because a state keeps its config's canonical fragment
-    from the first digest on.
+    from its construction on.
     """
 
     __slots__ = ()
@@ -297,11 +297,11 @@ class ProtocolState:
         self.clock = 0  # logical time; ticks once per applied operation
         # Keys written since the last digest, per section, each a dict used
         # as a set like `TokenLedger.written`, which keeps the accounts'.  Only
-        # `_tick` adds to them.  The sections, and the fragment of the config,
-        # which never changes, are built by the first digest.
+        # `_tick` adds to them.  The sections are made, empty, by the first
+        # digest, so that cloning a fresh state copies none of them.
         self._written = {"articles": {}, "disputes": {}, "markets": {}}
         self._sections: Optional[tuple[Section, ...]] = None
-        self._config_json = ""
+        self._config_json = canonical_json(self.config.to_canonical())
 
     # -- helpers --------------------------------------------------------------
 
@@ -595,24 +595,16 @@ class ProtocolState:
         call encodes again only the keys written since the last one, each
         with its entity's own `to_canonical_json`, and joins again only the
         sections that have some.  A market in turn encodes again only the
-        holdings traded since.  A state's first call builds every section,
-        and the config's fragment, from one `to_canonical()`.
+        holdings traded since.  A state's first call makes the sections
+        empty, and they fill from every key written since the state was made.
         """
         led = self.ledger
         if self._sections is None:
-            snapshot = self.to_canonical()
             w = self._written
-            sections = []
-            for entities, written, forms, keyed in (
-                    (self.articles, w["articles"], snapshot["articles"], False),
-                    (self.disputes, w["disputes"], snapshot["disputes"], False),
-                    (led.accounts, led.written, snapshot["ledger"]["accounts"].values(), True),
-                    (self.markets, w["markets"], snapshot["markets"], False)):
-                bodies = dict(zip(sorted(entities), map(canonical_json, forms)))
-                sections.append(Section(entities, written, _encode, keyed, bodies))
-                written.clear()
-            self._sections = tuple(sections)
-            self._config_json = canonical_json(snapshot["config"])
+            self._sections = (Section(self.articles, w["articles"], _encode),
+                              Section(self.disputes, w["disputes"], _encode),
+                              Section(led.accounts, led.written, _encode, keyed=True),
+                              Section(self.markets, w["markets"], _encode))
         articles, disputes, accounts, markets = self._sections
         return (
             '{"articles":[', articles.text(),
@@ -624,11 +616,6 @@ class ProtocolState:
             f'"platform_reserve":{led.platform_reserve!r}}},"markets":[',
             markets.text(), ']}',
         )
-
-    def registry_export_json(self) -> str:
-        """Article registry as a JSON array sorted by article hash."""
-        entries = [self.articles[h].to_canonical() for h in sorted(self.articles)]
-        return json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
 
 def _encode(entity) -> str:

@@ -45,20 +45,19 @@ class Section:
     """One collection's part of a canonical JSON text: its keys in sorted
     order, each key's fragment, and the fragments comma-joined.
 
-    `written` holds the keys written since the last `text()`; each is encoded
-    again from its value in `entities` with `encode`.  A keyed fragment is an
-    object member (`"key":...`), else an array item.
+    A section starts empty.  `written` holds the keys written since the last
+    `text()`; each is encoded again from its value in `entities` with
+    `encode`.  A keyed fragment is an object member (`"key":...`), else an
+    array item.
     """
 
     def __init__(self, entities: dict, written: dict, encode: Callable[..., str],
-                 keyed: bool = False, bodies: Optional[dict[str, str]] = None):
-        """`bodies` maps keys, in sorted order, to their values' encodings."""
+                 keyed: bool = False):
         self.entities, self.written, self.encode = entities, written, encode
         self.keyed = keyed
-        bodies = bodies or {}
-        self.keys = list(bodies)
-        self.fragments = [self._fragment(key, body) for key, body in bodies.items()]
-        self.joined = ",".join(self.fragments)
+        self.keys: list[str] = []
+        self.fragments: list[str] = []
+        self.joined = ""
 
     def _fragment(self, key: str, body: str) -> str:
         return f"{quote(key)}:{body}" if self.keyed else body
@@ -66,10 +65,12 @@ class Section:
     def text(self) -> str:
         """The joined fragments, after each written key's fragment is encoded
         again into its slot: a new key takes a new slot, and a key whose
-        value is gone loses its own."""
+        value is gone loses its own.  The keys are taken in sorted order, so
+        each new one lands at the end and an empty section fills in one
+        pass, not one shifting insert per key."""
         if self.written:
             keys, fragments, entities = self.keys, self.fragments, self.entities
-            for key in self.written:
+            for key in sorted(self.written):
                 i = bisect.bisect_left(keys, key)
                 kept = i < len(keys) and keys[i] == key
                 if key in entities:

@@ -8,8 +8,7 @@ hypothesis), and pytest does not collect it, since its name does not start
 with `test_`.  Each mutant is applied to a copy of `src/` in a temporary
 directory, and its test files run from this checkout with `PYTHONPATH`
 naming that copy; the tests themselves stay here, because some of them read
-`demos/` and `README.md` from the checkout.  `tests/test_demos.py` runs the
-demos against the checkout's own `src/`, so no mutant lists it.
+`demos/` and `README.md` from the checkout.
 
 One line per mutant: `killed`, `survived`, `stale` (the text does not
 occur exactly once) or `error`, then the score per module.  The exit status
@@ -97,6 +96,23 @@ MUTANTS = (
     Mutant("config-deepcopy-copies", "lifecycle.py",
            "return self  # a config never changes",
            "return copy.copy(self)  # a config never changes", ("test_lifecycle.py",)),
+    # A boundary that only a demo's printed verdict shows.
+    Mutant("sustained-boundary-open", "strategies.py",
+           "(temptation - punishment) >= temptation - reward",
+           "(temptation - punishment) > temptation - reward", ("test_demos.py",)),
+    # The one digest path: every section fills from its written keys.
+    Mutant("section-keeps-gone-key", "market.py",
+           "                elif kept:\n                    del keys[i], fragments[i]\n", "",
+           ("test_state_digest.py",)),
+    Mutant("section-slot-never-kept", "market.py",
+           "kept = i < len(keys) and keys[i] == key", "kept = False",
+           ("test_state_digest.py",)),
+    Mutant("accounts-section-unkeyed", "lifecycle.py",
+           "Section(led.accounts, led.written, _encode, keyed=True)",
+           "Section(led.accounts, led.written, _encode)", ("test_state_digest.py",)),
+    Mutant("first-digest-forgets-disputes", "lifecycle.py",
+           'Section(self.disputes, w["disputes"], _encode)',
+           "Section(self.disputes, {}, _encode)", ("test_state_digest.py",)),
 )
 
 

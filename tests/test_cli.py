@@ -250,10 +250,13 @@ class TestScenarioLoading:
         ("list.json", "top level must be an object"),
         ("nowhere.json", "no such scenario file (and no bundled one)"),
         ("directory.json", "Is a directory"),
-    ], ids=["list-file", "unknown-name", "directory"])
+        ("latin1.json", "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["list-file", "unknown-name", "directory", "not-utf8"])
     def test_an_unreadable_scenario_file_is_named(self, tmp_path, capsys, name, refused):
         (tmp_path / "list.json").write_text("[]")
         (tmp_path / "directory.json").mkdir()
+        (tmp_path / "latin1.json").write_bytes(
+            b'{"kind": "game-analysis", "seed": 1, "output": "caf\xe9"}')
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), "analyze", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err

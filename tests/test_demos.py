@@ -12,12 +12,17 @@ from pathlib import Path
 
 import pytest
 
+import scholarchain
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+#: The directory holding the package this test process imported, so that the
+#: demos run the same code as the tests beside them.
+PACKAGE_PARENT = Path(scholarchain.__file__).resolve().parent.parent
 
 
 def run_python(args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_PARENT))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
 

@@ -580,5 +580,5 @@ class TestTransitionLegality:
         state = state_with_author()
         state.claim_published_article("f" * 64, "10.1/x", "ada")
         state.claim_published_article("0" * 64, "10.1/y", "bo")
-        export = state.registry_export_json()
-        assert export.index('"0' * 1) < export.index('"f')
+        hashes = [entry["article_hash"] for entry in state.to_canonical()["articles"]]
+        assert hashes == sorted(hashes) == ["0" * 64, "f" * 64]
