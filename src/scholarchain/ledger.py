@@ -1,9 +1,10 @@
 """Token accounts, escrow and the platform reserve.
 
 Tokens are integers, and users exchange them only with the platform: the
-supported flows are minting, grants from the reserve, escrow of a user's
-own balance, and escrow resolution back to the user or into the reserve.
-There is deliberately no peer-to-peer transfer.
+supported flows are minting, grants from the reserve, debits from a user's
+balance into the reserve, escrow of a user's own balance, and escrow
+resolution back to the user or into the reserve.  There is deliberately no
+peer-to-peer transfer.
 
 The conservation identity
 
@@ -126,6 +127,17 @@ class TokenLedger:
         self.written[user_id] = None
         acct.balance -= amount
         acct.escrowed += amount
+
+    def debit(self, user_id: str, amount: int) -> None:
+        """Move tokens from a user's balance into the reserve."""
+        amount = _positive_amount(amount)
+        acct = self.accounts.get(user_id)
+        if acct is None or acct.balance < amount:
+            have = acct.balance if acct else 0
+            raise LedgerError(f"{user_id!r} has {have}, cannot pay {amount}")
+        self.written[user_id] = None
+        acct.balance -= amount
+        self.platform_reserve += amount
 
     def resolve_escrow(self, user_id: str, amount: int, outcome: str) -> None:
         """Release escrowed tokens back to the user or forfeit them."""

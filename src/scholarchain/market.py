@@ -15,8 +15,8 @@ evaluating both sides afresh on every interpreter.
 
 The ledger deals in integer tokens, so real-valued costs are rounded in the
 house's favor: buys round up, sale proceeds and resolution payouts round
-down.  Buy costs move user -> reserve (through escrow-and-forfeit, the only
-sanctioned user-to-platform flow); sales and payouts are reserve grants.
+down.  A buy's cost moves from the user's balance to the reserve in one
+`TokenLedger.debit`; sales and payouts are grants from the reserve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as quote
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import LedgerError, MarketError
-from .ledger import AMOUNT_BOUND, FORFEIT, RESERVE, TokenLedger
+from .ledger import AMOUNT_BOUND, RESERVE, TokenLedger
 
 PUBLISH = "PUBLISH"
 REVISE = "REVISE"
@@ -88,17 +88,21 @@ class Section:
 
 
 def lmsr_cost(quantities: Mapping[str, float], b: float) -> float:
-    """Cost-function value at a book position, max-shifted for stability.
+    """Cost-function value at a binary book, max-shifted for stability.
 
     This is the one definition of C.  Its float operations and their order
     fix every token cost, so they must not change: each share count divided
-    by b, the maximum m, then b * (m + ln of the left-to-right `sum` of
-    exp(x - m)).  The sum is over a list, not a generator, only because that
-    is faster; the additions are the same.
+    by b, the larger one m, then b * (m + ln(exp(x - m) + exp(y - m))).
+    One `+` equals the n-outcome form's `sum` of the two exps on every
+    Python: the compensated `sum` of 3.12 adds back the compensation of a
+    single addition, which is its exact rounding error, and that rounds to
+    the same double.
     """
-    scaled = [q / b for q in quantities.values()]
-    m = max(scaled)
-    return b * (m + log(sum([exp(x - m) for x in scaled])))
+    x, y = quantities.values()
+    x /= b
+    y /= b
+    m = x if x >= y else y
+    return b * (m + log(exp(x - m) + exp(y - m)))
 
 
 class Market:
@@ -245,8 +249,7 @@ def trade(
             if balance < token_cost:
                 raise LedgerError(
                     f"{user_id!r} balance {balance} cannot cover trade cost {token_cost}")
-            ledger.escrow(user_id, token_cost)
-            ledger.resolve_escrow(user_id, token_cost, FORFEIT)
+            ledger.debit(user_id, token_cost)
         elif token_cost < 0:
             ledger.credit(user_id, -token_cost, RESERVE)
     except BaseException:

@@ -113,6 +113,21 @@ MUTANTS = (
     Mutant("first-digest-forgets-disputes", "lifecycle.py",
            'Section(self.disputes, w["disputes"], _encode)',
            "Section(self.disputes, {}, _encode)", ("test_state_digest.py",)),
+    # The binary cost function, the kept cost and a buy's one ledger move.
+    # Not a mutant: `exp(y - m) + exp(x - m)`, since IEEE addition commutes.
+    Mutant("lmsr-max-shift-dropped", "market.py",
+           "m = x if x >= y else y", "m = x", ("test_market.py",)),
+    Mutant("kept-cost-ignores-writes", "market.py",
+           "kept = costed_b == b and costed == book", "kept = True", ("test_market.py",)),
+    Mutant("debit-unwritten", "ledger.py",
+           "        self.written[user_id] = None\n"
+           "        acct.balance -= amount\n"
+           "        self.platform_reserve += amount\n",
+           "        acct.balance -= amount\n"
+           "        self.platform_reserve += amount\n", ("test_ledger.py",)),
+    Mutant("debit-skips-reserve", "ledger.py",
+           "        acct.balance -= amount\n        self.platform_reserve += amount\n",
+           "        acct.balance -= amount\n", ("test_ledger.py",)),
 )
 
 

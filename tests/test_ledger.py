@@ -124,6 +124,34 @@ class TestResolveEscrow:
             self.ledger.resolve_escrow("u1", 4, "split")
 
 
+class TestDebit:
+    def test_debit_feeds_the_reserve(self):
+        ledger = TokenLedger(initial_reserve=5, balances={"u1": 10})
+        ledger.debit("u1", 4)
+        assert ledger.balance("u1") == 6
+        assert ledger.escrowed("u1") == 0
+        assert ledger.platform_reserve == 9
+        assert ledger.written == {"u1": None}
+        assert ledger.conservation_gap() == 0
+
+    @pytest.mark.parametrize("user, amount, refusal", [
+        ("u1", 0, "amount must be a positive integer, got 0"),
+        ("u1", -3, "amount must be a positive integer, got -3"),
+        ("u1", True, "amount must be a positive integer, got True"),
+        ("u1", 2**256, r"amount must be below 2\*\*256"),
+        ("nobody", 1, "'nobody' has 0, cannot pay 1"),
+        ("u1", 11, "'u1' has 10, cannot pay 11"),
+    ], ids=["zero", "negative", "bool", "2**256", "unknown-account", "short"])
+    def test_refusal_leaves_the_ledger(self, user, amount, refusal):
+        ledger = TokenLedger(initial_reserve=5, balances={"u1": 10, "u2": 3})
+        ledger.credit("u2", 1)
+        before = canonical_text(ledger)
+        with pytest.raises(LedgerError, match=refusal):
+            ledger.debit(user, amount)
+        assert canonical_text(ledger) == before
+        assert ledger.written == {"u2": None}  # the credit's mark alone
+
+
 class TestApiSurface:
     def test_no_peer_to_peer_transfer_exists(self):
         # The only flows are user<->platform; a transfer op would break that.
@@ -133,6 +161,7 @@ class TestApiSurface:
             "escrowed",
             "conservation_gap",
             "credit",
+            "debit",
             "escrow",
             "resolve_escrow",
             "to_canonical",
@@ -155,6 +184,7 @@ ops = st.lists(
         st.tuples(st.just("credit"), st.sampled_from("abc"), st.integers(1, 50),
                   st.sampled_from([MINT, RESERVE])),
         st.tuples(st.just("escrow"), st.sampled_from("abc"), st.integers(1, 50)),
+        st.tuples(st.just("debit"), st.sampled_from("abc"), st.integers(1, 50)),
         st.tuples(st.just("resolve"), st.sampled_from("abc"), st.integers(1, 50),
                   st.sampled_from([FORFEIT, REFUND])),
     ),
@@ -174,6 +204,8 @@ class TestConservationProperty:
                     ledger.credit(op[1], op[2], op[3])
                 elif op[0] == "escrow":
                     ledger.escrow(op[1], op[2])
+                elif op[0] == "debit":
+                    ledger.debit(op[1], op[2])
                 else:
                     ledger.resolve_escrow(op[1], op[2], op[3])
             except LedgerError:

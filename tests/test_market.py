@@ -3,9 +3,10 @@
 import math
 import random
 from decimal import Decimal, getcontext
+from math import exp, log
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scholarchain import market as market_mod
 from scholarchain.errors import LedgerError, MarketError
@@ -15,6 +16,7 @@ from scholarchain.market import (
     PUBLISH,
     REVISE,
     event_log_lines,
+    lmsr_cost,
     open_market,
     payout_table_csv,
     payouts,
@@ -41,6 +43,14 @@ def oracle_cost(quantities, b) -> Decimal:
     """Independent LMSR cost function in 50-digit decimal arithmetic."""
     b = Decimal(b)
     return b * sum((Decimal(q) / b).exp() for q in quantities.values()).ln()
+
+
+def _generic_lmsr_cost(quantities, b) -> float:
+    """The n-outcome cost function `lmsr_cost` was first written as: the
+    reference its binary form must equal bit for bit."""
+    scaled = [q / b for q in quantities.values()]
+    m = max(scaled)
+    return b * (m + log(sum([exp(x - m) for x in scaled])))
 
 
 def funded_ledger(**balances) -> TokenLedger:
@@ -269,6 +279,27 @@ class TestExports:
     def test_payout_csv_sorted(self):
         csv = payout_table_csv({"zed": 3, "amy": 5})
         assert csv == "user,tokens\namy,5\nzed,3\n"
+
+
+#: Share counts from zero through subnormals and ordinary books to near
+#: 2**256, where dividing by a small b overflows to inf and the cost to nan.
+SHARES = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e4, -1e4, 2.0**256, -2.0**256,
+                           math.nextafter(2.0**256, 0)))
+          | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+          | st.floats(-1e4, 1e4)
+          | st.floats(2.0**255, 2.0**257) | st.floats(-2.0**257, -2.0**255))
+
+
+class TestBinaryCost:
+    @settings(max_examples=1000, deadline=None)
+    @given(SHARES, SHARES, st.sampled_from((1e-300, 1e6)) | st.floats(1e-300, 1e6))
+    @example(2.0**256, 0.0, 1e-300)  # x / b is inf: the cost is nan
+    @example(-2.0**256, 1e4, 1e-300)  # x / b is -inf: the cost is finite
+    @example(5e-324, -0.0, 1e6)
+    def test_equals_the_generic_cost_bit_for_bit(self, x, y, b):
+        # float.hex tells -0.0 from 0.0 and compares nan equal to itself.
+        for book in ({PUBLISH: x, REVISE: y}, {PUBLISH: y, REVISE: x}):
+            assert float.hex(lmsr_cost(book, b)) == float.hex(_generic_lmsr_cost(book, b))
 
 
 class TestKeptCost:
